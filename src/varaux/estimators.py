@@ -46,7 +46,7 @@ from .errors import (
     InvalidInputError,
     NoUniqueOptimumError,
 )
-from .moments import DeltaTable, Population, delta_table, sample_variance
+from .moments import DeltaTable, Population, fourth_moments, sample_variance
 
 
 class Family(enum.Enum):
@@ -62,16 +62,16 @@ class Family(enum.Enum):
     COMBINED_2P = "combined-2p"
 
 
-_TWO_PHASE_FAMILIES = frozenset(
-    {Family.EXP_RATIO_2P, Family.EXP_PRODUCT_2P, Family.COMBINED_2P}
+# Tuples, not sets: membership then compares identities and never calls
+# the enum's Python-level hash, which matters on the scalar paths.
+_TWO_PHASE_FAMILIES = (Family.EXP_RATIO_2P, Family.EXP_PRODUCT_2P, Family.COMBINED_2P)
+_COMBINED_FAMILIES = (Family.COMBINED, Family.COMBINED_2P)
+_RATIO_FAMILIES = (Family.EXP_RATIO, Family.EXP_RATIO_2P)
+_PRODUCT_FAMILIES = (Family.EXP_PRODUCT, Family.EXP_PRODUCT_2P)
+_X_FAMILIES = (
+    Family.ISAKI_RATIO, Family.EXP_RATIO, Family.COMBINED, Family.EXP_RATIO_2P, Family.COMBINED_2P
 )
-_COMBINED_FAMILIES = frozenset({Family.COMBINED, Family.COMBINED_2P})
-_X_FAMILIES = frozenset(
-    {Family.ISAKI_RATIO, Family.EXP_RATIO, Family.COMBINED, Family.EXP_RATIO_2P, Family.COMBINED_2P}
-)
-_Z_FAMILIES = frozenset(
-    {Family.EXP_PRODUCT, Family.COMBINED, Family.EXP_PRODUCT_2P, Family.COMBINED_2P}
-)
+_Z_FAMILIES = (Family.EXP_PRODUCT, Family.COMBINED, Family.EXP_PRODUCT_2P, Family.COMBINED_2P)
 
 
 @dataclass(frozen=True)
@@ -258,18 +258,67 @@ class TwoPhaseDraw:
         return int(self.first_phase.size)
 
 
-def _positive_variance(value: float, description: str) -> float:
-    if value <= 0.0:
-        raise DegenerateSampleError(f"{description} is zero; the estimator is undefined")
-    return value
+def _zero_message(label: str) -> str:
+    return f"{label} is zero; the estimator is undefined"
 
 
-def _ratio_factor(reference: float, observed: float) -> float:
-    return math.exp((reference - observed) / (reference + observed))
+_X = ("sx2", _zero_message("sample variance of x"))
+_Z = ("sz2", _zero_message("sample variance of z"))
+_X_FIRST = ("sx2_first", _zero_message("first-phase sample variance of x"))
+_Z_FIRST = ("sz2_first", _zero_message("first-phase sample variance of z"))
+
+#: ``(variance name, message)`` for each sample variance a family
+#: divides by, in checking order.  Names are the keyword arguments of
+#: :func:`single_phase_value` and :func:`two_phase_value`; a variance
+#: that is not positive fails the estimate with the message.
+DIVISOR_CHECKS: dict[Family, tuple[tuple[str, str], ...]] = {
+    Family.UNBIASED: (),
+    Family.ISAKI_RATIO: (_X,),
+    Family.EXP_RATIO: (_X,),
+    Family.EXP_PRODUCT: (_Z,),
+    Family.COMBINED: (_X, _Z),
+    Family.EXP_RATIO_2P: (_X_FIRST, _X),
+    Family.EXP_PRODUCT_2P: (_Z_FIRST, _Z),
+    Family.COMBINED_2P: (_X_FIRST, _X, _Z_FIRST, _Z),
+}
 
 
-def _product_factor(reference: float, observed: float) -> float:
-    return math.exp((observed - reference) / (observed + reference))
+def _exp(arg):
+    # ``math.exp`` elementwise: ``np.exp`` rounds differently from it on
+    # some hosts, and a block of values must match the scalar path bit
+    # for bit.
+    if isinstance(arg, np.ndarray):
+        return np.array([math.exp(value) for value in arg.tolist()])
+    return math.exp(arg)
+
+
+def _ratio_factor(reference, observed):
+    return _exp((reference - observed) / (reference + observed))
+
+
+def _product_factor(reference, observed):
+    return _exp((observed - reference) / (observed + reference))
+
+
+def value_kernel(family: Family, sy2, sx2, sz2, ref_x, ref_z, weight):
+    """The arithmetic of every estimator, on floats or elementwise on arrays.
+
+    ``ref_x``/``ref_z`` are the reference variances: the known
+    population ones in single-phase designs, the first-phase sample ones
+    in two-phase designs.  Nothing is validated here; callers check the
+    divisors (:data:`DIVISOR_CHECKS`) and resolve combined weights.
+    """
+    if family in _RATIO_FAMILIES:
+        return sy2 * _ratio_factor(ref_x, sx2)
+    if family in _PRODUCT_FAMILIES:
+        return sy2 * _product_factor(ref_z, sz2)
+    if family in _COMBINED_FAMILIES:
+        ratio = _ratio_factor(ref_x, sx2)
+        product = _product_factor(ref_z, sz2)
+        return sy2 * (weight * ratio + (1.0 - weight) * product)
+    if family is Family.ISAKI_RATIO:
+        return sy2 * ref_x / sx2
+    return sy2
 
 
 def single_phase_value(
@@ -283,9 +332,9 @@ def single_phase_value(
 ) -> float:
     """Evaluate a single-phase estimator from already-computed variances.
 
-    This is the arithmetic core shared by :func:`estimate_single_phase`
-    and the simulation engine.  ``weight`` must already be resolved for
-    combined kinds.
+    This is the checked scalar entry to :func:`value_kernel`, shared by
+    :func:`estimate_single_phase`.  ``weight`` must already be resolved
+    for combined kinds.
     """
     family = kind.family
     if family is Family.UNBIASED:
@@ -296,22 +345,14 @@ def single_phase_value(
         )
     if aux is None:
         raise InvalidInputError(f"estimator {kind.label!r} needs known auxiliary variances")
-    if family is Family.ISAKI_RATIO:
-        observed = _positive_variance(sx2, "sample variance of x")
-        return sy2 * aux.require("sx2") / observed
-    if family is Family.EXP_RATIO:
-        observed = _positive_variance(sx2, "sample variance of x")
-        return sy2 * _ratio_factor(aux.require("sx2"), observed)
-    if family is Family.EXP_PRODUCT:
-        observed = _positive_variance(sz2, "sample variance of z")
-        return sy2 * _product_factor(aux.require("sz2"), observed)
-    if family is Family.COMBINED:
-        if weight is None:
-            raise InvalidInputError("combined estimator needs a resolved weight")
-        ratio = _ratio_factor(aux.require("sx2"), _positive_variance(sx2, "sample variance of x"))
-        product = _product_factor(aux.require("sz2"), _positive_variance(sz2, "sample variance of z"))
-        return sy2 * (weight * ratio + (1.0 - weight) * product)
-    raise InvalidInputError(f"unhandled estimator kind {kind.label!r}")
+    if weight is None and kind.is_combined:
+        raise InvalidInputError("combined estimator needs a resolved weight")
+    observed = {"sx2": sx2, "sz2": sz2}
+    for name, message in DIVISOR_CHECKS[family]:
+        if observed[name] <= 0.0:
+            raise DegenerateSampleError(message)
+        aux.require(name)  # the known variance divided against
+    return value_kernel(family, sy2, sx2, sz2, aux.sx2, aux.sz2, weight)
 
 
 def two_phase_value(
@@ -335,27 +376,28 @@ def two_phase_value(
         raise InvalidInputError(
             f"estimator {kind.label!r} is single-phase; use single_phase_value"
         )
-    if family is Family.EXP_RATIO_2P:
-        reference = _positive_variance(sx2_first, "first-phase sample variance of x")
-        observed = _positive_variance(sx2, "sample variance of x")
-        return sy2 * _ratio_factor(reference, observed)
-    if family is Family.EXP_PRODUCT_2P:
-        reference = _positive_variance(sz2_first, "first-phase sample variance of z")
-        observed = _positive_variance(sz2, "sample variance of z")
-        return sy2 * _product_factor(reference, observed)
-    if family is Family.COMBINED_2P:
-        if weight is None:
-            raise InvalidInputError("combined estimator needs a resolved weight")
-        ratio = _ratio_factor(
-            _positive_variance(sx2_first, "first-phase sample variance of x"),
-            _positive_variance(sx2, "sample variance of x"),
-        )
-        product = _product_factor(
-            _positive_variance(sz2_first, "first-phase sample variance of z"),
-            _positive_variance(sz2, "sample variance of z"),
-        )
-        return sy2 * (weight * ratio + (1.0 - weight) * product)
-    raise InvalidInputError(f"unhandled estimator kind {kind.label!r}")
+    if weight is None and kind.is_combined:
+        raise InvalidInputError("combined estimator needs a resolved weight")
+    observed = {"sx2": sx2, "sz2": sz2, "sx2_first": sx2_first, "sz2_first": sz2_first}
+    for name, message in DIVISOR_CHECKS[family]:
+        if observed[name] <= 0.0:
+            raise DegenerateSampleError(message)
+    return value_kernel(family, sy2, sx2, sz2, sx2_first, sz2_first, weight)
+
+
+#: Message of the NoUniqueOptimumError for a flat combined-weight objective.
+FLAT_OBJECTIVE = "combined-weight objective is flat: d040 + d004 + 2*d022 - 4 == 0"
+
+
+def alpha_terms(d400, d040, d004, d220, d202, d022):
+    """Numerator and denominator of :func:`alpha_opt`, elementwise.
+
+    Takes the six moments in :meth:`DeltaTable.field_names` order, as
+    floats or as arrays (one table per element).
+    """
+    numerator = d004 + 2.0 * (d220 + d202) + d022 - 6.0
+    denominator = d040 + d004 + 2.0 * d022 - 4.0
+    return numerator, denominator
 
 
 def alpha_opt(deltas: DeltaTable) -> float:
@@ -373,12 +415,9 @@ def alpha_opt(deltas: DeltaTable) -> float:
     NoUniqueOptimumError
         If ``d040 + d004 + 2*d022 - 4 == 0``.
     """
-    numerator = deltas.d004 + 2.0 * (deltas.d220 + deltas.d202) + deltas.d022 - 6.0
-    denominator = deltas.d040 + deltas.d004 + 2.0 * deltas.d022 - 4.0
+    numerator, denominator = alpha_terms(*deltas.to_dict().values())
     if denominator == 0.0:
-        raise NoUniqueOptimumError(
-            "combined-weight objective is flat: d040 + d004 + 2*d022 - 4 == 0"
-        )
+        raise NoUniqueOptimumError(FLAT_OBJECTIVE)
     return numerator / denominator
 
 
@@ -394,7 +433,7 @@ def k_opt(deltas: DeltaTable) -> float:
 
 def _plug_in_table(y: np.ndarray, x: np.ndarray, z: np.ndarray) -> DeltaTable:
     try:
-        return delta_table(Population(y, x, z))
+        return DeltaTable.from_moments(*fourth_moments(y, x, z))
     except DegeneratePopulationError as exc:
         raise DegenerateSampleError(
             f"cannot estimate moments from the sample: {exc}"

@@ -265,6 +265,22 @@ class DeltaTable:
         return {name: getattr(self, name) for name in self.field_names()}
 
     @classmethod
+    def from_moments(cls, variances, deltas) -> "DeltaTable":
+        """Build a table from the output of :func:`fourth_moments` on 1-D variates.
+
+        Raises
+        ------
+        DegeneratePopulationError
+            If any of the three variates has zero variance.
+        """
+        for name, variance in zip(_VARIATES, variances):
+            if variance <= 0.0:
+                raise DegeneratePopulationError(
+                    f"variate {name!r} has zero variance, standardized moments are undefined"
+                )
+        return cls(*deltas)
+
+    @classmethod
     def from_dict(cls, data: dict) -> "DeltaTable":
         if not isinstance(data, dict):
             raise PopulationFormatError(f"moment table must be a JSON object, got {type(data).__name__}")
@@ -282,6 +298,41 @@ class DeltaTable:
         return cls(**values)
 
 
+#: Variate pairs ``(a, b)`` of the six standardized fourth moments
+#: ``mu_ab / (mu_a mu_b)``, as positions in ``(y, x, z)``, in
+#: :meth:`DeltaTable.field_names` order.
+_DELTA_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def fourth_moments(y, x, z) -> tuple[list, list]:
+    """Divisor-``n`` variances and standardized fourth moments along the last axis.
+
+    The one moment-table kernel: :func:`delta_table` applies it to a
+    population, the plug-in weights of the estimators to a sample, and
+    the simulation engine to a block of samples, one per row.  Every
+    reduction runs along the last axis, so a row of a C-ordered block
+    gets the same bits as the same values passed alone.
+
+    Returns
+    -------
+    (variances, deltas)
+        The variances of ``y``, ``x`` and ``z``, and the six
+        ``delta_pqr`` in :meth:`DeltaTable.field_names` order.  Where a
+        variance is zero the deltas are not finite.
+    """
+    squared = []
+    for values in (y, x, z):
+        deviations = values - values.mean(axis=-1, keepdims=True)
+        squared.append(np.multiply(deviations, deviations, out=deviations))
+    variances = [sq.mean(axis=-1) for sq in squared]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deltas = [
+            (squared[a] * squared[b]).mean(axis=-1) / (variances[a] * variances[b])
+            for a, b in _DELTA_PAIRS
+        ]
+    return variances, deltas
+
+
 def delta_table(pop: Population) -> DeltaTable:
     """Compute all six fourth-order standardized moments in one pass.
 
@@ -290,28 +341,7 @@ def delta_table(pop: Population) -> DeltaTable:
     DegeneratePopulationError
         If any of the three variates has zero variance.
     """
-    squared = {}
-    for name in _VARIATES:
-        values = pop.variate(name)
-        deviations = values - values.mean()
-        squared[name] = deviations * deviations
-        if float(squared[name].mean()) <= 0.0:
-            raise DegeneratePopulationError(
-                f"variate {name!r} has zero variance, standardized moments are undefined"
-            )
-    mu2 = {name: float(squared[name].mean()) for name in _VARIATES}
-
-    def one(a: str, b: str) -> float:
-        return float((squared[a] * squared[b]).mean()) / (mu2[a] * mu2[b])
-
-    return DeltaTable(
-        d400=one("y", "y"),
-        d040=one("x", "x"),
-        d004=one("z", "z"),
-        d220=one("y", "x"),
-        d202=one("y", "z"),
-        d022=one("x", "z"),
-    )
+    return DeltaTable.from_moments(*fourth_moments(pop.y, pop.x, pop.z))
 
 
 def save_delta_table(table: DeltaTable, path) -> None:
@@ -322,12 +352,19 @@ def save_delta_table(table: DeltaTable, path) -> None:
 
 
 def load_delta_table(path) -> DeltaTable:
-    """Read a moment table from JSON, insisting on all six finite keys."""
+    """Read a moment table from JSON, insisting on all six finite keys.
+
+    The file holds either the bare table (as :func:`save_delta_table`
+    writes it) or the document of ``varaux moments --format json``,
+    which carries the table under ``"delta_table"``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except json.JSONDecodeError as exc:
         raise PopulationFormatError(f"{path}: not valid JSON: {exc}") from exc
+    if isinstance(data, dict) and "delta_table" in data:
+        data = data["delta_table"]
     try:
         return DeltaTable.from_dict(data)
     except PopulationFormatError as exc:

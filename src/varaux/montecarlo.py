@@ -9,13 +9,23 @@ Determinism contract
 --------------------
 A report is a pure function of the population and the configuration.
 Each replication gets its own counter-based substream,
-``Philox(key=seed)`` jumped by the replication index, so replication
-``i`` sees identical randomness no matter which process evaluates it,
-in what order, or alongside which other replications.  Work is split
-into fixed-size chunks (independent of worker count) and results are
-assembled in replication order, so the means are computed over
-identical arrays every time.  Running with one worker or eight gives
-byte-identical reports.
+``Philox(key=seed)`` jumped by the replication index, which is the
+Philox counter ``(0, 0, rep, 0)``.  So replication ``i`` sees identical
+randomness no matter which process evaluates it, in what order, or
+alongside which other replications.  Work is split into fixed-size
+chunks (independent of worker count) and results are assembled in
+replication order, so the means are computed over identical arrays
+every time.  Running with one worker or eight gives byte-identical
+reports.
+
+Blocks
+------
+A chunk is evaluated in blocks of replications, one row per
+replication, with numpy: the draws of a block, the gathers and sample
+variances, the plug-in moment tables and the estimator arithmetic each
+run once per block.  Every row still has its own substream and its own
+draw, and every reduction runs along a row, so each replication's
+values are bit for bit those of evaluating it alone.
 
 Failed replications (a sample with zero auxiliary variance, or a
 plug-in weight with no unique optimum) are counted, and their draws are
@@ -36,23 +46,22 @@ import numpy as np
 
 from .errors import (
     DegeneratePopulationError,
-    DegenerateSampleError,
     InvalidDesignError,
     InvalidInputError,
-    NoUniqueOptimumError,
     SimulationError,
 )
 from .estimators import (
+    DIVISOR_CHECKS,
+    FLAT_OBJECTIVE,
     UNBIASED,
-    AuxKnowledge,
     EstimatorKind,
     Family,
     TwoPhaseDraw,
     alpha_opt,
-    single_phase_value,
-    two_phase_value,
+    alpha_terms,
+    value_kernel,
 )
-from .moments import DeltaTable, Population, delta_table
+from .moments import DeltaTable, Population, delta_table, fourth_moments
 from .theory import DesignSizes, pre, theory_for_kind
 
 #: Replications per work unit.  Fixed (never derived from the worker
@@ -178,29 +187,6 @@ def draw_two_phase(
     return TwoPhaseDraw(first_phase=first, second_phase=second)
 
 
-def _sample_delta_table(ys: np.ndarray, xs: np.ndarray, zs: np.ndarray) -> DeltaTable:
-    """Divisor-n moment table of a drawn sample, for plug-in weights."""
-    squared = []
-    for name, values in (("y", ys), ("x", xs), ("z", zs)):
-        deviations = values - values.mean()
-        sq = deviations * deviations
-        if float(sq.mean()) <= 0.0:
-            raise DegenerateSampleError(
-                f"sample variate {name!r} has zero variance; cannot estimate moments"
-            )
-        squared.append(sq)
-    y2, x2, z2 = squared
-    my, mx, mz = float(y2.mean()), float(x2.mean()), float(z2.mean())
-    return DeltaTable(
-        d400=float((y2 * y2).mean()) / (my * my),
-        d040=float((x2 * x2).mean()) / (mx * mx),
-        d004=float((z2 * z2).mean()) / (mz * mz),
-        d220=float((y2 * x2).mean()) / (my * mx),
-        d202=float((y2 * z2).mean()) / (my * mz),
-        d022=float((x2 * z2).mean()) / (mx * mz),
-    )
-
-
 @dataclass(frozen=True)
 class _Plan:
     """Everything a worker needs to evaluate a range of replications."""
@@ -221,75 +207,238 @@ class _Plan:
     need_z_first: bool
 
 
+#: Bytes of drawn positions per block of replications.  Rows per block
+#: follow from the draw width ``n' + n``, so that the block's temporaries
+#: stay near a fixed size whatever the design.  Memory, not speed, sets
+#: this figure: about ten times it is live during a block, and at twice
+#: it glibc's malloc returned the block's memory to the system and
+#: faulted it back on every block (6,000 page faults per 2,048 two-phase
+#: replications instead of 100).
+_BLOCK_BYTES = 64 * 1024
+
+
+def _block_rows(plan: _Plan) -> int:
+    width = plan.n + (plan.nprime or 0)
+    return max(1, min(CHUNK_SIZE, _BLOCK_BYTES // (8 * width)))
+
+
+def _draw_positions(plan: _Plan, start: int, stop: int) -> np.ndarray:
+    """Fisher-Yates positions of replications ``start..stop-1``, one row each.
+
+    Row ``i`` holds what ``_srswor`` draws from replication
+    ``start + i``'s substream: the first phase's positions followed by
+    the second phase's, from one ``integers`` call.  The substream is
+    ``Philox(key=seed)`` jumped by the replication index, i.e. the
+    Philox counter ``(0, 0, rep, 0)``; one bit generator is reset to it
+    per replication.
+    """
+    n_pop = plan.y.size
+    if plan.nprime is None:
+        low, high = np.arange(plan.n), n_pop
+    else:
+        low = np.concatenate((np.arange(plan.nprime), np.arange(plan.n)))
+        high = np.concatenate((np.full(plan.nprime, n_pop), np.full(plan.n, plan.nprime)))
+    bit_generator = np.random.Philox(key=plan.seed)
+    stream = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    counter = state["state"]["counter"]
+    positions = np.empty((stop - start, low.size), dtype=np.int64)
+    for row, rep in enumerate(range(start, stop)):
+        counter[2] = rep
+        bit_generator.state = state
+        positions[row] = stream.integers(low, high)
+    return positions
+
+
+def _position_order(positions: np.ndarray) -> np.ndarray:
+    """Per row, the draw indices ordered by position, ties in draw order.
+
+    A least-significant-digit radix sort over 16-bit digits, each pass a
+    stable ``argsort`` of ``uint16`` keys (numpy's radix sort).  One pass
+    covers populations up to 65,536 units.  A comparison sort of packed
+    (position, draw) keys is slightly faster but maps about 0.3 MB more
+    of numpy's code into the process, a visible share of its peak memory.
+    """
+    order = None
+    rest = positions
+    while True:
+        digits = (rest % 65536).astype(np.uint16)
+        if order is not None:
+            digits = np.take_along_axis(digits, order, axis=1)
+        step = np.argsort(digits, axis=1, kind="stable")
+        order = step if order is None else np.take_along_axis(order, step, axis=1)
+        if not (rest >= 65536).any():
+            return order
+        rest = rest // 65536
+
+
+def _fisher_yates(positions: np.ndarray) -> np.ndarray:
+    """Partial Fisher-Yates on every row of ``positions`` at once.
+
+    Row by row the result equals ``_srswor`` given the same positions
+    (``positions[:, i]`` lies in ``[i, N)``), as a C-ordered ``(rows, k)``
+    array of picked indices.  Step ``i`` of the scalar draw picks the
+    value at position ``j_i`` and moves the value at position ``i``
+    there.  So draw ``i`` picks ``j_i`` itself unless an earlier draw
+    ``m`` named the same position; then it picks what step ``m`` moved
+    there, the value position ``m`` held at that step.  That is ``m``
+    unless an earlier draw moved a value into position ``m``, and so on:
+    the chain of moves ends at a draw whose own index is the value.
+    Ordering each row's draws by position finds both kinds of earlier
+    draw; collisions are rare, so only the chains loop.  (Indexing is
+    two-dimensional throughout: it needs no integer arithmetic, whose
+    numpy loops would add to the process's mapped code.)
+    """
+    rows, k = positions.shape
+    draw = _position_order(positions)
+    pos = np.take_along_axis(positions, draw, axis=1)
+    # Equal positions are adjacent: earlier[r, t] marks the first and
+    # later[r, t + 1] the second of each such pair in row r.
+    earlier = np.zeros((rows, k), dtype=bool)
+    np.equal(pos[:, 1:], pos[:, :-1], out=earlier[:, :-1])
+    later = np.zeros((rows, k), dtype=bool)
+    later[:, 1:] = earlier[:, :-1]
+    # The last draw of each position p < k that moves a value into p
+    # before step p, where p is read as the source of the move.  Only
+    # the last is kept: numpy leaves unspecified which of several
+    # assignments to one index wins.
+    moves = (pos < k) & (draw < pos)
+    moves[:, :-1] &= ~(earlier[:, :-1] & moves[:, 1:])
+    # link[r, m]: the draw whose move set position m's value at step m,
+    # or m itself.
+    link = np.repeat(np.arange(k)[np.newaxis], rows, axis=0)
+    row, at = np.nonzero(moves)
+    link[row, pos[row, at]] = draw[row, at]
+    row, at = np.nonzero(earlier)
+    source = draw[row, at]
+    readers = draw[row, np.nonzero(later)[1]]
+    while True:
+        linked = link[row, source]
+        if np.array_equal(linked, source):
+            break
+        source = linked
+    picked = positions.copy()
+    picked[row, readers] = source
+    return picked
+
+
+def _draw_block(plan: _Plan, start: int, stop: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """First- and second-phase indices of replications ``start..stop-1``,
+    one row each; the first phase is None in single-phase designs."""
+    positions = _draw_positions(plan, start, stop)
+    if plan.nprime is None:
+        return None, _fisher_yates(positions)
+    first = _fisher_yates(positions[:, : plan.nprime])
+    return first, np.take_along_axis(first, _fisher_yates(positions[:, plan.nprime :]), axis=1)
+
+
+def _variance(block: np.ndarray) -> np.ndarray:
+    # Row-wise along the contiguous axis: bit-identical to np.var of each
+    # row alone.  A block in another memory order is summed differently.
+    return np.var(block, axis=1, ddof=1)
+
+
+def _simulate_block(plan: _Plan, start: int, stop: int, values: np.ndarray, failed: np.ndarray) -> str | None:
+    """Fill ``values``/``failed`` for replications ``start..stop-1``.
+
+    Returns the message of the first failed replication, or None.  A
+    replication fails at the first check it does not pass, in the order
+    the scalar path checks them: the plug-in moment table, then each
+    kind's divisors in kind order.
+    """
+    first, second = _draw_block(plan, start, stop)
+    ys = plan.y[second]
+    sy2 = _variance(ys)
+    xs = zs = None
+    variances = dict.fromkeys(("sx2", "sz2", "sx2_first", "sz2_first"))
+    if plan.need_x_second:
+        xs = plan.x[second]
+        variances["sx2"] = _variance(xs)
+    if plan.need_z_second:
+        zs = plan.z[second]
+        variances["sz2"] = _variance(zs)
+    if plan.need_x_first:
+        variances["sx2_first"] = _variance(plan.x[first])
+    if plan.need_z_first:
+        variances["sz2_first"] = _variance(plan.z[first])
+
+    # (mask, message) per check, in the scalar path's order.  Variances
+    # are never negative, so ``== 0.0`` is its ``<= 0.0`` test.
+    checks: list[tuple[np.ndarray, str]] = []
+    plug_weight = None
+    if any(kind.is_combined and weight is None for kind, weight in zip(plan.kinds, plan.weights)):
+        moment_variances, deltas = fourth_moments(ys, xs, zs)
+        for name, variance in zip("yxz", moment_variances):
+            checks.append(
+                (variance == 0.0, f"sample variate {name!r} has zero variance; cannot estimate moments")
+            )
+        degenerate = np.logical_or.reduce([mask for mask, _ in checks])
+        unbounded = ~degenerate & ~np.isfinite(deltas).all(axis=0)
+        if unbounded.any():
+            # Raises the InvalidInputError of the scalar path.
+            DeltaTable(*(d[np.flatnonzero(unbounded)[0]] for d in deltas))
+        numerator, denominator = alpha_terms(*deltas)
+        checks.append((denominator == 0.0, FLAT_OBJECTIVE))
+        with np.errstate(all="ignore"):
+            plug_weight = numerator / denominator
+
+    with np.errstate(all="ignore"):
+        for idx, (kind, weight) in enumerate(zip(plan.kinds, plan.weights)):
+            for name, message in DIVISOR_CHECKS[kind.family]:
+                checks.append((variances[name] == 0.0, message))
+            if kind.is_two_phase:
+                ref_x, ref_z = variances["sx2_first"], variances["sz2_first"]
+            else:
+                ref_x, ref_z = plan.aux_sx2, plan.aux_sz2
+            values[:, idx] = value_kernel(
+                kind.family,
+                sy2,
+                variances["sx2"],
+                variances["sz2"],
+                ref_x,
+                ref_z,
+                weight if weight is not None else plug_weight,
+            )
+
+    if not checks:
+        return None
+    failed[:] = np.logical_or.reduce([mask for mask, _ in checks])
+    if not failed.any():
+        return None
+    values[failed] = np.nan
+    row = int(np.flatnonzero(failed)[0])
+    message = next(message for mask, message in checks if mask[row])
+    return f"replication {start + row}: {message}"
+
+
 def _simulate_chunk(plan: _Plan, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, str | None]:
     """Evaluate replications ``start..stop-1``; pure in (plan, range)."""
-    n_pop = plan.y.size
     count = stop - start
     values = np.full((count, len(plan.kinds)), np.nan)
     failed = np.zeros(count, dtype=bool)
     first_failure: str | None = None
-    aux = AuxKnowledge(sx2=plan.aux_sx2, sz2=plan.aux_sz2)
-    plug_in_needed = any(
-        kind.is_combined and weight is None
-        for kind, weight in zip(plan.kinds, plan.weights)
-    )
-    key = plan.seed
-    for offset in range(count):
-        rep = start + offset
-        stream = np.random.Generator(np.random.Philox(key=key).jumped(rep))
-        if plan.nprime is not None:
-            first = _srswor(stream, n_pop, plan.nprime)
-            second = first[_srswor(stream, plan.nprime, plan.n)]
-        else:
-            first = None
-            second = _srswor(stream, n_pop, plan.n)
-        ys = plan.y[second]
-        sy2 = float(np.var(ys, ddof=1))
-        try:
-            xs = zs = None
-            sx2 = sz2 = sx2_first = sz2_first = None
-            if plan.need_x_second:
-                xs = plan.x[second]
-                sx2 = float(np.var(xs, ddof=1))
-            if plan.need_z_second:
-                zs = plan.z[second]
-                sz2 = float(np.var(zs, ddof=1))
-            if plan.need_x_first:
-                sx2_first = float(np.var(plan.x[first], ddof=1))
-            if plan.need_z_first:
-                sz2_first = float(np.var(plan.z[first], ddof=1))
-            plug_weight: float | None = None
-            if plug_in_needed:
-                plug_weight = alpha_opt(_sample_delta_table(ys, xs, zs))
-            for idx, (kind, weight) in enumerate(zip(plan.kinds, plan.weights)):
-                if kind.family is Family.UNBIASED:
-                    values[offset, idx] = sy2
-                    continue
-                resolved = weight if weight is not None else plug_weight
-                if kind.is_two_phase:
-                    values[offset, idx] = two_phase_value(
-                        kind,
-                        sy2=sy2,
-                        sx2=sx2,
-                        sz2=sz2,
-                        sx2_first=sx2_first,
-                        sz2_first=sz2_first,
-                        weight=resolved,
-                    )
-                else:
-                    values[offset, idx] = single_phase_value(
-                        kind, sy2=sy2, sx2=sx2, sz2=sz2, aux=aux, weight=resolved
-                    )
-        except (DegenerateSampleError, NoUniqueOptimumError) as exc:
-            failed[offset] = True
-            values[offset, :] = np.nan
-            if first_failure is None:
-                first_failure = f"replication {rep}: {exc}"
+    rows = _block_rows(plan)
+    for block_start in range(start, stop, rows):
+        block_stop = min(block_start + rows, stop)
+        block = slice(block_start - start, block_stop - start)
+        message = _simulate_block(plan, block_start, block_stop, values[block], failed[block])
+        if first_failure is None:
+            first_failure = message
     return values, failed, first_failure
 
 
-def _simulate_chunk_star(args) -> tuple[np.ndarray, np.ndarray, str | None]:
-    return _simulate_chunk(*args)
+#: The plan of the run a pool worker serves, set once per worker by
+#: :func:`_init_worker`, so that chunks carry only their bounds.
+_worker_plan: _Plan | None = None
+
+
+def _init_worker(plan: _Plan) -> None:
+    global _worker_plan
+    _worker_plan = plan
+
+
+def _simulate_range(start: int, stop: int) -> tuple[np.ndarray, np.ndarray, str | None]:
+    return _simulate_chunk(_worker_plan, start, stop)
 
 
 @dataclass(frozen=True)
@@ -500,15 +649,15 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
         need_z_first=need_z_first,
     )
 
-    chunks = [
-        (plan, start, min(start + CHUNK_SIZE, config.reps))
-        for start in range(0, config.reps, CHUNK_SIZE)
-    ]
-    if workers == 1 or len(chunks) == 1:
-        results = [_simulate_chunk(*chunk) for chunk in chunks]
+    starts = range(0, config.reps, CHUNK_SIZE)
+    stops = [min(start + CHUNK_SIZE, config.reps) for start in starts]
+    if workers == 1 or len(starts) == 1:
+        results = [_simulate_chunk(plan, start, stop) for start, stop in zip(starts, stops)]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(_simulate_chunk_star, chunks))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(plan,)
+        ) as executor:
+            results = list(executor.map(_simulate_range, starts, stops))
 
     values = np.concatenate([r[0] for r in results], axis=0)
     failed = np.concatenate([r[1] for r in results])

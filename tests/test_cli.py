@@ -409,6 +409,24 @@ class TestTheory:
         assert from_file.exit_code == 0
         assert json.loads(from_file.stdout)["rows"] == json.loads(builtin.stdout)["rows"]
 
+    def test_readme_moments_to_theory_pipeline(self, tmp_path):
+        # The README pipeline as written: `theory --deltas` reads the JSON
+        # document `moments --format json` writes.
+        runner = CliRunner()
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            steps = [
+                "gen-pop --out pop.csv --size 500 --seed 1",
+                "moments --input pop.csv --format json --out table.json",
+                "theory --deltas table.json --n 100",
+                "theory --deltas table.json --n 100 --nprime 400",
+            ]
+            for step in steps:
+                result = runner.invoke(main, step.split())
+                assert result.exit_code == 0, (step, result.output)
+            table = json.loads(Path("table.json").read_text(encoding="utf-8"))["delta_table"]
+            result = runner.invoke(main, "theory --deltas table.json --n 100 --format json".split())
+        assert json.loads(result.stdout)["deltas"] == table
+
     def test_unrealizable_table_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(

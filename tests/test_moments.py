@@ -29,6 +29,7 @@ from varaux import (
     save_delta_table,
     save_population_csv,
 )
+from varaux.moments import fourth_moments
 from helpers import random_population
 
 
@@ -207,6 +208,19 @@ class TestDeltaTable:
         for _ in range(25):
             pop = random_population(rng, int(rng.integers(5, 80)))
             assert delta_table(pop).violations() == []
+
+    def test_block_rows_match_single_tables_bitwise(self):
+        # fourth_moments is the one moment-table kernel: each row of a
+        # C-ordered block gets the bits delta_table gives that row alone.
+        rng = np.random.default_rng(3)
+        y, x, z = (rng.lognormal(size=(37, 23)) for _ in range(3))
+        variances, deltas = fourth_moments(y, x, z)
+        for row in range(37):
+            table = delta_table(Population(y[row], x[row], z[row]))
+            assert [d[row] for d in deltas] == list(table.to_dict().values())
+            assert [v[row] for v in variances] == [
+                float(np.mean((v[row] - v[row].mean()) ** 2)) for v in (y, x, z)
+            ]
 
     def test_json_round_trip(self, tiny_pop, tmp_path):
         table = delta_table(tiny_pop)
