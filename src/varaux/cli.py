@@ -17,10 +17,8 @@ no unique optimum, failed simulation).
 
 from __future__ import annotations
 
-import csv as _csv
 import functools
 import json
-import math
 import sys
 
 import click
@@ -32,7 +30,6 @@ from .errors import (
     InvalidDesignError,
     InvalidInputError,
     NoUniqueOptimumError,
-    PopulationFormatError,
     SimulationError,
 )
 from .estimators import (
@@ -44,24 +41,23 @@ from .estimators import (
     UNBIASED,
     AuxKnowledge,
     EstimatorKind,
-    Family,
     alpha_opt,
     estimate_single_phase,
     estimate_two_phase,
 )
 from .moments import (
     DeltaTable,
-    Population,
     central_moment,
     delta,
     delta_table,
+    format_csv,
+    load_csv_rows,
     load_delta_table,
     load_population_csv,
     save_population_csv,
 )
 from .montecarlo import SimulationConfig, WeightPolicy, run_simulation
 from .popgen import (
-    Marginal,
     PopulationSpec,
     generate_population,
     load_population_spec,
@@ -76,8 +72,6 @@ from .theory import (
     DesignSizes,
     REPORTED_PRE_SINGLE_PHASE,
     REPORTED_PRE_TWO_PHASE,
-    bias_single_phase,
-    min_mse_combined,
     pre,
     theory_for_kind,
 )
@@ -138,21 +132,6 @@ def _fmt(value, digits: int = 6) -> str:
     if isinstance(value, float):
         return f"{value:.{digits}g}"
     return str(value)
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _rows_to_csv(columns: list[str], rows: list[dict]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
 
 
 def _json_doc(doc: dict) -> str:
@@ -226,7 +205,7 @@ def cmd_moments(input_path: str, orders: str, fmt: str, out: str | None) -> None
     if fmt == "json":
         _emit(_json_doc(doc), out)
     elif fmt == "csv":
-        _emit(_rows_to_csv(["order", "mu", "delta"], rows), out)
+        _emit(format_csv(["order", "mu", "delta"], rows), out)
     else:
         text_rows = [[row["order"], _fmt(row["mu"], 10), _fmt(row["delta"], 10)] for row in rows]
         body = [
@@ -243,41 +222,6 @@ def cmd_moments(input_path: str, orders: str, fmt: str, out: str | None) -> None
 
 # ---------------------------------------------------------------------------
 # estimate
-
-
-def _load_first_phase_csv(path: str) -> tuple[list[float], list[float]]:
-    """First-phase auxiliary file: header ``x,z``, one pair per row."""
-    xs: list[float] = []
-    zs: list[float] = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = _csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise PopulationFormatError(f"{path}: empty file, expected header 'x,z'")
-        if [field.strip() for field in header] != ["x", "z"]:
-            raise PopulationFormatError(
-                f"{path}: line 1: expected header 'x,z', got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise PopulationFormatError(
-                    f"{path}: line {lineno}: expected 2 comma-separated values, got {len(row)}"
-                )
-            try:
-                pair = (float(row[0]), float(row[1]))
-            except ValueError:
-                raise PopulationFormatError(
-                    f"{path}: line {lineno}: non-numeric field in {row!r}"
-                ) from None
-            if not all(math.isfinite(v) for v in pair):
-                raise PopulationFormatError(f"{path}: line {lineno}: non-finite value in {row!r}")
-            xs.append(pair[0])
-            zs.append(pair[1])
-    if len(xs) < 2:
-        raise InvalidInputError(
-            f"{path}: a first-phase sample needs at least two data rows, found {len(xs)}"
-        )
-    return xs, zs
 
 
 @main.command("estimate")
@@ -307,7 +251,9 @@ def cmd_estimate(
     kinds = _parse_estimator_list(estimators, two_phase_available=first_phase_path is not None)
     deltas = load_delta_table(deltas_path) if deltas_path else None
     aux = AuxKnowledge(sx2=sx2, sz2=sz2) if (sx2 is not None or sz2 is not None) else None
-    first = _load_first_phase_csv(first_phase_path) if first_phase_path else None
+    first = None
+    if first_phase_path:
+        first = load_csv_rows(first_phase_path, "x,z", "a first-phase sample")
 
     rows = []
     for kind in kinds:
@@ -319,8 +265,8 @@ def cmd_estimate(
             value = estimate_two_phase(
                 kind,
                 sample.y,
-                x_first=first[0] if kind.uses_x else None,
-                z_first=first[1] if kind.uses_z else None,
+                x_first=first[:, 0] if kind.uses_x else None,
+                z_first=first[:, 1] if kind.uses_z else None,
                 x_second=sample.x if kind.uses_x else None,
                 z_second=sample.z if kind.uses_z else None,
                 weight=weight,
@@ -360,11 +306,11 @@ def cmd_estimate(
         "rows": rows,
     }
     if first is not None:
-        doc["first_phase"] = {"nprime": len(first[0])}
+        doc["first_phase"] = {"nprime": len(first)}
     if fmt == "json":
         _emit(_json_doc(doc), out)
     elif fmt == "csv":
-        _emit(_rows_to_csv(["kind", "estimate", "weight", "weight_source"], rows), out)
+        _emit(format_csv(["kind", "estimate", "weight", "weight_source"], rows), out)
     else:
         text_rows = [
             [row["kind"], _fmt(row["estimate"], 10), _fmt(row["weight"]), row["weight_source"]]
@@ -377,30 +323,28 @@ def cmd_estimate(
 # theory
 
 
+def _design_kinds(sizes: DesignSizes) -> list[EstimatorKind]:
+    """The kinds a theory table covers: the unbiased baseline first."""
+    if sizes.nprime is None:
+        return list(SINGLE_PHASE_KINDS)
+    return [UNBIASED] + list(TWO_PHASE_KINDS)
+
+
 def _theory_rows(
     deltas: DeltaTable,
     sy2: float,
     sizes: DesignSizes,
     alpha: float | None,
+    kinds: list[EstimatorKind],
 ) -> list[dict]:
-    """One row per estimator kind appropriate to the design."""
-    two_phase = sizes.nprime is not None
-    if two_phase:
-        kinds = [EstimatorKind(Family.UNBIASED)] + list(TWO_PHASE_KINDS)
-    else:
-        kinds = list(SINGLE_PHASE_KINDS)
+    """One row per kind; combined kinds at ``alpha``, or the optimum when None."""
     baseline = theory_for_kind(kinds[0], deltas, sy2, sizes).mse
     rows = []
     for kind in kinds:
+        used_weight = None
         if kind.is_combined:
-            if alpha is not None:
-                used_weight = alpha
-            else:
-                used_weight, _ = min_mse_combined(deltas, sy2, sizes)
-            result = theory_for_kind(kind, deltas, sy2, sizes, weight=used_weight)
-        else:
-            used_weight = None
-            result = theory_for_kind(kind, deltas, sy2, sizes)
+            used_weight = alpha if alpha is not None else alpha_opt(deltas)
+        result = theory_for_kind(kind, deltas, sy2, sizes, weight=used_weight)
         rows.append(
             {
                 "kind": kind.label,
@@ -422,7 +366,6 @@ def _theory_rows(
 @click.option("--nprime", type=int, default=None, help="First-phase size; selects the two-phase table.")
 @click.option("--sy2", type=float, default=1.0, show_default=True, help="Population variance of y.")
 @click.option("--alpha", type=float, default=None, help="Fixed combined weight (default: the optimum).")
-@click.option("--optimal", is_flag=True, help="Use the optimal combined weight (the default).")
 @click.option("--corrections", is_flag=True, help="Print the ledger of corrected formulas and exit.")
 @click.option("--format", "fmt", type=_FORMAT_CHOICES, default="text", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -434,7 +377,6 @@ def cmd_theory(
     nprime: int | None,
     sy2: float,
     alpha: float | None,
-    optimal: bool,
     corrections: bool,
     fmt: str,
     out: str | None,
@@ -448,7 +390,7 @@ def cmd_theory(
         if fmt == "json":
             _emit(_json_doc({"corrections": rows}), out)
         elif fmt == "csv":
-            _emit(_rows_to_csv(["formula_id", "change", "forced_by"], rows), out)
+            _emit(format_csv(["formula_id", "change", "forced_by"], rows), out)
         else:
             blocks = [
                 f"{row['formula_id']}\n  change:    {row['change']}\n  forced by: {row['forced_by']}"
@@ -460,8 +402,6 @@ def cmd_theory(
         raise InvalidInputError("pass either --deltas or --builtin-s5, not both")
     if not builtin_s5 and not deltas_path:
         raise InvalidInputError("a moment table is required: pass --deltas FILE or --builtin-s5")
-    if alpha is not None and optimal:
-        raise InvalidInputError("pass either --alpha or --optimal, not both")
     if n is None:
         raise InvalidInputError("--n is required")
     deltas = BUILTIN_EXAMPLE_DELTAS if builtin_s5 else load_delta_table(deltas_path)
@@ -471,7 +411,7 @@ def cmd_theory(
             "moment table violates realizability bounds: " + "; ".join(violations)
         )
     sizes = DesignSizes(n, nprime)
-    rows = _theory_rows(deltas, sy2, sizes, alpha)
+    rows = _theory_rows(deltas, sy2, sizes, alpha, _design_kinds(sizes))
     doc = {
         "deltas": deltas.to_dict(),
         "design": {"n": n, "nprime": nprime},
@@ -484,7 +424,7 @@ def cmd_theory(
         _emit(_json_doc(doc), out)
     elif fmt == "csv":
         _emit(
-            _rows_to_csv(["kind", "weight", "bias", "mse", "pre", "formula_id", "valid"], rows),
+            format_csv(["kind", "weight", "bias", "mse", "pre", "formula_id", "valid"], rows),
             out,
         )
     else:
@@ -518,39 +458,32 @@ _TWO_PHASE_FLAG = (
 
 
 def _reproduction_rows() -> tuple[list[dict], list[dict]]:
-    deltas = BUILTIN_EXAMPLE_DELTAS
-    single_sizes = DesignSizes(BUILTIN_EXAMPLE_DESIGN.n)
-    two_sizes = BUILTIN_EXAMPLE_DESIGN
-    sy2 = 1.0
-
     def build(kinds, sizes, reported):
-        baseline = theory_for_kind(kinds[0], deltas, sy2, sizes).mse
         rows = []
-        for kind in kinds:
-            if kind.is_combined:
-                weight, mse = min_mse_combined(deltas, sy2, sizes)
-            else:
-                weight, mse = None, theory_for_kind(kind, deltas, sy2, sizes).mse
-            computed = pre(mse, baseline)
+        theory_rows = _theory_rows(BUILTIN_EXAMPLE_DELTAS, 1.0, sizes, None, kinds)
+        for kind, row in zip(kinds, theory_rows):
+            computed = row["pre"]
             published = reported[kind.family.value]
             rel_dev = abs(computed - published) / published
             rows.append(
                 {
-                    "kind": kind.label,
+                    "kind": row["kind"],
                     "reported_pre": published,
                     "computed_pre": computed,
                     "rel_dev_pct": 100.0 * rel_dev,
-                    "weight": weight,
+                    "weight": row["weight"],
                 }
             )
         return rows
 
     # The published tables cover the exponential kinds and the combined
     # optimum; the plain ratio kind is not among the reported cells.
+    single_sizes = DesignSizes(BUILTIN_EXAMPLE_DESIGN.n)
     single = build([UNBIASED, EXP_RATIO, EXP_PRODUCT, COMBINED], single_sizes, REPORTED_PRE_SINGLE_PHASE)
     for row in single:
         row["status"] = "consistent" if row["rel_dev_pct"] <= 1.5 else "DEVIATES by more than 1.5%"
-    two = build([EstimatorKind(Family.UNBIASED)] + list(TWO_PHASE_KINDS), two_sizes, REPORTED_PRE_TWO_PHASE)
+    two_sizes = BUILTIN_EXAMPLE_DESIGN
+    two = build(_design_kinds(two_sizes), two_sizes, REPORTED_PRE_TWO_PHASE)
     for row in two:
         if row["kind"] == "unbiased":
             row["status"] = "consistent"
@@ -591,7 +524,7 @@ def cmd_reproduce_tables(fmt: str, out: str | None) -> None:
         return
     columns = ["kind", "reported_pre", "computed_pre", "rel_dev_pct", "status"]
     if fmt == "csv":
-        _emit(_rows_to_csv(columns, single + two), out)
+        _emit(format_csv(columns, single + two), out)
         return
     parts = []
     for note in BUILTIN_EXAMPLE_NOTES:
@@ -779,7 +712,7 @@ def cmd_gen_pop(
             }
         ]
         click.echo(
-            _rows_to_csv(["size", "sy2", "rho_yx", "rho_yz", "rho_xz"], rows), nl=False
+            format_csv(["size", "sy2", "rho_yx", "rho_yz", "rho_xz"], rows), nl=False
         )
     else:
         click.echo(f"wrote {pop.size} units to {out}")

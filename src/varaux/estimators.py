@@ -421,16 +421,6 @@ def alpha_opt(deltas: DeltaTable) -> float:
     return numerator / denominator
 
 
-def k_opt(deltas: DeltaTable) -> float:
-    """Optimal weight for the two-phase combined estimator.
-
-    The two-phase MSE differs from the single-phase one only by the
-    positive factor multiplying the weight-dependent bracket, so the
-    exact minimizer is the same expression as :func:`alpha_opt`.
-    """
-    return alpha_opt(deltas)
-
-
 def _plug_in_table(y: np.ndarray, x: np.ndarray, z: np.ndarray) -> DeltaTable:
     try:
         return DeltaTable.from_moments(*fourth_moments(y, x, z))

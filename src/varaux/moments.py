@@ -344,6 +344,93 @@ def delta_table(pop: Population) -> DeltaTable:
     return DeltaTable.from_moments(*fourth_moments(pop.y, pop.x, pop.z))
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> PopulationFormatError:
+    # The exception's own position counts from the start of a read
+    # buffer, not of the file, so only the offending byte is named.
+    return PopulationFormatError(
+        f"{path}: not UTF-8 text: {exc.reason} (byte 0x{exc.object[exc.start]:02x})"
+    )
+
+
+def load_json(path):
+    """Parse a JSON file; a file that is not UTF-8 JSON is a format error naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise PopulationFormatError(f"{path}: not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+
+
+def load_csv_rows(path, header: str, holds: str) -> np.ndarray:
+    """Read a numeric CSV file with header ``header`` as a ``(rows, columns)`` array.
+
+    Parsing is strict: a wrong header, a row with the wrong field
+    count, or a non-numeric or non-finite field is a hard error naming
+    the line, never skipped, and so is text that is not UTF-8 (a UTF-8
+    byte-order mark is allowed).  ``holds`` names what the rows make
+    up, for the error when fewer than two of them follow the header.
+    """
+    names = header.split(",")
+    width = len(names)
+    # One flat list of floats, not a list of row tuples: a million rows
+    # then take about 32 bytes a value until the array is built, not 48.
+    cells: list[float] = []
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            reader = csv.reader(handle)
+            first = next(reader, None)
+            if first is None:
+                raise PopulationFormatError(f"{path}: empty file, expected header '{header}'")
+            if [field.strip() for field in first] != names:
+                raise PopulationFormatError(
+                    f"{path}: line 1: expected header '{header}', got {','.join(first)!r}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    raise PopulationFormatError(
+                        f"{path}: line {lineno}: expected {width} comma-separated values, got {len(row)}"
+                    )
+                try:
+                    values = tuple(map(float, row))
+                except ValueError:
+                    raise PopulationFormatError(
+                        f"{path}: line {lineno}: non-numeric field in {row!r}"
+                    ) from None
+                if not all(map(math.isfinite, values)):
+                    raise PopulationFormatError(
+                        f"{path}: line {lineno}: non-finite value in {row!r}"
+                    )
+                cells.extend(values)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+    rows = len(cells) // width
+    if rows < 2:
+        raise InvalidInputError(f"{path}: {holds} needs at least two data rows, found {rows}")
+    return np.array(cells, dtype=np.float64).reshape(rows, width)
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def format_csv(columns, rows) -> str:
+    """CSV text of ``rows`` (mappings) under a header of ``columns``.
+
+    Floats use ``repr``, so they parse back to the same value; None is
+    an empty field.
+    """
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_csv_cell(row[column]) for column in columns))
+    return "\n".join(lines) + "\n"
+
+
 def save_delta_table(table: DeltaTable, path) -> None:
     """Write a moment table as JSON with the six ``dpqr`` keys."""
     with open(path, "w", encoding="utf-8") as handle:
@@ -358,11 +445,7 @@ def load_delta_table(path) -> DeltaTable:
     writes it) or the document of ``varaux moments --format json``,
     which carries the table under ``"delta_table"``.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise PopulationFormatError(f"{path}: not valid JSON: {exc}") from exc
+    data = load_json(path)
     if isinstance(data, dict) and "delta_table" in data:
         data = data["delta_table"]
     try:
@@ -374,42 +457,11 @@ def load_delta_table(path) -> DeltaTable:
 def load_population_csv(path) -> Population:
     """Read a population from CSV: header ``y,x,z``, one triple per row.
 
-    Parsing is strict: a wrong header, a row with the wrong field
-    count, or a non-numeric or non-finite field is a hard error naming
-    the line, never skipped.  A variate with zero variance loads fine
-    but triggers a warning, since most estimators will refuse it later.
+    Parsing is strict (see :func:`load_csv_rows`).  A variate with zero
+    variance loads fine but triggers a warning, since most estimators
+    will refuse it later.
     """
-    rows: list[tuple[float, float, float]] = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise PopulationFormatError(f"{path}: empty file, expected header 'y,x,z'")
-        if [field.strip() for field in header] != ["y", "x", "z"]:
-            raise PopulationFormatError(
-                f"{path}: line 1: expected header 'y,x,z', got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise PopulationFormatError(
-                    f"{path}: line {lineno}: expected 3 comma-separated values, got {len(row)}"
-                )
-            try:
-                triple = (float(row[0]), float(row[1]), float(row[2]))
-            except ValueError:
-                raise PopulationFormatError(
-                    f"{path}: line {lineno}: non-numeric field in {row!r}"
-                ) from None
-            if not all(math.isfinite(value) for value in triple):
-                raise PopulationFormatError(
-                    f"{path}: line {lineno}: non-finite value in {row!r}"
-                )
-            rows.append(triple)
-    if len(rows) < 2:
-        raise InvalidInputError(
-            f"{path}: a population needs at least two data rows, found {len(rows)}"
-        )
-    data = np.asarray(rows, dtype=np.float64)
+    data = load_csv_rows(path, "y,x,z", "a population")
     pop = Population(data[:, 0], data[:, 1], data[:, 2])
     for name in _VARIATES:
         if float(np.var(pop.variate(name), ddof=1)) == 0.0:

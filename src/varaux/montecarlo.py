@@ -40,7 +40,7 @@ import enum
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from .estimators import (
     alpha_terms,
     value_kernel,
 )
-from .moments import DeltaTable, Population, delta_table, fourth_moments
+from .moments import DeltaTable, Population, delta_table, format_csv, fourth_moments
 from .theory import DesignSizes, pre, theory_for_kind
 
 #: Replications per work unit.  Fixed (never derived from the worker
@@ -141,10 +141,10 @@ class SimulationConfig:
 def draw_srswor(stream: np.random.Generator, n_pop: int, n_sample: int) -> np.ndarray:
     """Draw a uniform random ``n_sample``-subset of ``{0..n_pop-1}``.
 
-    Partial Fisher-Yates with a sparse slot map: only the array
-    positions actually touched are tracked, so a draw costs O(n_sample)
-    regardless of the population size, and every subset is exactly
-    equally probable.
+    Partial Fisher-Yates: one ``integers`` call draws the position of
+    every step, and :func:`_fisher_yates` resolves them as the engine
+    does for each replication, so every subset is exactly equally
+    probable and the cost does not grow with the population size.
     """
     if not isinstance(n_pop, int) or isinstance(n_pop, bool) or n_pop < 1:
         raise InvalidInputError(f"population size must be a positive integer, got {n_pop!r}")
@@ -152,19 +152,8 @@ def draw_srswor(stream: np.random.Generator, n_pop: int, n_sample: int) -> np.nd
         raise InvalidInputError(f"sample size must be a positive integer, got {n_sample!r}")
     if n_sample > n_pop:
         raise InvalidInputError(f"cannot draw {n_sample} units from a population of {n_pop}")
-    return _srswor(stream, n_pop, n_sample)
-
-
-def _srswor(stream: np.random.Generator, n_pop: int, n_sample: int) -> np.ndarray:
     positions = stream.integers(np.arange(n_sample), n_pop)
-    picked = np.empty(n_sample, dtype=np.int64)
-    slots: dict[int, int] = {}
-    for i in range(n_sample):
-        j = int(positions[i])
-        picked[i] = slots.pop(j, j)
-        if j != i:
-            slots[j] = slots.pop(i, i)
-    return picked
+    return _fisher_yates(positions[np.newaxis])[0]
 
 
 def draw_two_phase(
@@ -182,8 +171,8 @@ def draw_two_phase(
             f"two-phase sizes must satisfy 2 <= n < nprime <= N, got n={n}, "
             f"nprime={nprime}, N={n_pop}"
         )
-    first = _srswor(stream, n_pop, nprime)
-    second = first[_srswor(stream, nprime, n)]
+    first = draw_srswor(stream, n_pop, nprime)
+    second = first[draw_srswor(stream, nprime, n)]
     return TwoPhaseDraw(first_phase=first, second_phase=second)
 
 
@@ -225,12 +214,13 @@ def _block_rows(plan: _Plan) -> int:
 def _draw_positions(plan: _Plan, start: int, stop: int) -> np.ndarray:
     """Fisher-Yates positions of replications ``start..stop-1``, one row each.
 
-    Row ``i`` holds what ``_srswor`` draws from replication
-    ``start + i``'s substream: the first phase's positions followed by
-    the second phase's, from one ``integers`` call.  The substream is
-    ``Philox(key=seed)`` jumped by the replication index, i.e. the
-    Philox counter ``(0, 0, rep, 0)``; one bit generator is reset to it
-    per replication.
+    Row ``i`` holds the positions :func:`draw_two_phase` (or
+    :func:`draw_srswor`) draws from replication ``start + i``'s
+    substream: the first phase's followed by the second phase's, from
+    one ``integers`` call.  The substream is ``Philox(key=seed)``
+    jumped by the replication index, i.e. the Philox counter
+    ``(0, 0, rep, 0)``; one bit generator is reset to it per
+    replication.
     """
     n_pop = plan.y.size
     if plan.nprime is None:
@@ -275,9 +265,9 @@ def _position_order(positions: np.ndarray) -> np.ndarray:
 def _fisher_yates(positions: np.ndarray) -> np.ndarray:
     """Partial Fisher-Yates on every row of ``positions`` at once.
 
-    Row by row the result equals ``_srswor`` given the same positions
-    (``positions[:, i]`` lies in ``[i, N)``), as a C-ordered ``(rows, k)``
-    array of picked indices.  Step ``i`` of the scalar draw picks the
+    ``positions[:, i]`` lies in ``[i, N)``.  Row by row the result, a
+    C-ordered ``(rows, k)`` array of picked indices, is that of the
+    sequential draw over the values ``0..N-1``: step ``i`` picks the
     value at position ``j_i`` and moves the value at position ``i``
     there.  So draw ``i`` picks ``j_i`` itself unless an earlier draw
     ``m`` named the same position; then it picks what step ``m`` moved
@@ -458,26 +448,11 @@ class EstimatorSummary:
     formula_id: str
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "weight_mode": self.weight_mode,
-            "weight": self.weight,
-            "emp_mean": self.emp_mean,
-            "emp_bias": self.emp_bias,
-            "emp_mse": self.emp_mse,
-            "emp_pre": self.emp_pre,
-            "theory_bias": self.theory_bias,
-            "theory_mse": self.theory_mse,
-            "theory_pre": self.theory_pre,
-            "formula_id": self.formula_id,
-        }
+        return asdict(self)
 
 
-_CSV_COLUMNS = (
-    "kind", "weight_mode", "weight",
-    "emp_mean", "emp_bias", "emp_mse", "emp_pre",
-    "theory_bias", "theory_mse", "theory_pre", "formula_id",
-)
+#: CSV columns of a report: the summary's fields, in order.
+_CSV_COLUMNS = tuple(f.name for f in fields(EstimatorSummary))
 
 
 @dataclass(frozen=True)
@@ -522,20 +497,7 @@ class SimulationReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_csv(self) -> str:
-        lines = [",".join(_CSV_COLUMNS)]
-        for summary in self.estimators:
-            row = summary.to_dict()
-            fields = []
-            for column in _CSV_COLUMNS:
-                value = row[column]
-                if value is None:
-                    fields.append("")
-                elif isinstance(value, float):
-                    fields.append(repr(value))
-                else:
-                    fields.append(str(value))
-            lines.append(",".join(fields))
-        return "\n".join(lines) + "\n"
+        return format_csv(_CSV_COLUMNS, [summary.to_dict() for summary in self.estimators])
 
 
 def _dedupe(kinds: tuple[EstimatorKind, ...]) -> tuple[EstimatorKind, ...]:

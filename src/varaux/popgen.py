@@ -20,16 +20,23 @@ from reflecting a variate after the fact.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpecError, PopulationFormatError
-from .moments import Population, load_population_csv, save_population_csv
+from .errors import InvalidSpecError
+from .moments import Population, load_json
 
 _MARGINAL_FAMILIES = ("normal", "lognormal")
+
+
+def _number(value, name: str) -> float:
+    # Booleans are integers to Python but never a meaningful spec value.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidSpecError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -50,8 +57,8 @@ class Marginal:
             raise InvalidSpecError(
                 f"unknown marginal family {self.family!r}; expected one of {_MARGINAL_FAMILIES}"
             )
-        loc = float(self.loc)
-        scale = float(self.scale)
+        loc = _number(self.loc, "marginal loc")
+        scale = _number(self.scale, "marginal scale")
         if not math.isfinite(loc):
             raise InvalidSpecError(f"marginal loc must be finite, got {self.loc!r}")
         if not math.isfinite(scale) or scale <= 0.0:
@@ -128,7 +135,7 @@ class PopulationSpec:
         if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 2:
             raise InvalidSpecError(f"population size must be an integer >= 2, got {self.size!r}")
         for name in ("rho_yx", "rho_yz", "rho_xz"):
-            value = float(getattr(self, name))
+            value = _number(getattr(self, name), name)
             if not (-1.0 < value < 1.0):
                 raise InvalidSpecError(f"{name} must lie strictly inside (-1, 1), got {value!r}")
             object.__setattr__(self, name, value)
@@ -174,11 +181,7 @@ class PopulationSpec:
 
 def load_population_spec(path) -> PopulationSpec:
     """Read a :class:`PopulationSpec` from a JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise PopulationFormatError(f"{path}: not valid JSON: {exc}") from exc
+    data = load_json(path)
     try:
         return PopulationSpec.from_dict(data)
     except InvalidSpecError as exc:
@@ -218,10 +221,3 @@ def realized_correlations(pop: Population) -> dict[str, float]:
         "rho_yz": float(matrix[0, 2]),
         "rho_xz": float(matrix[1, 2]),
     }
-
-
-# The CSV format lives with the moment code; re-exported here because
-# loading real populations and generating synthetic ones are the same
-# concern for callers.
-load_population = load_population_csv
-save_population = save_population_csv

@@ -35,10 +35,10 @@ from .errors import InvalidDesignError, InvalidInputError
 from .estimators import (
     COMBINED,
     COMBINED_TWO_PHASE,
+    UNBIASED,
     EstimatorKind,
     Family,
     alpha_opt,
-    k_opt,
 )
 from .moments import DeltaTable
 
@@ -124,20 +124,22 @@ def _resolve_theory_weight(kind: EstimatorKind, weight: float | None) -> float |
     return weight
 
 
-# The weight-independent and weight-dependent MSE brackets.  They are
-# shared verbatim between the single-phase and two-phase formulas (the
-# designs differ only in the factor multiplying the bracket), which is
-# what makes the reduction identities between the two families exact.
+# The MSE brackets, added to the ``(d400 - 1)`` of the unbiased kind.
+# They are shared verbatim between the single-phase and two-phase
+# formulas (the designs differ only in the factor multiplying the
+# bracket), which is what makes the reduction identities between the
+# two families exact.  Each takes the moment table and the resolved
+# weight, which only the combined brackets read.
 
-def _isaki_bracket(d: DeltaTable) -> float:
+def _isaki_bracket(d: DeltaTable, weight: float | None) -> float:
     return (d.d040 - 1.0) - 2.0 * (d.d220 - 1.0)
 
 
-def _ratio_bracket(d: DeltaTable) -> float:
+def _ratio_bracket(d: DeltaTable, weight: float | None) -> float:
     return (d.d040 - 1.0) / 4.0 - (d.d220 - 1.0)
 
 
-def _product_bracket(d: DeltaTable) -> float:
+def _product_bracket(d: DeltaTable, weight: float | None) -> float:
     return (d.d004 - 1.0) / 4.0 + (d.d202 - 1.0)
 
 
@@ -150,6 +152,10 @@ def _combined_bracket(d: DeltaTable, weight: float) -> float:
         + co * (d.d202 - 1.0)
         - (weight * co / 2.0) * (d.d022 - 1.0)
     )
+
+
+def _zero_bracket(d: DeltaTable, weight: float | None) -> float:
+    return 0.0
 
 
 def combined_curvature(deltas: DeltaTable, sy2: float, sizes: DesignSizes) -> float:
@@ -167,27 +173,93 @@ def combined_curvature(deltas: DeltaTable, sy2: float, sizes: DesignSizes) -> fl
     return sy2 * sy2 * factor * curvature
 
 
-def var_unbiased_theory(deltas: DeltaTable, sy2: float, sizes: DesignSizes) -> float:
-    """First-order variance of the unbiased estimator: ``(S_y^4/n)(d400 - 1)``."""
-    sy2 = _check_sy2(sy2)
-    return sy2 * sy2 * (deltas.d400 - 1.0) / sizes.n
+# Bias brackets (multiply by S_y^2 and the design factor).  The
+# coefficients are the corrected ones, ``(3/8, -1/2)`` on the ratio side
+# and ``(-1/8, +1/2)`` on the product side; the published print
+# transposes the 1/8 and 3/8 factors.
 
-
-# Bias brackets (multiply by S_y^2 and the design factor).
-
-def _bias_ratio_bracket(d: DeltaTable) -> float:
+def _bias_ratio_bracket(d: DeltaTable, weight: float | None) -> float:
     return (3.0 / 8.0) * (d.d040 - 1.0) - 0.5 * (d.d220 - 1.0)
 
 
-def _bias_product_bracket(d: DeltaTable) -> float:
+def _bias_product_bracket(d: DeltaTable, weight: float | None) -> float:
     return -(1.0 / 8.0) * (d.d004 - 1.0) + 0.5 * (d.d202 - 1.0)
 
 
-_BIAS_FORMULA_IDS = {
-    Family.EXP_RATIO: "bias:exp-ratio:corrected",
-    Family.EXP_PRODUCT: "bias:exp-product:corrected",
-    Family.COMBINED: "bias:combined:corrected",
+def _bias_combined_bracket(d: DeltaTable, weight: float) -> float:
+    return weight * _bias_ratio_bracket(d, None) + (1.0 - weight) * _bias_product_bracket(d, None)
+
+
+#: The first-order theory of every family: its MSE bracket, its formula
+#: id and its bias bracket.  No bias expression is implemented for the
+#: ratio kind or the two-phase kinds; simulation reports their empirical
+#: bias instead.
+_FORMULAS = {
+    Family.UNBIASED: (_zero_bracket, "var:unbiased:as-published", _zero_bracket),
+    Family.ISAKI_RATIO: (_isaki_bracket, "mse:isaki-ratio:as-published", None),
+    Family.EXP_RATIO: (_ratio_bracket, "mse:exp-ratio:corrected", _bias_ratio_bracket),
+    Family.EXP_PRODUCT: (_product_bracket, "mse:exp-product:as-published", _bias_product_bracket),
+    Family.COMBINED: (_combined_bracket, "mse:combined:corrected", _bias_combined_bracket),
+    Family.EXP_RATIO_2P: (_ratio_bracket, "mse:exp-ratio-2p:as-published", None),
+    Family.EXP_PRODUCT_2P: (_product_bracket, "mse:exp-product-2p:as-published", None),
+    Family.COMBINED_2P: (_combined_bracket, "mse:combined-2p:corrected", None),
 }
+
+
+def theory_for_kind(
+    kind: EstimatorKind,
+    deltas: DeltaTable,
+    sy2: float,
+    sizes: DesignSizes,
+    weight: float | None = None,
+) -> TheoryResult:
+    """First-order MSE, and bias where one is implemented, of any kind.
+
+    With ``bracket`` the family's MSE bracket, a single-phase kind has
+    MSE ``(S_y^4/n) * ((d400 - 1) + bracket)`` and a two-phase kind,
+    with ``theta = 1/n - 1/n'``, ``S_y^4 * ((d400 - 1)/n + theta *
+    bracket)``.  Brackets (all terms are spreads above the moment lower
+    bounds):
+
+    * unbiased:      ``0``
+    * isaki-ratio:   ``(d040 - 1) - 2 (d220 - 1)``
+    * exp-ratio:     ``(d040 - 1)/4 - (d220 - 1)``  (corrected)
+    * exp-product:   ``(d004 - 1)/4 + (d202 - 1)``
+    * combined(a):   ``(a^2/4)(d040 - 1) + ((1-a)^2/4)(d004 - 1)
+      - a (d220 - 1) + (1-a)(d202 - 1) - (a(1-a)/2)(d022 - 1)``  (corrected)
+
+    The two-phase kinds share the bracket of their single-phase
+    counterparts.  That shared bracket is what makes the reductions
+    exact: weight 1 gives the ratio MSE, weight 0 the product MSE, and
+    ``1/n' -> 0`` recovers the single-phase values.  The two designs keep
+    separate final expressions because folding them into one factor
+    form would round differently in the last bit.  A single-phase kind
+    ignores ``sizes.nprime``.
+
+    The exp-ratio correction replaces a printed ``+1/4`` constant by
+    ``-1/4``; the combined correction replaces a printed
+    ``(1 - a^2)/4`` coefficient by ``((1 - a)^2)/4``.  The published
+    print of the combined two-phase MSE fails the reductions (a flipped
+    cross-term sign and a ``(k^2 - 1)/4`` coefficient).  See
+    :data:`CORRECTIONS`.
+    """
+    sy2 = _check_sy2(sy2)
+    if kind.is_two_phase and sizes.nprime is None:
+        raise InvalidDesignError("two-phase theory needs sizes.nprime")
+    w = _resolve_theory_weight(kind, weight)
+    mse_bracket, formula_id, bias_bracket = _FORMULAS[kind.family]
+    bracket = mse_bracket(deltas, w)
+    if kind.is_two_phase:
+        mse = sy2 * sy2 * ((deltas.d400 - 1.0) / sizes.n + sizes.theta * bracket)
+    else:
+        mse = sy2 * sy2 * ((deltas.d400 - 1.0) + bracket) / sizes.n
+    bias = None if bias_bracket is None else sy2 * bias_bracket(deltas, w) / sizes.n
+    return TheoryResult(mse=mse, bias=bias, formula_id=formula_id, valid=mse >= 0.0)
+
+
+def var_unbiased_theory(deltas: DeltaTable, sy2: float, sizes: DesignSizes) -> float:
+    """First-order variance of the unbiased estimator: ``(S_y^4/n)(d400 - 1)``."""
+    return theory_for_kind(UNBIASED, deltas, sy2, sizes).mse
 
 
 def bias_single_phase(
@@ -201,140 +273,16 @@ def bias_single_phase(
 
     Defined for the exp-ratio, exp-product and combined kinds; the
     unbiased kind has bias exactly 0 and no expression is implemented
-    for the ratio kind or the two-phase kinds.
-
-    The coefficients are the corrected ones, ``(3/8, -1/2)`` on the
-    ratio side and ``(-1/8, +1/2)`` on the product side; the published
-    print transposes the 1/8 and 3/8 factors.  The Monte Carlo sign
-    test in the acceptance suite discriminates the two.
+    for the ratio kind or the two-phase kinds.  The Monte Carlo sign
+    test in the acceptance suite discriminates the corrected
+    coefficients from the published ones.
     """
-    sy2 = _check_sy2(sy2)
-    if kind.family is Family.UNBIASED:
-        return 0.0
-    if kind.family not in _BIAS_FORMULA_IDS:
+    _, _, bias_bracket = _FORMULAS[kind.family]
+    if bias_bracket is None:
         raise InvalidInputError(
             f"no first-order bias expression is implemented for {kind.label!r}"
         )
-    if kind.family is Family.EXP_RATIO:
-        bracket = _bias_ratio_bracket(deltas)
-    elif kind.family is Family.EXP_PRODUCT:
-        bracket = _bias_product_bracket(deltas)
-    else:
-        w = _resolve_theory_weight(kind, weight)
-        bracket = w * _bias_ratio_bracket(deltas) + (1.0 - w) * _bias_product_bracket(deltas)
-    return sy2 * bracket / sizes.n
-
-
-def mse_single_phase(
-    kind: EstimatorKind,
-    deltas: DeltaTable,
-    sy2: float,
-    sizes: DesignSizes,
-    weight: float | None = None,
-) -> TheoryResult:
-    """First-order MSE of a single-phase estimator, ``(S_y^4/n) * bracket``.
-
-    Brackets (all terms are spreads above the moment lower bounds):
-
-    * unbiased:      ``(d400 - 1)``
-    * isaki-ratio:   ``(d400 - 1) + (d040 - 1) - 2 (d220 - 1)``
-    * exp-ratio:     ``(d400 - 1) + (d040 - 1)/4 - (d220 - 1)``  (corrected)
-    * exp-product:   ``(d400 - 1) + (d004 - 1)/4 + (d202 - 1)``
-    * combined(a):   ``(d400 - 1) + (a^2/4)(d040 - 1) + ((1-a)^2/4)(d004 - 1)
-      - a (d220 - 1) + (1-a)(d202 - 1) - (a(1-a)/2)(d022 - 1)``  (corrected)
-
-    The exp-ratio correction replaces a printed ``+1/4`` constant by
-    ``-1/4``; the combined correction replaces a printed
-    ``(1 - a^2)/4`` coefficient by ``((1 - a)^2)/4``.  See
-    :data:`CORRECTIONS`.
-    """
-    sy2 = _check_sy2(sy2)
-    if kind.is_two_phase:
-        raise InvalidInputError(f"estimator {kind.label!r} is two-phase; use mse_two_phase")
-    w = _resolve_theory_weight(kind, weight)
-    family = kind.family
-    bias: float | None
-    if family is Family.UNBIASED:
-        mse = var_unbiased_theory(deltas, sy2, sizes)
-        return TheoryResult(mse=mse, bias=0.0, formula_id="var:unbiased:as-published", valid=mse >= 0.0)
-    if family is Family.ISAKI_RATIO:
-        bracket = _isaki_bracket(deltas)
-        formula_id = "mse:isaki-ratio:as-published"
-        bias = None
-    elif family is Family.EXP_RATIO:
-        bracket = _ratio_bracket(deltas)
-        formula_id = "mse:exp-ratio:corrected"
-        bias = bias_single_phase(kind, deltas, sy2, sizes)
-    elif family is Family.EXP_PRODUCT:
-        bracket = _product_bracket(deltas)
-        formula_id = "mse:exp-product:as-published"
-        bias = bias_single_phase(kind, deltas, sy2, sizes)
-    elif family is Family.COMBINED:
-        bracket = _combined_bracket(deltas, w)
-        formula_id = "mse:combined:corrected"
-        bias = bias_single_phase(kind, deltas, sy2, sizes, weight=w)
-    else:
-        raise InvalidInputError(f"unhandled estimator kind {kind.label!r}")
-    mse = sy2 * sy2 * ((deltas.d400 - 1.0) + bracket) / sizes.n
-    return TheoryResult(mse=mse, bias=bias, formula_id=formula_id, valid=mse >= 0.0)
-
-
-def mse_two_phase(
-    kind: EstimatorKind,
-    deltas: DeltaTable,
-    sy2: float,
-    sizes: DesignSizes,
-    weight: float | None = None,
-) -> TheoryResult:
-    """First-order MSE of a two-phase estimator.
-
-    With ``theta = 1/n - 1/n'``, each MSE is
-    ``S_y^4 * ((d400 - 1)/n + theta * bracket)`` where ``bracket`` is
-    the same weight-dependent bracket as in the single-phase formulas.
-    That shared bracket is what makes the reductions exact: weight 1
-    gives the two-phase ratio MSE, weight 0 the two-phase product MSE,
-    and ``1/n' -> 0`` recovers the single-phase values.
-
-    The published print of the combined two-phase MSE fails those
-    reductions (a flipped cross-term sign and a ``(k^2 - 1)/4``
-    coefficient); see :data:`CORRECTIONS`.
-
-    No first-order bias expressions are implemented for the two-phase
-    kinds; simulation reports their empirical bias instead.
-    """
-    sy2 = _check_sy2(sy2)
-    if not kind.is_two_phase:
-        raise InvalidInputError(f"estimator {kind.label!r} is single-phase; use mse_single_phase")
-    if sizes.nprime is None:
-        raise InvalidDesignError("two-phase theory needs sizes.nprime")
-    w = _resolve_theory_weight(kind, weight)
-    family = kind.family
-    if family is Family.EXP_RATIO_2P:
-        bracket = _ratio_bracket(deltas)
-        formula_id = "mse:exp-ratio-2p:as-published"
-    elif family is Family.EXP_PRODUCT_2P:
-        bracket = _product_bracket(deltas)
-        formula_id = "mse:exp-product-2p:as-published"
-    elif family is Family.COMBINED_2P:
-        bracket = _combined_bracket(deltas, w)
-        formula_id = "mse:combined-2p:corrected"
-    else:
-        raise InvalidInputError(f"unhandled estimator kind {kind.label!r}")
-    mse = sy2 * sy2 * ((deltas.d400 - 1.0) / sizes.n + sizes.theta * bracket)
-    return TheoryResult(mse=mse, bias=None, formula_id=formula_id, valid=mse >= 0.0)
-
-
-def theory_for_kind(
-    kind: EstimatorKind,
-    deltas: DeltaTable,
-    sy2: float,
-    sizes: DesignSizes,
-    weight: float | None = None,
-) -> TheoryResult:
-    """Dispatch to the single- or two-phase MSE for any estimator kind."""
-    if kind.is_two_phase:
-        return mse_two_phase(kind, deltas, sy2, sizes, weight=weight)
-    return mse_single_phase(kind, deltas, sy2, sizes, weight=weight)
+    return theory_for_kind(kind, deltas, sy2, sizes, weight=weight).bias
 
 
 def pre(mse_candidate: float, mse_baseline: float) -> float:
@@ -363,13 +311,9 @@ def min_mse_combined(
     NoUniqueOptimumError
         When the quadratic's curvature is zero.
     """
-    if sizes.nprime is None:
-        weight = alpha_opt(deltas)
-        result = mse_single_phase(COMBINED, deltas, sy2, sizes, weight=weight)
-    else:
-        weight = k_opt(deltas)
-        result = mse_two_phase(COMBINED_TWO_PHASE, deltas, sy2, sizes, weight=weight)
-    return weight, result.mse
+    weight = alpha_opt(deltas)
+    kind = COMBINED if sizes.nprime is None else COMBINED_TWO_PHASE
+    return weight, theory_for_kind(kind, deltas, sy2, sizes, weight=weight).mse
 
 
 # ---------------------------------------------------------------------------

@@ -378,13 +378,6 @@ class TestTheory:
         assert result.exit_code == 0
         assert "forced by:" in result.stdout
 
-    def test_alpha_and_optimal_conflict_exits_2(self):
-        result = invoke(
-            "theory", "--builtin-s5", "--n", "10", "--alpha", "0.5", "--optimal"
-        )
-        assert result.exit_code == 2
-        assert "either --alpha or --optimal" in result.stderr
-
     def test_deltas_and_builtin_conflict_exits_2(self, builtin_deltas_json):
         result = invoke(
             "theory", "--builtin-s5", "--deltas", builtin_deltas_json, "--n", "10"
@@ -706,3 +699,33 @@ class TestGenPop:
             "bogus:0:1",
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["gen-pop", "simulate"])
+    def test_non_numeric_spec_value_exits_2(self, tmp_path, command):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"rho_yx": "abc"}), encoding="utf-8")
+        if command == "gen-pop":
+            args = ("gen-pop", "--out", str(tmp_path / "pop.csv"), "--spec", str(spec_path))
+        else:
+            args = ("simulate", "--gen-spec", str(spec_path), "--n", "10", "--reps", "10")
+        result = invoke(*args)
+        assert result.exit_code == 2
+        assert "spec.json: rho_yx must be a number, got 'abc'" in result.stderr
+
+
+@pytest.mark.parametrize("kind", ["population", "first-phase", "deltas", "spec"])
+def test_non_utf8_input_file_exits_2(kind, tiny_csv, tmp_path):
+    path = tmp_path / "input.bin"
+    path.write_bytes(b"\xff\xfe\n")
+    args = {
+        "population": ("moments", "--input", str(path)),
+        "first-phase": (
+            "estimate", "--input", tiny_csv, "--estimators", "exp-ratio-2p",
+            "--first-phase", str(path),
+        ),
+        "deltas": ("theory", "--deltas", str(path), "--n", "10"),
+        "spec": ("gen-pop", "--out", str(tmp_path / "pop.csv"), "--spec", str(path)),
+    }[kind]
+    result = invoke(*args)
+    assert result.exit_code == 2
+    assert f"{path}: not UTF-8 text" in result.stderr

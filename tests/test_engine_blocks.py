@@ -3,7 +3,8 @@
 ``varaux.montecarlo`` evaluates replications in blocks with numpy; the
 loop it replaced is kept in ``reference_engine``.  Every per-replication
 value, failure flag and first-failure message must agree bit for bit,
-and the block draws must equal the public scalar draws rep by rep.
+and the block draws, and the public draws that run the same code on
+one row, must equal the reference's scalar Fisher-Yates rep by rep.
 """
 
 from __future__ import annotations
@@ -197,11 +198,18 @@ def test_block_draws_equal_scalar_draws(design, seed, start, count):
     first, second = _draw_block(bare_plan(n_pop, n, nprime, seed), start, start + count)
     assert second.flags.c_contiguous
     for row, rep in enumerate(range(start, start + count)):
-        stream = np.random.Generator(np.random.Philox(key=seed).jumped(rep))
+        reference, public = (
+            np.random.Generator(np.random.Philox(key=seed).jumped(rep)) for _ in range(2)
+        )
         if nprime is None:
+            want = reference_engine._srswor(reference, n_pop, n)
             assert first is None
-            assert np.array_equal(second[row], draw_srswor(stream, n_pop, n))
+            assert np.array_equal(draw_srswor(public, n_pop, n), want)
         else:
-            draw = draw_two_phase(stream, n_pop, nprime, n)
-            assert np.array_equal(first[row], draw.first_phase)
-            assert np.array_equal(second[row], draw.second_phase)
+            want_first = reference_engine._srswor(reference, n_pop, nprime)
+            want = want_first[reference_engine._srswor(reference, nprime, n)]
+            assert np.array_equal(first[row], want_first)
+            draw = draw_two_phase(public, n_pop, nprime, n)
+            assert np.array_equal(draw.first_phase, want_first)
+            assert np.array_equal(draw.second_phase, want)
+        assert np.array_equal(second[row], want)

@@ -37,7 +37,6 @@ from varaux import (
     estimate_single_phase,
     estimate_two_phase,
     estimate_two_phase_from_draw,
-    k_opt,
     sample_variance,
     single_phase_value,
     two_phase_value,
@@ -201,13 +200,6 @@ class TestOptimalWeight:
         assert alpha_opt(BUILTIN_EXAMPLE_DELTAS) == pytest.approx(
             1.0371742985766907, rel=1e-15
         )
-
-    def test_k_opt_equals_alpha_opt(self):
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            pop = random_population(rng, 50)
-            table = delta_table(pop)
-            assert k_opt(table) == alpha_opt(table)
 
     def test_degenerate_denominator(self):
         # d040 + d004 + 2*d022 - 4 == 0 leaves no unique optimum.

@@ -29,7 +29,7 @@ from varaux import (
     save_delta_table,
     save_population_csv,
 )
-from varaux.moments import fourth_moments
+from varaux.moments import fourth_moments, load_csv_rows
 from helpers import random_population
 
 
@@ -266,6 +266,15 @@ class TestPopulation:
             Population(y=[1.0, math.nan], x=[1.0, 2.0], z=[1.0, 2.0])
 
 
+def load_first_phase_csv(path):
+    return load_csv_rows(path, "x,z", "a first-phase sample")
+
+
+def both_readers(population_text, first_phase_text):
+    """The same case for both strict CSV inputs: header y,x,z and x,z."""
+    return ((load_population_csv, population_text), (load_first_phase_csv, first_phase_text))
+
+
 class TestPopulationCsv:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -285,27 +294,31 @@ class TestPopulationCsv:
 
     def test_non_numeric_cell_reports_line(self, tmp_path):
         path = tmp_path / "pop.csv"
-        path.write_text("y,x,z\n1,2,3\n4,oops,6\n7,8,9\n", encoding="utf-8")
-        with pytest.raises(PopulationFormatError, match="line 3"):
-            load_population_csv(path)
+        for load, text in both_readers("y,x,z\n1,2,3\n4,oops,6\n7,8,9\n", "x,z\n1,2\n4,oops\n7,8\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(PopulationFormatError, match="line 3: non-numeric"):
+                load(path)
 
     def test_non_finite_cell_rejected(self, tmp_path):
         path = tmp_path / "pop.csv"
-        path.write_text("y,x,z\n1,2,3\n4,inf,6\n", encoding="utf-8")
-        with pytest.raises(PopulationFormatError):
-            load_population_csv(path)
+        for load, text in both_readers("y,x,z\n1,2,3\n4,inf,6\n", "x,z\n1,2\n4,inf\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(PopulationFormatError, match="line 3: non-finite"):
+                load(path)
 
     def test_wrong_column_count_rejected(self, tmp_path):
         path = tmp_path / "pop.csv"
-        path.write_text("y,x,z\n1,2,3\n4,5\n", encoding="utf-8")
-        with pytest.raises(PopulationFormatError, match="line 3"):
-            load_population_csv(path)
+        for load, text in both_readers("y,x,z\n1,2,3\n4,5\n", "x,z\n1,2\n4\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(PopulationFormatError, match="line 3"):
+                load(path)
 
     def test_single_row_rejected(self, tmp_path):
         path = tmp_path / "pop.csv"
-        path.write_text("y,x,z\n1,2,3\n", encoding="utf-8")
-        with pytest.raises(InvalidInputError):
-            load_population_csv(path)
+        for load, text in both_readers("y,x,z\n1,2,3\n", "x,z\n1,2\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(InvalidInputError, match="at least two data rows, found 1"):
+                load(path)
 
     def test_zero_variance_warns(self, tmp_path):
         path = tmp_path / "pop.csv"
@@ -315,9 +328,16 @@ class TestPopulationCsv:
 
     def test_utf8_bom_tolerated(self, tmp_path):
         path = tmp_path / "pop.csv"
-        path.write_bytes("y,x,z\n1,2,3\n4,5,6\n".encode("utf-8-sig"))
-        pop = load_population_csv(path)
-        assert pop.size == 2
+        for load, text in both_readers("y,x,z\n1,2,3\n4,5,6\n", "x,z\n1,2\n4,5\n"):
+            path.write_bytes(text.encode("utf-8-sig"))
+            assert len(load(path)) == 2
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        for load, text in both_readers("y,x,z\n1,2,3\n4,5,6\n", "x,z\n1,2\n4,5\n"):
+            path.write_bytes(text.encode() + b"\xff\n")
+            with pytest.raises(PopulationFormatError, match="pop.csv: not UTF-8 text"):
+                load(path)
 
 
 class TestSampleVariance:

@@ -15,10 +15,8 @@ from varaux import (
     PopulationSpec,
     delta_table,
     generate_population,
-    load_population,
     load_population_spec,
     realized_correlations,
-    save_population,
 )
 
 # Reference values of the default population, pinned so that any change
@@ -66,6 +64,12 @@ class TestMarginal:
     def test_parse_garbage_rejected(self):
         with pytest.raises(InvalidSpecError):
             Marginal.parse("lognormal:a:b")
+
+    @pytest.mark.parametrize("field", ["loc", "scale"])
+    @pytest.mark.parametrize("value", ["x", None, True, [1.0]])
+    def test_non_numeric_parameters_rejected(self, field, value):
+        with pytest.raises(InvalidSpecError, match=f"marginal {field} must be a number"):
+            Marginal("normal", **{field: value})
 
 
 class TestPopulationSpec:
@@ -122,6 +126,21 @@ class TestPopulationSpec:
         path = tmp_path / "spec.json"
         path.write_text("{oops", encoding="utf-8")
         with pytest.raises(PopulationFormatError):
+            load_population_spec(path)
+
+    @pytest.mark.parametrize("value", ["abc", None, False, {"v": 0.5}])
+    def test_non_numeric_correlation_rejected(self, value):
+        with pytest.raises(InvalidSpecError, match="rho_yx must be a number"):
+            PopulationSpec(rho_yx=value)
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"rho_yx": "abc"}, {"rho_yx": None}, {"marginal_y": {"family": "normal", "loc": "x"}}],
+    )
+    def test_load_rejects_non_numeric_values_naming_the_file(self, tmp_path, data):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(InvalidSpecError, match="spec.json: .* must be a number"):
             load_population_spec(path)
 
     def test_marginals_accept_tags(self):
@@ -186,14 +205,3 @@ class TestGeneratePopulation:
 
     def test_default_population_moment_bounds_hold(self, default_pop):
         assert delta_table(default_pop).violations() == []
-
-
-class TestPopulationIO:
-    def test_save_load_aliases(self, tmp_path):
-        pop = generate_population(PopulationSpec(size=50))
-        path = tmp_path / "pop.csv"
-        save_population(pop, path)
-        again = load_population(path)
-        assert np.array_equal(again.y, pop.y)
-        assert np.array_equal(again.x, pop.x)
-        assert np.array_equal(again.z, pop.z)

@@ -41,10 +41,7 @@ from varaux import (
     combined_curvature,
     corrections_by_id,
     delta_table,
-    k_opt,
     min_mse_combined,
-    mse_single_phase,
-    mse_two_phase,
     pre,
     theory_for_kind,
     var_unbiased_theory,
@@ -105,13 +102,13 @@ class TestVarUnbiased:
 class TestSinglePhaseMse:
     def test_builtin_frozen_values(self):
         # derived by hand from the brackets; regression-pinned exactly.
-        assert mse_single_phase(ISAKI_RATIO, D, 1.0, N10).mse == pytest.approx(
+        assert theory_for_kind(ISAKI_RATIO, D, 1.0, N10).mse == pytest.approx(
             0.12413, rel=1e-12
         )
-        assert mse_single_phase(EXP_RATIO, D, 1.0, N10).mse == pytest.approx(
+        assert theory_for_kind(EXP_RATIO, D, 1.0, N10).mse == pytest.approx(
             0.05915, rel=1e-12
         )
-        assert mse_single_phase(EXP_PRODUCT, D, 1.0, N10).mse == pytest.approx(
+        assert theory_for_kind(EXP_PRODUCT, D, 1.0, N10).mse == pytest.approx(
             0.29541, rel=1e-12
         )
 
@@ -129,45 +126,48 @@ class TestSinglePhaseMse:
                 (EXP_RATIO, "exp-ratio"),
                 (EXP_PRODUCT, "exp-product"),
             ]:
-                got = mse_single_phase(kind, d, sy2, sizes).mse
+                got = theory_for_kind(kind, d, sy2, sizes).mse
                 want = base + sy2**2 / sizes.n * refs[name]
                 assert got == pytest.approx(want, rel=1e-12), name
             for weight in [-0.3, 0.0, 0.5, 1.0, 1.4]:
-                got = mse_single_phase(COMBINED, d, sy2, sizes, weight=weight).mse
+                got = theory_for_kind(COMBINED, d, sy2, sizes, weight=weight).mse
                 want = (
                     base + sy2**2 / sizes.n * reference_brackets(d, weight)["combined"]
                 )
                 assert got == pytest.approx(want, rel=1e-12)
 
     def test_unbiased_kind_equals_variance(self):
-        r = mse_single_phase(UNBIASED, D, 1.0, N10)
+        r = theory_for_kind(UNBIASED, D, 1.0, N10)
         assert r.mse == var_unbiased_theory(D, 1.0, N10)
         assert r.bias == 0.0
 
     def test_formula_ids(self):
-        assert mse_single_phase(UNBIASED, D, 1.0, N10).formula_id == (
+        assert theory_for_kind(UNBIASED, D, 1.0, N10).formula_id == (
             "var:unbiased:as-published"
         )
-        assert mse_single_phase(ISAKI_RATIO, D, 1.0, N10).formula_id == (
+        assert theory_for_kind(ISAKI_RATIO, D, 1.0, N10).formula_id == (
             "mse:isaki-ratio:as-published"
         )
-        assert mse_single_phase(EXP_RATIO, D, 1.0, N10).formula_id == (
+        assert theory_for_kind(EXP_RATIO, D, 1.0, N10).formula_id == (
             "mse:exp-ratio:corrected"
         )
-        assert mse_single_phase(EXP_PRODUCT, D, 1.0, N10).formula_id == (
+        assert theory_for_kind(EXP_PRODUCT, D, 1.0, N10).formula_id == (
             "mse:exp-product:as-published"
         )
-        assert mse_single_phase(COMBINED, D, 1.0, N10, weight=0.5).formula_id == (
+        assert theory_for_kind(COMBINED, D, 1.0, N10, weight=0.5).formula_id == (
             "mse:combined:corrected"
         )
 
     def test_combined_requires_weight(self):
         with pytest.raises(InvalidInputError, match="weight"):
-            mse_single_phase(COMBINED, D, 1.0, N10)
+            theory_for_kind(COMBINED, D, 1.0, N10)
 
     def test_two_phase_kind_rejected(self):
-        with pytest.raises(InvalidInputError):
-            mse_single_phase(EXP_RATIO_TWO_PHASE, D, 1.0, N10)
+        # A single-phase design has no n' for the two-phase formulas.
+        for kind in TWO_PHASE_KINDS:
+            weight = 0.5 if kind.is_combined else None
+            with pytest.raises(InvalidDesignError, match="nprime"):
+                theory_for_kind(kind, D, 1.0, N10, weight=weight)
 
     def test_negative_first_order_mse_marked_invalid(self):
         # A cross moment large enough drives the first-order MSE negative,
@@ -176,14 +176,14 @@ class TestSinglePhaseMse:
         # the moment bounds, which is exactly why it can happen only with
         # user-supplied inputs.)
         d = DeltaTable(d400=1.2, d040=9.0, d004=2.0, d220=4.0, d202=1.0, d022=1.0)
-        r = mse_single_phase(EXP_RATIO, d, 1.0, DesignSizes(10))
+        r = theory_for_kind(EXP_RATIO, d, 1.0, DesignSizes(10))
         assert r.mse < 0.0
         assert not r.valid
 
     def test_valid_flag_true_on_builtin(self):
         for kind in SINGLE_PHASE_KINDS:
             weight = 0.5 if kind.is_combined else None
-            assert mse_single_phase(kind, D, 1.0, N10, weight=weight).valid
+            assert theory_for_kind(kind, D, 1.0, N10, weight=weight).valid
 
 
 class TestBiasSinglePhase:
@@ -236,20 +236,23 @@ class TestBiasSinglePhase:
 
 class TestTwoPhaseMse:
     def test_builtin_frozen_values(self):
-        assert mse_two_phase(EXP_RATIO_TWO_PHASE, D, 1.0, N10_25).mse == (
+        assert theory_for_kind(EXP_RATIO_TWO_PHASE, D, 1.0, N10_25).mse == (
             pytest.approx(0.086158, rel=1e-12)
         )
-        assert mse_two_phase(EXP_PRODUCT_TWO_PHASE, D, 1.0, N10_25).mse == (
+        assert theory_for_kind(EXP_PRODUCT_TWO_PHASE, D, 1.0, N10_25).mse == (
             pytest.approx(0.227914, rel=1e-12)
         )
 
     def test_nprime_required(self):
         with pytest.raises(InvalidDesignError):
-            mse_two_phase(EXP_RATIO_TWO_PHASE, D, 1.0, DesignSizes(10))
+            theory_for_kind(EXP_RATIO_TWO_PHASE, D, 1.0, DesignSizes(10))
 
-    def test_single_phase_kind_rejected(self):
-        with pytest.raises(InvalidInputError):
-            mse_two_phase(EXP_RATIO, D, 1.0, N10_25)
+    def test_single_phase_kind_ignores_nprime(self):
+        # The unbiased baseline of a two-phase table relies on this.
+        for kind in SINGLE_PHASE_KINDS:
+            weight = 0.5 if kind.is_combined else None
+            got = theory_for_kind(kind, D, 1.0, N10_25, weight=weight)
+            assert got == theory_for_kind(kind, D, 1.0, N10, weight=weight)
 
     def test_theta_factor_structure(self):
         # Two-phase MSE = Var(s_y^2) + S_y^4 * (1/n - 1/n') * bracket,
@@ -262,27 +265,27 @@ class TestTwoPhaseMse:
         theta = 1.0 / 12 - 1.0 / 48
         base = sy2**2 / 12 * (d.d400 - 1.0)
         refs = reference_brackets(d, 0.6)
-        assert mse_two_phase(EXP_RATIO_TWO_PHASE, d, sy2, sizes).mse == pytest.approx(
+        assert theory_for_kind(EXP_RATIO_TWO_PHASE, d, sy2, sizes).mse == pytest.approx(
             base + sy2**2 * theta * refs["exp-ratio"], rel=1e-12
         )
-        assert mse_two_phase(
+        assert theory_for_kind(
             EXP_PRODUCT_TWO_PHASE, d, sy2, sizes
         ).mse == pytest.approx(base + sy2**2 * theta * refs["exp-product"], rel=1e-12)
-        assert mse_two_phase(
+        assert theory_for_kind(
             COMBINED_TWO_PHASE, d, sy2, sizes, weight=0.6
         ).mse == pytest.approx(base + sy2**2 * theta * refs["combined"], rel=1e-12)
 
     def test_bias_not_reported(self):
-        assert mse_two_phase(EXP_RATIO_TWO_PHASE, D, 1.0, N10_25).bias is None
+        assert theory_for_kind(EXP_RATIO_TWO_PHASE, D, 1.0, N10_25).bias is None
 
     def test_formula_ids(self):
-        assert mse_two_phase(EXP_RATIO_TWO_PHASE, D, 1.0, N10_25).formula_id == (
+        assert theory_for_kind(EXP_RATIO_TWO_PHASE, D, 1.0, N10_25).formula_id == (
             "mse:exp-ratio-2p:as-published"
         )
-        assert mse_two_phase(EXP_PRODUCT_TWO_PHASE, D, 1.0, N10_25).formula_id == (
+        assert theory_for_kind(EXP_PRODUCT_TWO_PHASE, D, 1.0, N10_25).formula_id == (
             "mse:exp-product-2p:as-published"
         )
-        assert mse_two_phase(
+        assert theory_for_kind(
             COMBINED_TWO_PHASE, D, 1.0, N10_25, weight=0.5
         ).formula_id == ("mse:combined-2p:corrected")
 
@@ -293,17 +296,17 @@ class TestReductionIdentities:
     def test_combined_mse_collapse_is_bitwise(self):
         for d in [D, delta_table(random_population(np.random.default_rng(2), 50))]:
             for sizes in [N10, DesignSizes(33)]:
-                at_one = mse_single_phase(COMBINED, d, 1.3, sizes, weight=1.0).mse
-                at_zero = mse_single_phase(COMBINED, d, 1.3, sizes, weight=0.0).mse
-                assert at_one == mse_single_phase(EXP_RATIO, d, 1.3, sizes).mse
-                assert at_zero == mse_single_phase(EXP_PRODUCT, d, 1.3, sizes).mse
+                at_one = theory_for_kind(COMBINED, d, 1.3, sizes, weight=1.0).mse
+                at_zero = theory_for_kind(COMBINED, d, 1.3, sizes, weight=0.0).mse
+                assert at_one == theory_for_kind(EXP_RATIO, d, 1.3, sizes).mse
+                assert at_zero == theory_for_kind(EXP_PRODUCT, d, 1.3, sizes).mse
 
     def test_combined_two_phase_mse_collapse_is_bitwise(self):
         sizes = N10_25
-        at_one = mse_two_phase(COMBINED_TWO_PHASE, D, 1.0, sizes, weight=1.0).mse
-        at_zero = mse_two_phase(COMBINED_TWO_PHASE, D, 1.0, sizes, weight=0.0).mse
-        assert at_one == mse_two_phase(EXP_RATIO_TWO_PHASE, D, 1.0, sizes).mse
-        assert at_zero == mse_two_phase(EXP_PRODUCT_TWO_PHASE, D, 1.0, sizes).mse
+        at_one = theory_for_kind(COMBINED_TWO_PHASE, D, 1.0, sizes, weight=1.0).mse
+        at_zero = theory_for_kind(COMBINED_TWO_PHASE, D, 1.0, sizes, weight=0.0).mse
+        assert at_one == theory_for_kind(EXP_RATIO_TWO_PHASE, D, 1.0, sizes).mse
+        assert at_zero == theory_for_kind(EXP_PRODUCT_TWO_PHASE, D, 1.0, sizes).mse
 
     def test_two_phase_reduces_to_single_phase_as_nprime_grows(self):
         # With 1/n' := 0 the two-phase MSE is the single-phase one.
@@ -315,8 +318,8 @@ class TestReductionIdentities:
         ]
         for two_phase_kind, single_kind in pairs:
             weight = 0.7 if two_phase_kind.is_combined else None
-            got = mse_two_phase(two_phase_kind, D, 1.0, huge, weight=weight).mse
-            want = mse_single_phase(single_kind, D, 1.0, N10, weight=weight).mse
+            got = theory_for_kind(two_phase_kind, D, 1.0, huge, weight=weight).mse
+            want = theory_for_kind(single_kind, D, 1.0, N10, weight=weight).mse
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_equal_phases_reduce_to_unbiased(self):
@@ -324,7 +327,7 @@ class TestReductionIdentities:
         sizes = DesignSizes(10, nprime=10)
         for kind in TWO_PHASE_KINDS:
             weight = 0.7 if kind.is_combined else None
-            got = mse_two_phase(kind, D, 1.0, sizes, weight=weight).mse
+            got = theory_for_kind(kind, D, 1.0, sizes, weight=weight).mse
             assert got == var_unbiased_theory(D, 1.0, N10)
 
 
@@ -371,7 +374,7 @@ class TestOptimalWeight:
         d = delta_table(pop)
         weight, mse = min_mse_combined(d, pop.sy2, DesignSizes(20))
         assert weight == pytest.approx(alpha_opt(d), rel=1e-14)
-        direct = mse_single_phase(
+        direct = theory_for_kind(
             COMBINED, d, pop.sy2, DesignSizes(20), weight=weight
         ).mse
         assert mse == pytest.approx(direct, rel=1e-14)
@@ -383,7 +386,7 @@ class TestOptimalWeight:
         w_opt, m_opt = min_mse_combined(d, 1.0, N10)
         curv = combined_curvature(d, 1.0, N10)
         for w in [-0.5, 0.2, 0.9, 1.5]:
-            m = mse_single_phase(COMBINED, d, 1.0, N10, weight=w).mse
+            m = theory_for_kind(COMBINED, d, 1.0, N10, weight=w).mse
             assert m - m_opt == pytest.approx(
                 0.5 * curv * (w - w_opt) ** 2, rel=1e-10
             )
@@ -400,13 +403,13 @@ class TestPre:
     def test_builtin_pre_values_frozen(self):
         base = var_unbiased_theory(D, 1.0, N10)
         assert pre(
-            mse_single_phase(ISAKI_RATIO, D, 1.0, N10).mse, base
+            theory_for_kind(ISAKI_RATIO, D, 1.0, N10).mse, base
         ) == pytest.approx(102.04624184322884, rel=1e-13)
         assert pre(
-            mse_single_phase(EXP_RATIO, D, 1.0, N10).mse, base
+            theory_for_kind(EXP_RATIO, D, 1.0, N10).mse, base
         ) == pytest.approx(214.1504649196956, rel=1e-13)
         assert pre(
-            mse_single_phase(EXP_PRODUCT, D, 1.0, N10).mse, base
+            theory_for_kind(EXP_PRODUCT, D, 1.0, N10).mse, base
         ) == pytest.approx(42.87938796926305, rel=1e-13)
         assert pre(min_mse_combined(D, 1.0, N10)[1], base) == pytest.approx(
             215.25640571775983, rel=1e-13
@@ -415,10 +418,10 @@ class TestPre:
     def test_builtin_two_phase_pre_values_frozen(self):
         base = var_unbiased_theory(D, 1.0, N10)
         assert pre(
-            mse_two_phase(EXP_RATIO_TWO_PHASE, D, 1.0, N10_25).mse, base
+            theory_for_kind(EXP_RATIO_TWO_PHASE, D, 1.0, N10_25).mse, base
         ) == pytest.approx(147.0205900786926, rel=1e-13)
         assert pre(
-            mse_two_phase(EXP_PRODUCT_TWO_PHASE, D, 1.0, N10_25).mse, base
+            theory_for_kind(EXP_PRODUCT_TWO_PHASE, D, 1.0, N10_25).mse, base
         ) == pytest.approx(55.57798116833541, rel=1e-13)
         assert pre(min_mse_combined(D, 1.0, N10_25)[1], base) == pytest.approx(
             147.33239605665693, rel=1e-13
@@ -451,8 +454,8 @@ class TestReflectionSymmetry:
             )
             sy2 = pop.sy2
             for w in [-0.4, 0.0, 0.3, 1.0, 1.6]:
-                orig = mse_single_phase(COMBINED, t, sy2, N10, weight=w).mse
-                refl = mse_single_phase(
+                orig = theory_for_kind(COMBINED, t, sy2, N10, weight=w).mse
+                refl = theory_for_kind(
                     COMBINED, reflected, sy2, N10, weight=1.0 - w
                 ).mse
                 assert refl == pytest.approx(orig, rel=1e-12)
@@ -482,17 +485,20 @@ class TestDesignSizes:
 
 class TestTheoryForKind:
     def test_dispatch_matches_direct_calls(self):
+        # Each design's final expression, written out: the MSEs, golden
+        # files and benchmark digests pin these bits.
+        sy2, weight = 1.3, 0.6
+        refs = reference_brackets(D, weight)
+        refs["unbiased"] = 0.0
         for kind in SINGLE_PHASE_KINDS:
-            weight = 0.5 if kind.is_combined else None
-            got = theory_for_kind(kind, D, 1.0, N10, weight=weight)
-            want = mse_single_phase(kind, D, 1.0, N10, weight=weight)
-            assert got.mse == want.mse
-            assert got.formula_id == want.formula_id
+            got = theory_for_kind(kind, D, sy2, N10, weight=weight if kind.is_combined else None)
+            bracket = refs[kind.family.value]
+            assert got.mse == sy2 * sy2 * ((D.d400 - 1.0) + bracket) / 10
+        theta = N10_25.theta
         for kind in TWO_PHASE_KINDS:
-            weight = 0.5 if kind.is_combined else None
-            got = theory_for_kind(kind, D, 1.0, N10_25, weight=weight)
-            want = mse_two_phase(kind, D, 1.0, N10_25, weight=weight)
-            assert got.mse == want.mse
+            got = theory_for_kind(kind, D, sy2, N10_25, weight=weight if kind.is_combined else None)
+            bracket = refs[kind.family.value.removesuffix("-2p")]
+            assert got.mse == sy2 * sy2 * ((D.d400 - 1.0) / 10 + theta * bracket)
 
     def test_weight_on_non_combined_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -545,9 +551,9 @@ class TestCorrectionRegistry:
         # Every result tagged ":corrected" must be explained in the registry.
         table = corrections_by_id()
         tagged = [
-            mse_single_phase(EXP_RATIO, D, 1.0, N10).formula_id,
-            mse_single_phase(COMBINED, D, 1.0, N10, weight=0.5).formula_id,
-            mse_two_phase(COMBINED_TWO_PHASE, D, 1.0, N10_25, weight=0.5).formula_id,
+            theory_for_kind(EXP_RATIO, D, 1.0, N10).formula_id,
+            theory_for_kind(COMBINED, D, 1.0, N10, weight=0.5).formula_id,
+            theory_for_kind(COMBINED_TWO_PHASE, D, 1.0, N10_25, weight=0.5).formula_id,
         ]
         for formula_id in tagged:
             assert formula_id.endswith(":corrected")
