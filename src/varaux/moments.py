@@ -416,14 +416,19 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    text = str(value)
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def format_csv(columns, rows) -> str:
     """CSV text of ``rows`` (mappings) under a header of ``columns``.
 
     Floats use ``repr``, so they parse back to the same value; None is
-    an empty field.
+    an empty field.  A cell holding a comma, a double quote or a line
+    break is quoted as RFC 4180 asks, inner quotes doubled; no other
+    cell is quoted.
     """
     lines = [",".join(columns)]
     for row in rows:

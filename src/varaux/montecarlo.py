@@ -27,6 +27,13 @@ run once per block.  Every row still has its own substream and its own
 draw, and every reduction runs along a row, so each replication's
 values are bit for bit those of evaluating it alone.
 
+The Fisher-Yates positions are numpy's ``Generator.integers`` draws.
+Per replication the engine only reads raw Philox words; it then applies
+numpy's bounded-integer rule for 32-bit ranges (Lemire's
+multiply-and-reject) to the whole block at once.  The rare row in which
+that rule rejects a word is drawn again with ``integers`` itself, so no
+row depends on a copy of numpy's rejection loop.
+
 Failed replications (a sample with zero auxiliary variance, or a
 plug-in weight with no unique optimum) are counted, and their draws are
 dropped for every estimator alike to preserve pairing.  More than 0.1
@@ -40,7 +47,7 @@ import enum
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -194,6 +201,44 @@ class _Plan:
     need_z_second: bool
     need_x_first: bool
     need_z_first: bool
+    # The position draw's constants, per draw: numpy's ``integers(low,
+    # high)`` bounds, the range ``span = high - low``, Lemire's rejection
+    # ``threshold`` and the 32-bit half of the row's words that feeds
+    # each draw (``column``), for ``words`` raw Philox words per row.
+    low: np.ndarray = field(init=False, repr=False)
+    high: np.ndarray = field(init=False, repr=False)
+    span: np.ndarray = field(init=False, repr=False)
+    threshold: np.ndarray = field(init=False, repr=False)
+    column: np.ndarray = field(init=False, repr=False)
+    words: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n_pop = self.y.size
+        if self.nprime is None:
+            low, high = np.arange(self.n), np.full(self.n, n_pop)
+        else:
+            low = np.concatenate((np.arange(self.nprime), np.arange(self.n)))
+            high = np.concatenate((np.full(self.nprime, n_pop), np.full(self.n, self.nprime)))
+        span = (high - low).astype(np.uint64)
+        if span.max() > 2**32:
+            raise InvalidInputError(
+                f"population size {n_pop} exceeds 2**32, the range of the engine's 32-bit draws"
+            )
+        # A one-value range returns ``low`` without consuming a half-word;
+        # its column repeats the previous draw's, which a span of 1 maps
+        # to offset 0 and never rejects.
+        consumes = span > 1
+        column = np.maximum(np.cumsum(consumes) - 1, 0)
+        constants = {
+            "low": low,
+            "high": high,
+            "span": span,
+            "threshold": ((2**32 - span) % span).astype(np.uint32),
+            "column": column,
+            "words": max(1, (int(consumes.sum()) + 1) // 2),
+        }
+        for name, value in constants.items():
+            object.__setattr__(self, name, value)
 
 
 #: Bytes of drawn positions per block of replications.  Rows per block
@@ -216,27 +261,49 @@ def _draw_positions(plan: _Plan, start: int, stop: int) -> np.ndarray:
 
     Row ``i`` holds the positions :func:`draw_two_phase` (or
     :func:`draw_srswor`) draws from replication ``start + i``'s
-    substream: the first phase's followed by the second phase's, from
-    one ``integers`` call.  The substream is ``Philox(key=seed)``
-    jumped by the replication index, i.e. the Philox counter
-    ``(0, 0, rep, 0)``; one bit generator is reset to it per
-    replication.
+    substream with ``integers(low, high)``: the first phase's followed
+    by the second phase's.  The substream is ``Philox(key=seed)`` jumped
+    by the replication index, i.e. the Philox counter ``(0, 0, rep, 0)``;
+    one bit generator is reset to it per replication, and the only work
+    per row is that reset and reading the row's raw 64-bit words.
+
+    The rest runs once per block and is numpy's own rule for 32-bit
+    bounded integers (Lemire's multiply-and-reject): each word feeds two
+    draws, low half first; a draw of ``u`` over ``span`` values is
+    ``low + (u * span >> 32)`` unless the low 32 bits of ``u * span``
+    fall below ``(2**32 - span) % span``, in which case numpy rejects
+    ``u`` and reads the next half-word, shifting every later draw of the
+    row.  Rejections are rare (under 1 in 1,000 draws while ``span`` is
+    below about 4 million), so a row with one is redrawn from its reset
+    state with ``integers`` itself rather than resolved here: every row
+    is numpy's draw by construction.
     """
-    n_pop = plan.y.size
-    if plan.nprime is None:
-        low, high = np.arange(plan.n), n_pop
-    else:
-        low = np.concatenate((np.arange(plan.nprime), np.arange(plan.n)))
-        high = np.concatenate((np.full(plan.nprime, n_pop), np.full(plan.n, plan.nprime)))
     bit_generator = np.random.Philox(key=plan.seed)
-    stream = np.random.Generator(bit_generator)
     state = bit_generator.state
     counter = state["state"]["counter"]
-    positions = np.empty((stop - start, low.size), dtype=np.int64)
+    # The result is allocated before the temporaries: allocated after
+    # them, it left their freed memory at the heap top, which glibc then
+    # returned and faulted back on every block (550 minor page faults
+    # per plugin-small-n job instead of about 5).
+    product = np.empty((stop - start, plan.span.size), dtype=np.uint64)
+    raw = np.empty((stop - start, plan.words), dtype=np.uint64)
     for row, rep in enumerate(range(start, stop)):
         counter[2] = rep
         bit_generator.state = state
-        positions[row] = stream.integers(low, high)
+        raw[row] = bit_generator.random_raw(plan.words)
+    # Little-endian words, so that each word's low half comes first
+    # whatever the host's byte order.
+    halves = np.take(raw.astype("<u8", copy=False).view("<u4"), plan.column, axis=1)
+    np.multiply(halves, plan.span, out=product)
+    np.copyto(halves, product, casting="unsafe")  # the low 32 bits
+    rejected = np.flatnonzero(np.less(halves, plan.threshold).any(axis=1))
+    positions = np.right_shift(product, 32, out=product).view(np.int64)
+    positions += plan.low
+    stream = np.random.Generator(bit_generator)
+    for row in rejected.tolist():
+        counter[2] = start + row
+        bit_generator.state = state
+        positions[row] = stream.integers(plan.low, plan.high)
     return positions
 
 

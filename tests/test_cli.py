@@ -9,7 +9,9 @@ numerical or schema drift fails loudly.
 
 from __future__ import annotations
 
+import csv
 import importlib.metadata
+import io
 import json
 import warnings
 from pathlib import Path
@@ -20,6 +22,7 @@ from click.testing import CliRunner
 from varaux import (
     __version__,
     BUILTIN_EXAMPLE_DELTAS,
+    CORRECTIONS,
     central_moment,
     delta,
     EXP_RATIO,
@@ -372,6 +375,14 @@ class TestTheory:
         assert len(ids) == 12
         assert len(set(ids)) == 12
         assert all(row["change"] and row["forced_by"] for row in rows)
+
+    def test_corrections_csv_parses_to_the_ledger(self):
+        result = invoke("theory", "--corrections", "--format", "csv")
+        assert result.exit_code == 0
+        header, *rows = csv.reader(io.StringIO(result.stdout))
+        assert header == ["formula_id", "change", "forced_by"]
+        assert all(len(row) == 3 for row in rows)
+        assert rows == [[c.formula_id, c.change, c.forced_by] for c in CORRECTIONS]
 
     def test_corrections_text(self):
         result = invoke("theory", "--corrections")

@@ -5,6 +5,8 @@ loop it replaced is kept in ``reference_engine``.  Every per-replication
 value, failure flag and first-failure message must agree bit for bit,
 and the block draws, and the public draws that run the same code on
 one row, must equal the reference's scalar Fisher-Yates rep by rep.
+The block's Fisher-Yates positions, which apply numpy's bounded-integer
+rule to raw Philox words, must equal numpy's own ``integers`` draws.
 """
 
 from __future__ import annotations
@@ -33,7 +35,14 @@ from varaux import (
     draw_two_phase,
     generate_population,
 )
-from varaux.montecarlo import CHUNK_SIZE, _block_rows, _draw_block, _Plan, _simulate_chunk
+from varaux.montecarlo import (
+    CHUNK_SIZE,
+    _block_rows,
+    _draw_block,
+    _draw_positions,
+    _Plan,
+    _simulate_chunk,
+)
 
 
 @pytest.fixture(scope="module")
@@ -165,18 +174,18 @@ class TestMatchesReferenceEngine:
 
 
 def bare_plan(n_pop, n, nprime, seed):
+    # Zero-stride variates: a plan over 2**32 units costs no memory.
+    zeros = np.broadcast_to(0.0, (n_pop,))
     return _Plan(
-        y=np.zeros(n_pop), x=np.zeros(n_pop), z=np.zeros(n_pop), n=n, nprime=nprime, seed=seed,
+        y=zeros, x=zeros, z=zeros, n=n, nprime=nprime, seed=seed,
         kinds=(UNBIASED,), weights=(None,), aux_sx2=None, aux_sz2=None,
         need_x_second=False, need_z_second=False, need_x_first=False, need_z_first=False,
     )
 
 
 @st.composite
-def designs(draw):
-    # Small populations, and large ones whose positions take more than
-    # one 16-bit digit.
-    n_pop = draw(st.one_of(st.integers(1, 2000), st.integers(65_000, 200_000)))
+def designs(draw, populations):
+    n_pop = draw(populations)
     if n_pop >= 3 and draw(st.booleans()):
         nprime = draw(st.integers(3, min(n_pop, 600)))
         n = draw(st.integers(2, nprime - 1))
@@ -188,7 +197,9 @@ def designs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    design=designs(),
+    # Small populations, and large ones whose positions take more than
+    # one 16-bit digit.
+    design=designs(st.one_of(st.integers(1, 2000), st.integers(65_000, 200_000))),
     seed=st.integers(0, 2**64 - 1),
     start=st.integers(0, 2**64 - 8),
     count=st.integers(1, 7),
@@ -213,3 +224,57 @@ def test_block_draws_equal_scalar_draws(design, seed, start, count):
             assert np.array_equal(draw.first_phase, want_first)
             assert np.array_equal(draw.second_phase, want)
         assert np.array_equal(second[row], want)
+
+
+def numpy_positions(seed, rep, n_pop, n, nprime):
+    """Replication ``rep``'s Fisher-Yates positions as ``integers`` draws them."""
+    if nprime is None:
+        low, high = np.arange(n), n_pop
+    else:
+        low = np.concatenate((np.arange(nprime), np.arange(n)))
+        high = np.concatenate((np.full(nprime, n_pop), np.full(n, nprime)))
+    return np.random.Generator(np.random.Philox(key=seed).jumped(rep)).integers(low, high)
+
+
+def assert_positions_are_numpys(n_pop, n, nprime, seed, start, count):
+    positions = _draw_positions(bare_plan(n_pop, n, nprime, seed), start, start + count)
+    assert positions.dtype == np.int64
+    assert positions.flags.c_contiguous
+    assert positions.shape == (count, n + (nprime or 0))
+    for row, rep in enumerate(range(start, start + count)):
+        assert np.array_equal(positions[row], numpy_positions(seed, rep, n_pop, n, nprime))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # Up to 2**32 units: numpy rejects up to half of the draws near 2**31
+    # and none at 2**32, whose range takes a half-word as it is.
+    design=designs(st.one_of(st.integers(1, 700), st.integers(700, 2**32))),
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**64 - 8),
+    count=st.integers(1, 7),
+)
+def test_block_positions_equal_numpy_integers(design, seed, start, count):
+    n_pop, n, nprime = design
+    assert_positions_are_numpys(n_pop, n, nprime, seed, start, count)
+
+
+@pytest.mark.parametrize("n, nprime", [(20, None), (30, 200)])
+def test_positions_when_most_rows_reject(n, nprime):
+    # (2**32 - N) % N = 2**30 for N = 3 * 2**30, so numpy rejects a
+    # quarter of the draws and nearly every row is drawn again.
+    assert_positions_are_numpys(3 * 2**30, n, nprime, seed=2**64 - 1, start=2**64 - 41, count=40)
+
+
+@pytest.mark.parametrize(
+    "n_pop, n, nprime", [(50, 10, 50), (3, 2, 3), (50, 50, None), (1, 1, None)]
+)
+def test_one_value_range_consumes_no_word(n_pop, n, nprime):
+    # The last first-phase range of n' = N (or of n = N) holds one value,
+    # which numpy returns without reading the stream.
+    assert_positions_are_numpys(n_pop, n, nprime, seed=11, start=2**40, count=30)
+
+
+def test_population_beyond_32_bit_draws_is_rejected():
+    with pytest.raises(InvalidInputError, match="exceeds 2\\*\\*32"):
+        bare_plan(2**32 + 1, 2, None, 0)

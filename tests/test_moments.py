@@ -7,6 +7,8 @@ moments), so they are free of floating-point error.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import warnings
 from fractions import Fraction
@@ -29,7 +31,7 @@ from varaux import (
     save_delta_table,
     save_population_csv,
 )
-from varaux.moments import fourth_moments, load_csv_rows
+from varaux.moments import format_csv, fourth_moments, load_csv_rows
 from helpers import random_population
 
 
@@ -338,6 +340,20 @@ class TestPopulationCsv:
             path.write_bytes(text.encode() + b"\xff\n")
             with pytest.raises(PopulationFormatError, match="pop.csv: not UTF-8 text"):
                 load(path)
+
+
+def test_format_csv_quotes_only_cells_that_need_it():
+    rows = [
+        {"text": "plain", "value": 0.1, "missing": None},
+        {"text": "a, b", "value": 2.5, "missing": None},
+        {"text": 'say "hi"', "value": -1.0, "missing": None},
+        {"text": "two\nlines", "value": 3.0, "missing": None},
+    ]
+    text = format_csv(["text", "value", "missing"], rows)
+    assert text.startswith("text,value,missing\nplain,0.1,\n")
+    assert '"say ""hi"""' in text
+    parsed = list(csv.reader(io.StringIO(text)))
+    assert parsed[1:] == [[row["text"], repr(row["value"]), ""] for row in rows]
 
 
 class TestSampleVariance:
