@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -56,7 +57,7 @@ from .moments import (
     load_population_csv,
     save_population_csv,
 )
-from .montecarlo import SimulationConfig, WeightPolicy, run_simulation
+from .montecarlo import _CSV_COLUMNS, SimulationConfig, WeightPolicy, run_simulation
 from .popgen import (
     PopulationSpec,
     generate_population,
@@ -134,8 +135,14 @@ def _fmt(value, digits: int = 6) -> str:
     return str(value)
 
 
-def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _render(fmt: str, out: str | None, doc: dict, columns, rows, text: str) -> None:
+    """Write ``doc`` as JSON, ``rows`` under ``columns`` as CSV, or ``text``."""
+    if fmt == "json":
+        _emit(json.dumps(doc, indent=2) + "\n", out)
+    elif fmt == "csv":
+        _emit(format_csv(columns, rows), out)
+    else:
+        _emit(text, out)
 
 
 def _parse_estimator_list(text: str, two_phase_available: bool) -> tuple[EstimatorKind, ...]:
@@ -202,22 +209,17 @@ def cmd_moments(input_path: str, orders: str, fmt: str, out: str | None) -> None
         "orders": rows,
         "delta_table": table.to_dict(),
     }
-    if fmt == "json":
-        _emit(_json_doc(doc), out)
-    elif fmt == "csv":
-        _emit(format_csv(["order", "mu", "delta"], rows), out)
-    else:
-        text_rows = [[row["order"], _fmt(row["mu"], 10), _fmt(row["delta"], 10)] for row in rows]
-        body = [
-            f"population: N={pop.size}  sy2={_fmt(pop.sy2, 10)}  "
-            f"sx2={_fmt(pop.sx2, 10)}  sz2={_fmt(pop.sz2, 10)}",
-            "",
-            _table(["order", "mu", "delta"], text_rows).rstrip(),
-            "",
-            "delta table: " + "  ".join(f"{k}={_fmt(v, 10)}" for k, v in table.to_dict().items()),
-            "",
-        ]
-        _emit("\n".join(body), out)
+    text_rows = [[row["order"], _fmt(row["mu"], 10), _fmt(row["delta"], 10)] for row in rows]
+    body = [
+        f"population: N={pop.size}  sy2={_fmt(pop.sy2, 10)}  "
+        f"sx2={_fmt(pop.sx2, 10)}  sz2={_fmt(pop.sz2, 10)}",
+        "",
+        _table(["order", "mu", "delta"], text_rows).rstrip(),
+        "",
+        "delta table: " + "  ".join(f"{k}={_fmt(v, 10)}" for k, v in table.to_dict().items()),
+        "",
+    ]
+    _render(fmt, out, doc, ["order", "mu", "delta"], rows, "\n".join(body))
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +309,12 @@ def cmd_estimate(
     }
     if first is not None:
         doc["first_phase"] = {"nprime": len(first)}
-    if fmt == "json":
-        _emit(_json_doc(doc), out)
-    elif fmt == "csv":
-        _emit(format_csv(["kind", "estimate", "weight", "weight_source"], rows), out)
-    else:
-        text_rows = [
-            [row["kind"], _fmt(row["estimate"], 10), _fmt(row["weight"]), row["weight_source"]]
-            for row in rows
-        ]
-        _emit(_table(["kind", "estimate", "weight", "weight source"], text_rows), out)
+    text_rows = [
+        [row["kind"], _fmt(row["estimate"], 10), _fmt(row["weight"]), row["weight_source"]]
+        for row in rows
+    ]
+    text = _table(["kind", "estimate", "weight", "weight source"], text_rows)
+    _render(fmt, out, doc, ["kind", "estimate", "weight", "weight_source"], rows, text)
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +385,12 @@ def cmd_theory(
             {"formula_id": c.formula_id, "change": c.change, "forced_by": c.forced_by}
             for c in CORRECTIONS
         ]
-        if fmt == "json":
-            _emit(_json_doc({"corrections": rows}), out)
-        elif fmt == "csv":
-            _emit(format_csv(["formula_id", "change", "forced_by"], rows), out)
-        else:
-            blocks = [
-                f"{row['formula_id']}\n  change:    {row['change']}\n  forced by: {row['forced_by']}"
-                for row in rows
-            ]
-            _emit("\n".join(blocks) + "\n", out)
+        blocks = [
+            f"{row['formula_id']}\n  change:    {row['change']}\n  forced by: {row['forced_by']}"
+            for row in rows
+        ]
+        columns = ["formula_id", "change", "forced_by"]
+        _render(fmt, out, {"corrections": rows}, columns, rows, "\n".join(blocks) + "\n")
         return
     if builtin_s5 and deltas_path:
         raise InvalidInputError("pass either --deltas or --builtin-s5, not both")
@@ -420,32 +414,25 @@ def cmd_theory(
     }
     if builtin_s5:
         doc["notes"] = list(BUILTIN_EXAMPLE_NOTES)
-    if fmt == "json":
-        _emit(_json_doc(doc), out)
-    elif fmt == "csv":
-        _emit(
-            format_csv(["kind", "weight", "bias", "mse", "pre", "formula_id", "valid"], rows),
-            out,
-        )
-    else:
-        text_rows = [
-            [
-                row["kind"],
-                _fmt(row["weight"]),
-                _fmt(row["bias"]),
-                _fmt(row["mse"]),
-                f"{row['pre']:.2f}",
-                row["formula_id"],
-            ]
-            for row in rows
+    text_rows = [
+        [
+            row["kind"],
+            _fmt(row["weight"]),
+            _fmt(row["bias"]),
+            _fmt(row["mse"]),
+            f"{row['pre']:.2f}",
+            row["formula_id"],
         ]
-        parts = []
-        if builtin_s5:
-            parts.extend(f"note: {note}" for note in BUILTIN_EXAMPLE_NOTES)
-            parts.append("")
-        parts.append(_table(["kind", "weight", "bias", "mse", "pre", "formula"], text_rows).rstrip())
+        for row in rows
+    ]
+    parts = []
+    if builtin_s5:
+        parts.extend(f"note: {note}" for note in BUILTIN_EXAMPLE_NOTES)
         parts.append("")
-        _emit("\n".join(parts), out)
+    parts.append(_table(["kind", "weight", "bias", "mse", "pre", "formula"], text_rows).rstrip())
+    parts.append("")
+    columns = ["kind", "weight", "bias", "mse", "pre", "formula_id", "valid"]
+    _render(fmt, out, doc, columns, rows, "\n".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -519,13 +506,6 @@ def cmd_reproduce_tables(fmt: str, out: str | None) -> None:
             "rows": two,
         },
     }
-    if fmt == "json":
-        _emit(_json_doc(doc), out)
-        return
-    columns = ["kind", "reported_pre", "computed_pre", "rel_dev_pct", "status"]
-    if fmt == "csv":
-        _emit(format_csv(columns, single + two), out)
-        return
     parts = []
     for note in BUILTIN_EXAMPLE_NOTES:
         parts.append(f"note: {note}")
@@ -544,7 +524,8 @@ def cmd_reproduce_tables(fmt: str, out: str | None) -> None:
         parts.append(title)
         parts.append(_table(["kind", "reported", "computed", "dev %", "status"], text_rows).rstrip())
         parts.append("")
-    _emit("\n".join(parts), out)
+    columns = ["kind", "reported_pre", "computed_pre", "rel_dev_pct", "status"]
+    _render(fmt, out, doc, columns, single + two, "\n".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -606,35 +587,32 @@ def cmd_simulate(
         weight_policy=WeightPolicy(weight_policy),
     )
     report = run_simulation(pop, config, workers=workers)
-
-    if fmt == "json":
-        _emit(report.to_json(), out)
-        if out is not None:
-            _summary_lines(report)
-        return
-    if fmt == "csv":
-        _emit(report.to_csv(), out)
-        if out is not None:
-            _summary_lines(report)
-        return
+    summary = _summary(report)
+    # With --out the file gets the report (JSON in place of text) and
+    # stdout the summary.
+    rows = [asdict(row) for row in report.estimators]
+    _render(
+        "json" if fmt == "text" and out is not None else fmt,
+        out, report.to_dict(), _CSV_COLUMNS, rows, summary,
+    )
     if out is not None:
-        _emit(report.to_json(), out)
-    _summary_lines(report)
+        click.echo(summary, nl=False)
 
 
-def _summary_lines(report) -> None:
-    click.echo(
+def _summary(report) -> str:
+    lines = [
         f"population N={report.pop_size}  sy2={_fmt(report.sy2, 8)}  "
         f"n={report.n}" + (f"  nprime={report.nprime}" if report.nprime else "")
         + f"  reps={report.reps} (used {report.reps_used}, failed {report.failed_reps})  "
         f"seed={report.seed}"
-    )
+    ]
     for row in report.estimators:
         ratio = row.emp_mse / row.theory_mse if row.theory_mse else float("nan")
-        click.echo(
+        lines.append(
             f"{row.kind:<16} emp MSE {row.emp_mse:.6e}  theory {row.theory_mse:.6e}  "
             f"(emp/theory {ratio:.3f})  emp PRE {row.emp_pre:8.2f}  theory PRE {row.theory_pre:8.2f}"
         )
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -699,31 +677,16 @@ def cmd_gen_pop(
         "realized_correlations": realized,
         "delta_table": table.to_dict(),
     }
-    if fmt == "json":
-        click.echo(_json_doc(doc), nl=False)
-    elif fmt == "csv":
-        rows = [
-            {
-                "size": pop.size,
-                "sy2": pop.sy2,
-                "rho_yx": realized["rho_yx"],
-                "rho_yz": realized["rho_yz"],
-                "rho_xz": realized["rho_xz"],
-            }
-        ]
-        click.echo(
-            format_csv(["size", "sy2", "rho_yx", "rho_yz", "rho_xz"], rows), nl=False
-        )
-    else:
-        click.echo(f"wrote {pop.size} units to {out}")
-        click.echo(
-            "realized correlations: "
-            + "  ".join(f"{k}={v:+.4f}" for k, v in realized.items())
-        )
-        click.echo(f"sy2={_fmt(pop.sy2, 8)}  sx2={_fmt(pop.sx2, 8)}  sz2={_fmt(pop.sz2, 8)}")
-        click.echo(
-            "delta table: " + "  ".join(f"{k}={_fmt(v, 6)}" for k, v in table.to_dict().items())
-        )
+    row = {"size": pop.size, "sy2": pop.sy2, **realized}
+    lines = [
+        f"wrote {pop.size} units to {out}",
+        "realized correlations: " + "  ".join(f"{k}={v:+.4f}" for k, v in realized.items()),
+        f"sy2={_fmt(pop.sy2, 8)}  sx2={_fmt(pop.sx2, 8)}  sz2={_fmt(pop.sz2, 8)}",
+        "delta table: " + "  ".join(f"{k}={_fmt(v, 6)}" for k, v in table.to_dict().items()),
+    ]
+    # --out names the population file; the summary always goes to stdout.
+    columns = ["size", "sy2", "rho_yx", "rho_yz", "rho_xz"]
+    _render(fmt, None, doc, columns, [row], "\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from .errors import (
     InvalidInputError,
     NoUniqueOptimumError,
 )
-from .moments import DeltaTable, Population, fourth_moments, sample_variance
+from .moments import DeltaTable, fourth_moments, sample_variance
 
 
 class Family(enum.Enum):
@@ -153,17 +153,7 @@ class EstimatorKind:
                 raise InvalidInputError(
                     f"cannot parse weight {weight_text!r} in estimator tag {text!r}"
                 ) from None
-        if weight is not None and family not in _COMBINED_FAMILIES:
-            raise InvalidInputError(f"estimator {family.value!r} does not take a weight")
         return cls(family, weight)
-
-    @classmethod
-    def combined(cls, weight: float | None = None) -> "EstimatorKind":
-        return cls(Family.COMBINED, weight)
-
-    @classmethod
-    def combined_two_phase(cls, weight: float | None = None) -> "EstimatorKind":
-        return cls(Family.COMBINED_2P, weight)
 
 
 UNBIASED = EstimatorKind(Family.UNBIASED)
@@ -211,10 +201,6 @@ class AuxKnowledge:
             )
         return value
 
-    @classmethod
-    def from_population(cls, pop: Population) -> "AuxKnowledge":
-        return cls(sx2=pop.sx2, sz2=pop.sz2)
-
 
 @dataclass(frozen=True, eq=False)
 class TwoPhaseDraw:
@@ -248,14 +234,6 @@ class TwoPhaseDraw:
             )
         if not np.isin(self.second_phase, self.first_phase).all():
             raise InvalidDesignError("second-phase sample is not nested in the first phase")
-
-    @property
-    def n(self) -> int:
-        return int(self.second_phase.size)
-
-    @property
-    def nprime(self) -> int:
-        return int(self.first_phase.size)
 
 
 def _zero_message(label: str) -> str:
@@ -336,23 +314,7 @@ def single_phase_value(
     :func:`estimate_single_phase`.  ``weight`` must already be resolved
     for combined kinds.
     """
-    family = kind.family
-    if family is Family.UNBIASED:
-        return sy2
-    if kind.is_two_phase:
-        raise InvalidInputError(
-            f"estimator {kind.label!r} is two-phase; use two_phase_value"
-        )
-    if aux is None:
-        raise InvalidInputError(f"estimator {kind.label!r} needs known auxiliary variances")
-    if weight is None and kind.is_combined:
-        raise InvalidInputError("combined estimator needs a resolved weight")
-    observed = {"sx2": sx2, "sz2": sz2}
-    for name, message in DIVISOR_CHECKS[family]:
-        if observed[name] <= 0.0:
-            raise DegenerateSampleError(message)
-        aux.require(name)  # the known variance divided against
-    return value_kernel(family, sy2, sx2, sz2, aux.sx2, aux.sz2, weight)
+    return _checked_value(kind, False, sy2, {"sx2": sx2, "sz2": sz2}, aux, weight)
 
 
 def two_phase_value(
@@ -371,18 +333,47 @@ def two_phase_value(
     the adjustment factors have the same shape as their single-phase
     counterparts with the reference replaced.
     """
-    family = kind.family
-    if not kind.is_two_phase:
+    variances = {"sx2": sx2, "sz2": sz2, "sx2_first": sx2_first, "sz2_first": sz2_first}
+    return _checked_value(kind, True, sy2, variances, None, weight)
+
+
+def _check_design(kind: EstimatorKind, two_phase: bool, entry: str) -> None:
+    """Reject a kind of the other design, naming the ``entry`` (a format
+    string taking ``single`` or ``two``) that serves it."""
+    if kind.is_two_phase != two_phase:
+        design = "two" if kind.is_two_phase else "single"
         raise InvalidInputError(
-            f"estimator {kind.label!r} is single-phase; use single_phase_value"
+            f"estimator {kind.label!r} is {design}-phase; use {entry.format(design)}"
         )
+
+
+def _checked_value(kind, two_phase, sy2, variances, aux, weight) -> float:
+    """The checks and arithmetic of :func:`single_phase_value` and
+    :func:`two_phase_value`.
+
+    ``variances`` maps the names of :data:`DIVISOR_CHECKS` to sample
+    variances.  The reference variances are the known ``aux`` ones in a
+    single-phase design and the first-phase ones in a two-phase design.
+    """
+    _check_design(kind, two_phase, "{}_phase_value")
+    if kind.family is Family.UNBIASED:
+        return sy2
+    if not two_phase and aux is None:
+        raise InvalidInputError(f"estimator {kind.label!r} needs known auxiliary variances")
     if weight is None and kind.is_combined:
         raise InvalidInputError("combined estimator needs a resolved weight")
-    observed = {"sx2": sx2, "sz2": sz2, "sx2_first": sx2_first, "sz2_first": sz2_first}
-    for name, message in DIVISOR_CHECKS[family]:
-        if observed[name] <= 0.0:
+    for name, message in DIVISOR_CHECKS[kind.family]:
+        if variances[name] <= 0.0:
             raise DegenerateSampleError(message)
-    return value_kernel(family, sy2, sx2, sz2, sx2_first, sz2_first, weight)
+        if not two_phase:
+            aux.require(name)  # the known variance divided against
+    if two_phase:
+        ref_x, ref_z = variances["sx2_first"], variances["sz2_first"]
+    else:
+        ref_x, ref_z = aux.sx2, aux.sz2
+    return value_kernel(
+        kind.family, sy2, variances["sx2"], variances["sz2"], ref_x, ref_z, weight
+    )
 
 
 #: Message of the NoUniqueOptimumError for a flat combined-weight objective.
@@ -469,6 +460,55 @@ def _checked_sample(values, name: str, expected_size: int | None = None) -> np.n
     return arr
 
 
+def _estimate(kind, two_phase, y, x, z, x_first, z_first, aux, weight, deltas) -> float:
+    """The body of :func:`estimate_single_phase` and :func:`estimate_two_phase`.
+
+    ``x``/``z`` are the samples ``y`` is observed on (the second phase of
+    a two-phase design); ``x_first``/``z_first`` are only read in a
+    two-phase design, and ``aux`` only in a single-phase one.
+    """
+    _check_design(kind, two_phase, "estimate_{}_phase")
+    y_arr = _checked_sample(y, "y")
+    n = y_arr.size
+    sy2 = sample_variance(y_arr)
+    if kind.family is Family.UNBIASED:
+        return sy2
+    variances = dict.fromkeys(("sx2", "sz2", "sx2_first", "sz2_first"))
+    second: dict[str, np.ndarray] = {}
+    first_sizes: dict[str, int] = {}
+    for name, used, values, first_values in (
+        ("x", kind.uses_x, x, x_first),
+        ("z", kind.uses_z, z, z_first),
+    ):
+        if not used:
+            continue
+        if two_phase:
+            first = _checked_sample(first_values, f"{name}_first")
+            first_sizes[f"{name}_first"] = first.size
+            second[name] = _checked_sample(values, f"{name}_second", n)
+            variances[f"s{name}2_first"] = sample_variance(first)
+        else:
+            second[name] = _checked_sample(values, name, n)
+        variances[f"s{name}2"] = sample_variance(second[name])
+    if len(set(first_sizes.values())) > 1:
+        raise InvalidInputError(
+            "first-phase samples must have a common length, got "
+            + ", ".join(f"{k}:{v}" for k, v in first_sizes.items())
+        )
+    for name, size in first_sizes.items():
+        if size <= n:
+            raise InvalidDesignError(
+                f"first-phase sample {name!r} (length {size}) must be strictly "
+                f"larger than the second phase (length {n})"
+            )
+    resolved = None
+    if kind.is_combined:
+        resolved = _resolve_weight(
+            kind, weight, deltas, lambda: _plug_in_table(y_arr, second["x"], second["z"])
+        )
+    return _checked_value(kind, two_phase, sy2, variances, aux, resolved)
+
+
 def estimate_single_phase(
     kind: EstimatorKind,
     y,
@@ -504,28 +544,7 @@ def estimate_single_phase(
     -------
     float
     """
-    if kind.is_two_phase:
-        raise InvalidInputError(
-            f"estimator {kind.label!r} is two-phase; use estimate_two_phase"
-        )
-    y_arr = _checked_sample(y, "y")
-    sy2 = sample_variance(y_arr)
-    if kind.family is Family.UNBIASED:
-        return sy2
-    sx2 = sz2 = None
-    x_arr = z_arr = None
-    if kind.uses_x:
-        x_arr = _checked_sample(x, "x", y_arr.size)
-        sx2 = sample_variance(x_arr)
-    if kind.uses_z:
-        z_arr = _checked_sample(z, "z", y_arr.size)
-        sz2 = sample_variance(z_arr)
-    resolved = None
-    if kind.is_combined:
-        resolved = _resolve_weight(
-            kind, weight, deltas, lambda: _plug_in_table(y_arr, x_arr, z_arr)
-        )
-    return single_phase_value(kind, sy2=sy2, sx2=sx2, sz2=sz2, aux=aux, weight=resolved)
+    return _estimate(kind, False, y, x, z, None, None, aux, weight, deltas)
 
 
 def estimate_two_phase(
@@ -563,84 +582,4 @@ def estimate_two_phase(
     -------
     float
     """
-    if not kind.is_two_phase:
-        raise InvalidInputError(
-            f"estimator {kind.label!r} is single-phase; use estimate_single_phase"
-        )
-    y_arr = _checked_sample(y, "y")
-    n = y_arr.size
-    sy2 = sample_variance(y_arr)
-    sx2 = sz2 = sx2_first = sz2_first = None
-    x2_arr = z2_arr = None
-    first_sizes: dict[str, int] = {}
-    if kind.uses_x:
-        x1_arr = _checked_sample(x_first, "x_first")
-        first_sizes["x_first"] = x1_arr.size
-        x2_arr = _checked_sample(x_second, "x_second", n)
-        sx2_first = sample_variance(x1_arr)
-        sx2 = sample_variance(x2_arr)
-    if kind.uses_z:
-        z1_arr = _checked_sample(z_first, "z_first")
-        first_sizes["z_first"] = z1_arr.size
-        z2_arr = _checked_sample(z_second, "z_second", n)
-        sz2_first = sample_variance(z1_arr)
-        sz2 = sample_variance(z2_arr)
-    if len(set(first_sizes.values())) > 1:
-        raise InvalidInputError(
-            "first-phase samples must have a common length, got "
-            + ", ".join(f"{k}:{v}" for k, v in first_sizes.items())
-        )
-    for name, size in first_sizes.items():
-        if size <= n:
-            raise InvalidDesignError(
-                f"first-phase sample {name!r} (length {size}) must be strictly "
-                f"larger than the second phase (length {n})"
-            )
-    resolved = None
-    if kind.is_combined:
-        resolved = _resolve_weight(
-            kind, weight, deltas, lambda: _plug_in_table(y_arr, x2_arr, z2_arr)
-        )
-    return two_phase_value(
-        kind,
-        sy2=sy2,
-        sx2=sx2,
-        sz2=sz2,
-        sx2_first=sx2_first,
-        sz2_first=sz2_first,
-        weight=resolved,
-    )
-
-
-def estimate_two_phase_from_draw(
-    kind: EstimatorKind,
-    pop: Population,
-    draw: TwoPhaseDraw,
-    *,
-    weight: float | None = None,
-    deltas: DeltaTable | None = None,
-) -> float:
-    """Apply a two-phase estimator to a draw from a known population.
-
-    Convenience wrapper for simulations and examples: slices the
-    population by the draw's index sets and hands only what a real
-    two-phase design would observe to :func:`estimate_two_phase`
-    (``y`` on the second phase, auxiliaries on both phases).
-    """
-    if draw.first_phase.size and int(draw.first_phase.max()) >= pop.size:
-        raise InvalidDesignError(
-            f"draw indexes unit {int(draw.first_phase.max())} but the population "
-            f"has only {pop.size} units"
-        )
-    second = draw.second_phase
-    first = draw.first_phase
-    return estimate_two_phase(
-        kind,
-        pop.y[second],
-        x_first=pop.x[first] if kind.uses_x else None,
-        z_first=pop.z[first] if kind.uses_z else None,
-        x_second=pop.x[second] if kind.uses_x else None,
-        z_second=pop.z[second] if kind.uses_z else None,
-        weight=weight,
-        deltas=deltas,
-    )
+    return _estimate(kind, True, y, x_second, z_second, x_first, z_first, None, weight, deltas)

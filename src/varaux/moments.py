@@ -86,18 +86,6 @@ class Population:
         return self.size
 
     @property
-    def mean_y(self) -> float:
-        return float(self.y.mean())
-
-    @property
-    def mean_x(self) -> float:
-        return float(self.x.mean())
-
-    @property
-    def mean_z(self) -> float:
-        return float(self.z.mean())
-
-    @property
     def sy2(self) -> float:
         """Population variance of ``y``, divisor ``N - 1``."""
         return float(np.var(self.y, ddof=1))
@@ -118,21 +106,18 @@ class Population:
         return getattr(self, name)
 
 
-def _check_order(p: int, q: int, r: int, max_order: int) -> None:
+def _check_order(p: int, q: int, r: int) -> None:
     for label, value in (("p", p), ("q", q), ("r", r)):
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise InvalidInputError(f"moment order {label} must be an integer, got {value!r}")
         if value < 0:
             raise InvalidInputError(f"moment order {label} must be non-negative, got {value}")
     total = p + q + r
-    if total > max_order:
-        raise InvalidInputError(
-            f"total moment order {total} exceeds the cap {max_order}; "
-            "raise max_order explicitly if you accept the numerical risk"
-        )
+    if total > MAX_MOMENT_ORDER:
+        raise InvalidInputError(f"total moment order {total} exceeds the cap {MAX_MOMENT_ORDER}")
 
 
-def central_moment(pop: Population, p: int, q: int, r: int, *, max_order: int = MAX_MOMENT_ORDER) -> float:
+def central_moment(pop: Population, p: int, q: int, r: int) -> float:
     """Centered product moment ``mu_pqr`` with divisor ``N``.
 
     ``mu_pqr = (1/N) * sum_i (y_i - mean_y)^p (x_i - mean_x)^q (z_i - mean_z)^r``
@@ -142,15 +127,13 @@ def central_moment(pop: Population, p: int, q: int, r: int, *, max_order: int = 
     pop : Population
     p, q, r : int
         Non-negative exponents for the ``y``, ``x`` and ``z``
-        deviations; their sum may not exceed ``max_order``.
-    max_order : int, optional
-        Guard against accidental high-order requests.
+        deviations; their sum may not exceed :data:`MAX_MOMENT_ORDER`.
 
     Returns
     -------
     float
     """
-    _check_order(p, q, r, max_order)
+    _check_order(p, q, r)
     product = None
     for name, exponent in zip(_VARIATES, (p, q, r)):
         if exponent == 0:
@@ -164,7 +147,7 @@ def central_moment(pop: Population, p: int, q: int, r: int, *, max_order: int = 
     return float(product.mean())
 
 
-def delta(pop: Population, p: int, q: int, r: int, *, max_order: int = MAX_MOMENT_ORDER) -> float:
+def delta(pop: Population, p: int, q: int, r: int) -> float:
     """Standardized moment ``delta_pqr``.
 
     ``delta_pqr = mu_pqr / (mu_200^(p/2) * mu_020^(q/2) * mu_002^(r/2))``
@@ -176,9 +159,11 @@ def delta(pop: Population, p: int, q: int, r: int, *, max_order: int = MAX_MOMEN
     ------
     DegeneratePopulationError
         If a variate appearing with nonzero exponent has zero variance.
+    InvalidInputError
+        If the value is not finite: powers of the deviations over- or
+        underflow on a badly scaled population, as in :class:`DeltaTable`.
     """
-    _check_order(p, q, r, max_order)
-    numerator = central_moment(pop, p, q, r, max_order=max_order)
+    numerator = central_moment(pop, p, q, r)
     denominator = 1.0
     for name, exponent, variance_order in (
         ("y", p, (2, 0, 0)),
@@ -192,8 +177,14 @@ def delta(pop: Population, p: int, q: int, r: int, *, max_order: int = MAX_MOMEN
             raise DegeneratePopulationError(
                 f"variate {name!r} has zero variance, delta_{p}{q}{r} is undefined"
             )
-        denominator *= variance ** (exponent / 2.0)
-    return numerator / denominator
+        try:
+            denominator *= variance ** (exponent / 2.0)
+        except OverflowError:
+            denominator = math.inf
+    value = numerator / denominator if 0.0 < denominator < math.inf else math.nan
+    if not math.isfinite(value):
+        raise InvalidInputError(f"moment d{p}{q}{r} must be finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -256,10 +247,6 @@ class DeltaTable:
                     f"sqrt(({left} - 1)({right} - 1)) = {bound!r}"
                 )
         return problems
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.violations()
 
     def to_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in self.field_names()}

@@ -197,10 +197,12 @@ class _Plan:
     weights: tuple[float | None, ...]  # None = plug-in, re-estimated per draw
     aux_sx2: float | None
     aux_sz2: float | None
-    need_x_second: bool
-    need_z_second: bool
-    need_x_first: bool
-    need_z_first: bool
+    # The variates to gather, for each phase.  The second phase's
+    # auxiliaries also feed the plug-in moment table.
+    need_x_second: bool = field(init=False, repr=False)
+    need_z_second: bool = field(init=False, repr=False)
+    need_x_first: bool = field(init=False, repr=False)
+    need_z_first: bool = field(init=False, repr=False)
     # The position draw's constants, per draw: numpy's ``integers(low,
     # high)`` bounds, the range ``span = high - low``, Lemire's rejection
     # ``threshold`` and the 32-bit half of the row's words that feeds
@@ -229,7 +231,12 @@ class _Plan:
         # to offset 0 and never rejects.
         consumes = span > 1
         column = np.maximum(np.cumsum(consumes) - 1, 0)
+        plug_in = any(kind.is_combined and w is None for kind, w in zip(self.kinds, self.weights))
         constants = {
+            "need_x_second": plug_in or any(kind.uses_x for kind in self.kinds),
+            "need_z_second": plug_in or any(kind.uses_z for kind in self.kinds),
+            "need_x_first": any(kind.is_two_phase and kind.uses_x for kind in self.kinds),
+            "need_z_first": any(kind.is_two_phase and kind.uses_z for kind in self.kinds),
             "low": low,
             "high": high,
             "span": span,
@@ -514,9 +521,6 @@ class EstimatorSummary:
     theory_pre: float
     formula_id: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 #: CSV columns of a report: the summary's fields, in order.
 _CSV_COLUMNS = tuple(f.name for f in fields(EstimatorSummary))
@@ -557,22 +561,14 @@ class SimulationReport:
                 "seed": self.seed,
                 "weight_policy": self.weight_policy,
             },
-            "estimators": [summary.to_dict() for summary in self.estimators],
+            "estimators": [asdict(summary) for summary in self.estimators],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_csv(self) -> str:
-        return format_csv(_CSV_COLUMNS, [summary.to_dict() for summary in self.estimators])
-
-
-def _dedupe(kinds: tuple[EstimatorKind, ...]) -> tuple[EstimatorKind, ...]:
-    seen: list[EstimatorKind] = []
-    for kind in kinds:
-        if kind not in seen:
-            seen.append(kind)
-    return tuple(seen)
+        return format_csv(_CSV_COLUMNS, [asdict(summary) for summary in self.estimators])
 
 
 def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) -> SimulationReport:
@@ -604,7 +600,7 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
         raise InvalidDesignError(
             f"first-phase size nprime={config.nprime} exceeds the population size {n_pop}"
         )
-    kinds = _dedupe((UNBIASED,) + config.estimators)
+    kinds = tuple(dict.fromkeys((UNBIASED,) + config.estimators))
     sy2 = pop.sy2
     if sy2 <= 0.0:
         raise DegeneratePopulationError("variate 'y' has zero variance; nothing to estimate")
@@ -655,12 +651,6 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
                 modes.append("plug-in")
             theory_weights.append(optimum)
 
-    plug_in_active = any(mode == "plug-in" for mode in modes)
-    need_x_second = any(kind.uses_x for kind in kinds) or plug_in_active
-    need_z_second = any(kind.uses_z for kind in kinds) or plug_in_active
-    need_x_first = any(kind.is_two_phase and kind.uses_x for kind in kinds)
-    need_z_first = any(kind.is_two_phase and kind.uses_z for kind in kinds)
-
     plan = _Plan(
         y=pop.y,
         x=pop.x,
@@ -672,10 +662,6 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
         weights=tuple(weights),
         aux_sx2=pop.sx2 if uses_x else None,
         aux_sz2=pop.sz2 if uses_z else None,
-        need_x_second=need_x_second,
-        need_z_second=need_z_second,
-        need_x_first=need_x_first,
-        need_z_first=need_z_first,
     )
 
     starts = range(0, config.reps, CHUNK_SIZE)

@@ -35,7 +35,6 @@ from .errors import InvalidDesignError, InvalidInputError
 from .estimators import (
     COMBINED,
     COMBINED_TWO_PHASE,
-    UNBIASED,
     EstimatorKind,
     Family,
     alpha_opt,
@@ -255,34 +254,6 @@ def theory_for_kind(
         mse = sy2 * sy2 * ((deltas.d400 - 1.0) + bracket) / sizes.n
     bias = None if bias_bracket is None else sy2 * bias_bracket(deltas, w) / sizes.n
     return TheoryResult(mse=mse, bias=bias, formula_id=formula_id, valid=mse >= 0.0)
-
-
-def var_unbiased_theory(deltas: DeltaTable, sy2: float, sizes: DesignSizes) -> float:
-    """First-order variance of the unbiased estimator: ``(S_y^4/n)(d400 - 1)``."""
-    return theory_for_kind(UNBIASED, deltas, sy2, sizes).mse
-
-
-def bias_single_phase(
-    kind: EstimatorKind,
-    deltas: DeltaTable,
-    sy2: float,
-    sizes: DesignSizes,
-    weight: float | None = None,
-) -> float:
-    """First-order bias of an exponential single-phase estimator.
-
-    Defined for the exp-ratio, exp-product and combined kinds; the
-    unbiased kind has bias exactly 0 and no expression is implemented
-    for the ratio kind or the two-phase kinds.  The Monte Carlo sign
-    test in the acceptance suite discriminates the corrected
-    coefficients from the published ones.
-    """
-    _, _, bias_bracket = _FORMULAS[kind.family]
-    if bias_bracket is None:
-        raise InvalidInputError(
-            f"no first-order bias expression is implemented for {kind.label!r}"
-        )
-    return theory_for_kind(kind, deltas, sy2, sizes, weight=weight).bias
 
 
 def pre(mse_candidate: float, mse_baseline: float) -> float:
@@ -517,7 +488,3 @@ CORRECTIONS: tuple[Correction, ...] = (
         ),
     ),
 )
-
-
-def corrections_by_id() -> dict[str, Correction]:
-    return {c.formula_id: c for c in CORRECTIONS}

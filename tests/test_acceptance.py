@@ -54,9 +54,9 @@ from varaux import (
     AuxKnowledge,
     DesignSizes,
     EstimatorKind,
+    Family,
     PopulationSpec,
     SimulationConfig,
-    bias_single_phase,
     delta,
     delta_table,
     estimate_single_phase,
@@ -195,7 +195,7 @@ def test_criterion_4_bias_sign_matches_corrected_formula(default_pop):
     n = 200
     a = table.d040 - 1.0
     b = table.d220 - 1.0
-    corrected_bias = bias_single_phase(EXP_RATIO, table, sy2, DesignSizes(n))
+    corrected_bias = theory_for_kind(EXP_RATIO, table, sy2, DesignSizes(n)).bias
     assert corrected_bias == pytest.approx(
         (sy2 / n) * (0.375 * a - 0.5 * b), rel=1e-12
     )
@@ -267,8 +267,8 @@ def test_criterion_6_algebraic_reductions(tiny_pop):
     # estimator-level collapse at the extreme weights, single phase
     ratio_val = estimate_single_phase(EXP_RATIO, y, x, None, aux=aux_x)
     product_val = estimate_single_phase(EXP_PRODUCT, y, None, z, aux=aux_z)
-    at_one = estimate_single_phase(EstimatorKind.combined(1.0), y, x, z, aux=aux_both)
-    at_zero = estimate_single_phase(EstimatorKind.combined(0.0), y, x, z, aux=aux_both)
+    at_one = estimate_single_phase(EstimatorKind(Family.COMBINED, 1.0), y, x, z, aux=aux_both)
+    at_zero = estimate_single_phase(EstimatorKind(Family.COMBINED, 0.0), y, x, z, aux=aux_both)
     assert abs(at_one - ratio_val) <= tol
     assert abs(at_zero - product_val) <= tol
 
@@ -287,7 +287,7 @@ def test_criterion_6_algebraic_reductions(tiny_pop):
         z_second=z,
     )
     at_one2 = estimate_two_phase(
-        EstimatorKind.combined_two_phase(1.0),
+        EstimatorKind(Family.COMBINED_2P, 1.0),
         y,
         x_first=x_first,
         z_first=z_first,
@@ -295,7 +295,7 @@ def test_criterion_6_algebraic_reductions(tiny_pop):
         z_second=z,
     )
     at_zero2 = estimate_two_phase(
-        EstimatorKind.combined_two_phase(0.0),
+        EstimatorKind(Family.COMBINED_2P, 0.0),
         y,
         x_first=x_first,
         z_first=z_first,

@@ -31,7 +31,10 @@ from varaux import (
     alpha_opt,
     estimate_single_phase,
     estimate_two_phase,
+    generate_population,
     load_population_csv,
+    Population,
+    PopulationSpec,
     save_population_csv,
 )
 from varaux.cli import main
@@ -165,6 +168,18 @@ class TestMoments:
         bad.write_text("y,x\n1,2\n", encoding="utf-8")
         result = invoke("moments", "--input", str(bad))
         assert result.exit_code == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_badly_scaled_population_exits_2(self, scale, tmp_path):
+        # Fourth powers of the deviations under- or overflow at these
+        # scales, so the deltas cannot be computed: an input error.
+        pop = generate_population(PopulationSpec(size=500, seed=1))
+        path = tmp_path / "scaled.csv"
+        save_population_csv(Population(pop.y * scale, pop.x * scale, pop.z * scale), str(path))
+        result = invoke("moments", "--input", str(path))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "error: moment d400 must be finite, got nan\n"
 
 
 class TestEstimate:

@@ -20,21 +20,27 @@ import reference_engine
 from varaux import (
     COMBINED,
     COMBINED_TWO_PHASE,
+    EXP_PRODUCT,
     EXP_RATIO,
     EXP_RATIO_TWO_PHASE,
     SINGLE_PHASE_KINDS,
     TWO_PHASE_KINDS,
     UNBIASED,
     EstimatorKind,
+    Family,
     InvalidInputError,
     Population,
     PopulationSpec,
+    SimulationConfig,
+    SimulationError,
     alpha_opt,
     delta_table,
     draw_srswor,
     draw_two_phase,
     generate_population,
+    run_simulation,
 )
+from varaux import montecarlo
 from varaux.montecarlo import (
     CHUNK_SIZE,
     _block_rows,
@@ -65,7 +71,6 @@ def make_plan(pop, *, n, seed, kinds, weights, nprime=None):
     kinds = tuple(kinds)
     uses_x = any(kind.uses_x for kind in kinds)
     uses_z = any(kind.uses_z for kind in kinds)
-    plug_in = any(kind.is_combined and w is None for kind, w in zip(kinds, weights))
     return _Plan(
         y=pop.y,
         x=pop.x,
@@ -77,10 +82,6 @@ def make_plan(pop, *, n, seed, kinds, weights, nprime=None):
         weights=tuple(weights),
         aux_sx2=pop.sx2 if uses_x else None,
         aux_sz2=pop.sz2 if uses_z else None,
-        need_x_second=uses_x or plug_in,
-        need_z_second=uses_z or plug_in,
-        need_x_first=any(kind.is_two_phase and kind.uses_x for kind in kinds),
-        need_z_first=any(kind.is_two_phase and kind.uses_z for kind in kinds),
     )
 
 
@@ -124,7 +125,7 @@ class TestMatchesReferenceEngine:
         assert_same_as_reference(plan, 0, 300)
 
     def test_fixed_weights(self, pop):
-        kinds = (UNBIASED, EstimatorKind.combined(0.3), EstimatorKind.combined_two_phase(1.7))
+        kinds = (UNBIASED, EstimatorKind(Family.COMBINED, 0.3), EstimatorKind(Family.COMBINED_2P, 1.7))
         plan = make_plan(pop, n=12, nprime=48, seed=8, kinds=kinds, weights=(None, 0.3, 1.7))
         assert_same_as_reference(plan, 0, 300)
 
@@ -173,13 +174,83 @@ class TestMatchesReferenceEngine:
         assert str(got.value) == str(expected.value)
 
 
+@st.composite
+def kind_plans(draw):
+    """Kinds, their weights (``None`` on a combined kind is plug-in) and sizes."""
+    families = draw(st.lists(st.sampled_from(list(Family)), min_size=1, unique=True))
+    kinds = tuple(EstimatorKind(family) for family in families)
+    weights = tuple(
+        draw(st.one_of(st.none(), st.floats(-1.0, 2.0))) if kind.is_combined else None
+        for kind in kinds
+    )
+    n = draw(st.integers(2, 15))
+    two_phase = any(kind.is_two_phase for kind in kinds) or draw(st.booleans())
+    nprime = draw(st.integers(n + 1, 80)) if two_phase else None
+    return kinds, weights, n, nprime
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind_plan=kind_plans(),
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**64 - 40),
+    count=st.integers(1, 40),
+)
+def test_random_kind_subsets_match_reference(pop, kind_plan, seed, start, count):
+    kinds, weights, n, nprime = kind_plan
+    plan = make_plan(pop, n=n, nprime=nprime, seed=seed, kinds=kinds, weights=weights)
+    assert_same_as_reference(plan, start, start + count)
+
+
+def test_failure_threshold_at_999_and_1000_reps():
+    # Units 0 and 1 share their x value, so a sample of two is constant
+    # in x with probability 1/990.  At seed 5 exactly one of the first
+    # 1,000 replications draws them: 1 failure is above 0.1 % of 999
+    # replications, and not above 0.1 % of 1,000.
+    rng = np.random.default_rng(20)
+    y, x, z = (rng.lognormal(size=45) for _ in range(3))
+    x[1] = x[0]
+    pop = Population(y=y, x=x, z=z)
+    plan = make_plan(pop, n=2, seed=5, kinds=(UNBIASED, EXP_RATIO), weights=(None, None))
+    failed, _ = assert_same_as_reference(plan, 0, 1000)
+    assert np.flatnonzero(failed).tolist() == [594]
+    with pytest.raises(SimulationError, match="^1 of 999 replications failed .* replication 594:"):
+        run_simulation(pop, SimulationConfig(n=2, reps=999, seed=5, estimators=(EXP_RATIO,)))
+    report = run_simulation(pop, SimulationConfig(n=2, reps=1000, seed=5, estimators=(EXP_RATIO,)))
+    assert (report.failed_reps, report.reps_used) == (1, 999)
+
+
+@pytest.mark.parametrize("seed", range(2**64 - 8, 2**64))
+def test_seeds_at_the_top_of_the_key_range(pop, seed, monkeypatch):
+    chunks = []
+    simulate_chunk = montecarlo._simulate_chunk
+
+    def recording(plan, start, stop):
+        result = simulate_chunk(plan, start, stop)
+        chunks.append((plan, start, stop, result))
+        return result
+
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", recording)
+    config = SimulationConfig(
+        n=3, nprime=6, reps=CHUNK_SIZE + 52, seed=seed,
+        estimators=(EXP_PRODUCT, COMBINED_TWO_PHASE),
+    )
+    report = run_simulation(pop, config, workers=1)
+    assert run_simulation(pop, config, workers=2).to_json() == report.to_json()
+    plan, start, stop, (values, failed, first_failure) = chunks[0]
+    assert (start, stop) == (0, CHUNK_SIZE)
+    expected = reference_engine._simulate_chunk(plan, start, stop)
+    assert np.array_equal(values.view(np.uint64), expected[0].view(np.uint64))
+    assert np.array_equal(failed, expected[1])
+    assert first_failure == expected[2]
+
+
 def bare_plan(n_pop, n, nprime, seed):
     # Zero-stride variates: a plan over 2**32 units costs no memory.
     zeros = np.broadcast_to(0.0, (n_pop,))
     return _Plan(
         y=zeros, x=zeros, z=zeros, n=n, nprime=nprime, seed=seed,
         kinds=(UNBIASED,), weights=(None,), aux_sx2=None, aux_sz2=None,
-        need_x_second=False, need_z_second=False, need_x_first=False, need_z_first=False,
     )
 
 

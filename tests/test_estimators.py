@@ -36,7 +36,6 @@ from varaux import (
     delta_table,
     estimate_single_phase,
     estimate_two_phase,
-    estimate_two_phase_from_draw,
     sample_variance,
     single_phase_value,
     two_phase_value,
@@ -358,29 +357,6 @@ class TestTwoPhaseEstimates:
                 EXP_RATIO, pop.y[idx], x_first=pop.x, x_second=pop.x[idx]
             )
 
-    def test_from_draw_equals_sliced_arrays(self):
-        rng = np.random.default_rng(21)
-        pop = random_population(rng, 80)
-        first = np.arange(30, dtype=np.int64)
-        second = np.arange(8, dtype=np.int64)
-        draw = TwoPhaseDraw(first_phase=first, second_phase=second)
-        for kind, kwargs in [
-            (EXP_RATIO_TWO_PHASE, {}),
-            (EXP_PRODUCT_TWO_PHASE, {}),
-            (COMBINED_TWO_PHASE, {"weight": 0.35}),
-        ]:
-            got = estimate_two_phase_from_draw(kind, pop, draw, **kwargs)
-            want = estimate_two_phase(
-                kind,
-                pop.y[second],
-                x_first=pop.x[first],
-                z_first=pop.z[first],
-                x_second=pop.x[second],
-                z_second=pop.z[second],
-                **kwargs,
-            )
-            assert got == want
-
 
 class TestTwoPhaseDraw:
     def test_valid_draw(self):
@@ -421,11 +397,6 @@ class TestTwoPhaseDraw:
 
 
 class TestAuxKnowledge:
-    def test_from_population(self, tiny_pop):
-        aux = AuxKnowledge.from_population(tiny_pop)
-        assert aux.sx2 == tiny_pop.sx2
-        assert aux.sz2 == tiny_pop.sz2
-
     def test_require(self):
         aux = AuxKnowledge(sx2=2.0)
         assert aux.require("sx2") == 2.0

@@ -108,13 +108,10 @@ class TestCentralMoment:
     def test_total_order_cap(self, tiny_pop):
         with pytest.raises(InvalidInputError):
             central_moment(tiny_pop, 3, 3, 3)
-        # The cap is advisory, not physical: raising it explicitly works.
-        value = central_moment(tiny_pop, 3, 3, 3, max_order=9)
-        assert value == pytest.approx(
-            brute_central_moment(tiny_pop.y, tiny_pop.x, tiny_pop.z, 3, 3, 3),
-            rel=1e-12,
-        )
         assert MAX_MOMENT_ORDER == 8
+        assert central_moment(tiny_pop, 3, 3, 2) == pytest.approx(
+            brute_central_moment(tiny_pop.y, tiny_pop.x, tiny_pop.z, 3, 3, 2), rel=1e-12
+        )
 
 
 class TestDelta:
@@ -193,12 +190,10 @@ class TestDeltaTable:
 
     def test_violations_empty_for_real_population(self, default_pop):
         assert delta_table(default_pop).violations() == []
-        assert delta_table(default_pop).is_valid
 
     def test_violations_flags_kurtosis_below_one(self):
         table = DeltaTable(d400=0.5, d040=2.0, d004=2.0, d220=1.0, d202=1.0, d022=1.0)
         assert any("d400" in v for v in table.violations())
-        assert not table.is_valid
 
     def test_violations_flags_cross_moment_bound(self):
         # |d220 - 1| must not exceed sqrt((d400-1)(d040-1)) = 1 here.
@@ -241,7 +236,6 @@ class TestPopulation:
     def test_summaries_match_numpy(self, tiny_pop):
         assert tiny_pop.size == 5
         assert len(tiny_pop) == 5
-        assert tiny_pop.mean_y == pytest.approx(np.mean(tiny_pop.y))
         assert tiny_pop.sy2 == pytest.approx(np.var(tiny_pop.y, ddof=1), rel=1e-14)
         assert tiny_pop.sx2 == pytest.approx(np.var(tiny_pop.x, ddof=1), rel=1e-14)
         assert tiny_pop.sz2 == pytest.approx(np.var(tiny_pop.z, ddof=1), rel=1e-14)

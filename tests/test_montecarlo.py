@@ -207,16 +207,12 @@ class TestDeterminism:
             n=12,
             nprime=None,
             seed=41,
-            need_x_first=False,
-            need_z_first=False,
         )
         solo = _Plan(
             kinds=(UNBIASED,),
             weights=(None,),
             aux_sx2=None,
             aux_sz2=None,
-            need_x_second=False,
-            need_z_second=False,
             **common,
         )
         crowd = _Plan(
@@ -224,8 +220,6 @@ class TestDeterminism:
             weights=(None, None, 0.8),
             aux_sx2=small_pop.sx2,
             aux_sz2=small_pop.sz2,
-            need_x_second=True,
-            need_z_second=True,
             **common,
         )
         solo_values = _simulate_chunk(solo, 0, 64)[0]
@@ -260,13 +254,13 @@ class TestRunSimulation:
         assert abs(row.emp_bias) < 5 * se
 
     def test_weight_modes_reported(self, small_pop):
-        from varaux import EstimatorKind
+        from varaux import EstimatorKind, Family
 
         config = SimulationConfig(
             n=12,
             reps=100,
             seed=3,
-            estimators=(EXP_RATIO, COMBINED, EstimatorKind.combined(0.4)),
+            estimators=(EXP_RATIO, COMBINED, EstimatorKind(Family.COMBINED, 0.4)),
         )
         report = quiet_run(small_pop, config)
         modes = {e.kind: e.weight_mode for e in report.estimators}

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from varaux import (
     InvalidSpecError,
@@ -205,3 +207,28 @@ class TestGeneratePopulation:
 
     def test_default_population_moment_bounds_hold(self, default_pop):
         assert delta_table(default_pop).violations() == []
+
+
+_correlations = st.floats(-0.95, 0.95)
+_marginals = st.builds(
+    Marginal, st.sampled_from(["normal", "lognormal"]), st.floats(-3.0, 3.0), st.floats(0.05, 2.0)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=st.builds(
+        PopulationSpec,
+        size=st.integers(2, 300),
+        rho_yx=_correlations,
+        rho_yz=_correlations,
+        rho_xz=_correlations,
+        marginal_y=_marginals,
+        marginal_x=_marginals,
+        marginal_z=_marginals,
+        seed=st.integers(0, 2**64 - 1),
+    )
+)
+def test_generated_populations_are_realizable(spec):
+    assume(np.all(np.linalg.eigvalsh(spec.latent_correlation()) > 0.0))
+    assert delta_table(generate_population(spec)).violations() == []

@@ -37,14 +37,11 @@ from varaux import (
     InvalidDesignError,
     InvalidInputError,
     alpha_opt,
-    bias_single_phase,
     combined_curvature,
-    corrections_by_id,
     delta_table,
     min_mse_combined,
     pre,
     theory_for_kind,
-    var_unbiased_theory,
 )
 from varaux.theory import (
     BUILTIN_EXAMPLE_DELTAS,
@@ -89,13 +86,13 @@ def reference_brackets(d: DeltaTable, weight: float) -> dict[str, float]:
 class TestVarUnbiased:
     def test_builtin_value(self):
         # derived: (1/10) * (2.2667 - 1) = 0.12667
-        assert var_unbiased_theory(D, 1.0, N10) == pytest.approx(0.12667, rel=1e-12)
+        assert theory_for_kind(UNBIASED, D, 1.0, N10).mse == pytest.approx(0.12667, rel=1e-12)
 
     def test_scales_with_sy4_over_n(self):
         rng = np.random.default_rng(8)
         pop = random_population(rng, 40)
         d = delta_table(pop)
-        v = var_unbiased_theory(d, pop.sy2, DesignSizes(20))
+        v = theory_for_kind(UNBIASED, d, pop.sy2, DesignSizes(20)).mse
         assert v == pytest.approx(pop.sy2**2 / 20 * (d.d400 - 1.0), rel=1e-14)
 
 
@@ -138,7 +135,7 @@ class TestSinglePhaseMse:
 
     def test_unbiased_kind_equals_variance(self):
         r = theory_for_kind(UNBIASED, D, 1.0, N10)
-        assert r.mse == var_unbiased_theory(D, 1.0, N10)
+        assert r.mse == theory_for_kind(UNBIASED, D, 1.0, N10).mse
         assert r.bias == 0.0
 
     def test_formula_ids(self):
@@ -189,11 +186,11 @@ class TestSinglePhaseMse:
 class TestBiasSinglePhase:
     def test_builtin_frozen_values(self):
         # derived: (3/8)(3.65-1) - (1/2)(2.3377-1) = 0.324913...
-        assert bias_single_phase(EXP_RATIO, D, 1.0, N10) == pytest.approx(
+        assert theory_for_kind(EXP_RATIO, D, 1.0, N10).bias == pytest.approx(
             0.03249, rel=1e-10
         )
         # derived: -(1/8)(2.8664-1) + (1/2)(2.2208-1) = 0.37710...
-        assert bias_single_phase(EXP_PRODUCT, D, 1.0, N10) == pytest.approx(
+        assert theory_for_kind(EXP_PRODUCT, D, 1.0, N10).bias == pytest.approx(
             0.03771, rel=1e-10
         )
 
@@ -211,27 +208,28 @@ class TestBiasSinglePhase:
             want_product = scale * (
                 -(1.0 / 8.0) * (d.d004 - 1.0) + 0.5 * (d.d202 - 1.0)
             )
-            assert bias_single_phase(EXP_RATIO, d, sy2, sizes) == pytest.approx(
+            assert theory_for_kind(EXP_RATIO, d, sy2, sizes).bias == pytest.approx(
                 want_ratio, rel=1e-12
             )
-            assert bias_single_phase(EXP_PRODUCT, d, sy2, sizes) == pytest.approx(
+            assert theory_for_kind(EXP_PRODUCT, d, sy2, sizes).bias == pytest.approx(
                 want_product, rel=1e-12
             )
 
     def test_combined_bias_collapses_at_extreme_weights(self):
-        at_one = bias_single_phase(COMBINED, D, 1.0, N10, weight=1.0)
-        at_zero = bias_single_phase(COMBINED, D, 1.0, N10, weight=0.0)
-        assert at_one == bias_single_phase(EXP_RATIO, D, 1.0, N10)
-        assert at_zero == bias_single_phase(EXP_PRODUCT, D, 1.0, N10)
+        at_one = theory_for_kind(COMBINED, D, 1.0, N10, weight=1.0).bias
+        at_zero = theory_for_kind(COMBINED, D, 1.0, N10, weight=0.0).bias
+        assert at_one == theory_for_kind(EXP_RATIO, D, 1.0, N10).bias
+        assert at_zero == theory_for_kind(EXP_PRODUCT, D, 1.0, N10).bias
 
     def test_unbiased_kind_has_zero_bias(self):
-        assert bias_single_phase(UNBIASED, D, 1.0, N10) == 0.0
+        assert theory_for_kind(UNBIASED, D, 1.0, N10).bias == 0.0
 
     def test_unsupported_kinds_rejected(self):
-        with pytest.raises(InvalidInputError):
-            bias_single_phase(ISAKI_RATIO, D, 1.0, N10)
-        with pytest.raises(InvalidInputError):
-            bias_single_phase(EXP_RATIO_TWO_PHASE, D, 1.0, N10)
+        # No first-order bias expression is implemented for these kinds.
+        assert theory_for_kind(ISAKI_RATIO, D, 1.0, N10).bias is None
+        for kind in TWO_PHASE_KINDS:
+            weight = 0.5 if kind.is_combined else None
+            assert theory_for_kind(kind, D, 1.0, N10_25, weight=weight).bias is None
 
 
 class TestTwoPhaseMse:
@@ -328,7 +326,7 @@ class TestReductionIdentities:
         for kind in TWO_PHASE_KINDS:
             weight = 0.7 if kind.is_combined else None
             got = theory_for_kind(kind, D, 1.0, sizes, weight=weight).mse
-            assert got == var_unbiased_theory(D, 1.0, N10)
+            assert got == theory_for_kind(UNBIASED, D, 1.0, N10).mse
 
 
 class TestOptimalWeight:
@@ -401,7 +399,7 @@ class TestPre:
         assert pre(2.0, 1.0) == 50.0
 
     def test_builtin_pre_values_frozen(self):
-        base = var_unbiased_theory(D, 1.0, N10)
+        base = theory_for_kind(UNBIASED, D, 1.0, N10).mse
         assert pre(
             theory_for_kind(ISAKI_RATIO, D, 1.0, N10).mse, base
         ) == pytest.approx(102.04624184322884, rel=1e-13)
@@ -416,7 +414,7 @@ class TestPre:
         )
 
     def test_builtin_two_phase_pre_values_frozen(self):
-        base = var_unbiased_theory(D, 1.0, N10)
+        base = theory_for_kind(UNBIASED, D, 1.0, N10).mse
         assert pre(
             theory_for_kind(EXP_RATIO_TWO_PHASE, D, 1.0, N10_25).mse, base
         ) == pytest.approx(147.0205900786926, rel=1e-13)
@@ -537,11 +535,6 @@ class TestCorrectionRegistry:
         ids = [c.formula_id for c in CORRECTIONS]
         assert len(set(ids)) == 12
 
-    def test_by_id_round_trip(self):
-        table = corrections_by_id()
-        for c in CORRECTIONS:
-            assert table[c.formula_id] is c
-
     def test_entries_are_documented(self):
         for c in CORRECTIONS:
             assert c.change.strip()
@@ -549,7 +542,7 @@ class TestCorrectionRegistry:
 
     def test_corrected_formula_ids_have_entries(self):
         # Every result tagged ":corrected" must be explained in the registry.
-        table = corrections_by_id()
+        table = {c.formula_id for c in CORRECTIONS}
         tagged = [
             theory_for_kind(EXP_RATIO, D, 1.0, N10).formula_id,
             theory_for_kind(COMBINED, D, 1.0, N10, weight=0.5).formula_id,
