@@ -42,7 +42,7 @@ from .estimators import (
     UNBIASED,
     AuxKnowledge,
     EstimatorKind,
-    alpha_opt,
+    _resolve_weight,
     estimate_single_phase,
     estimate_two_phase,
 )
@@ -225,6 +225,14 @@ def cmd_moments(input_path: str, orders: str, fmt: str, out: str | None) -> None
 # ---------------------------------------------------------------------------
 # estimate
 
+#: The ``weight_source`` of an estimate row for each weight source.
+_WEIGHT_SOURCES = {
+    "none": "-",
+    "fixed": "fixed",
+    "optimal": "table-optimal",
+    "plug-in": "estimated from sample",
+}
+
 
 @main.command("estimate")
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True, help="Sample CSV (header y,x,z); the second phase for two-phase kinds.")
@@ -284,22 +292,13 @@ def cmd_estimate(
                 weight=weight,
                 deltas=deltas,
             )
-        if not kind.is_combined:
-            used_weight, source = None, "-"
-        elif weight is not None:
-            used_weight, source = weight, "fixed"
-        elif kind.weight is not None:
-            used_weight, source = kind.weight, "fixed"
-        elif deltas is not None:
-            used_weight, source = alpha_opt(deltas), "table-optimal"
-        else:
-            used_weight, source = None, "estimated from sample"
+        used_weight, source = _resolve_weight(kind, weight, deltas)
         rows.append(
             {
                 "kind": kind.label,
                 "estimate": value,
                 "weight": used_weight,
-                "weight_source": source,
+                "weight_source": _WEIGHT_SOURCES[source],
             }
         )
 
@@ -339,9 +338,7 @@ def _theory_rows(
     baseline = theory_for_kind(kinds[0], deltas, sy2, sizes).mse
     rows = []
     for kind in kinds:
-        used_weight = None
-        if kind.is_combined:
-            used_weight = alpha if alpha is not None else alpha_opt(deltas)
+        used_weight, _ = _resolve_weight(kind, alpha, deltas)
         result = theory_for_kind(kind, deltas, sy2, sizes, weight=used_weight)
         rows.append(
             {

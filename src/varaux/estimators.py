@@ -423,26 +423,31 @@ def _plug_in_table(y: np.ndarray, x: np.ndarray, z: np.ndarray) -> DeltaTable:
 
 def _resolve_weight(
     kind: EstimatorKind,
-    weight: float | None,
-    deltas: DeltaTable | None,
-    plug_in,
-) -> float:
-    """Resolution order: explicit argument, kind.weight, moment table, sample."""
+    weight: float | None = None,
+    deltas: DeltaTable | None = None,
+    plug_in=None,
+) -> tuple[float | None, str]:
+    """The weight a kind is evaluated at, and where it comes from.
+
+    The one precedence of combined weights: an explicit ``weight``, then
+    the kind's own, then the optimum of the moment table ``deltas``,
+    then the optimum of the sample's table, ``plug_in()``.  The source
+    is ``"none"`` for a kind that is not combined, then ``"fixed"``,
+    ``"optimal"`` or ``"plug-in"``; a plug-in weight is None when
+    ``plug_in`` is, left to the caller to estimate per sample.
+    """
+    if not kind.is_combined:
+        return None, "none"
     if weight is not None:
         weight = float(weight)
         if not math.isfinite(weight):
             raise InvalidInputError(f"weight must be finite, got {weight!r}")
-        return weight
+        return weight, "fixed"
     if kind.weight is not None:
-        return kind.weight
+        return kind.weight, "fixed"
     if deltas is not None:
-        return alpha_opt(deltas)
-    if plug_in is not None:
-        return alpha_opt(plug_in())
-    raise InvalidInputError(
-        "combined estimator needs a weight: pass weight=..., embed one in the "
-        "kind, or provide a moment table to optimize against"
-    )
+        return alpha_opt(deltas), "optimal"
+    return (None if plug_in is None else alpha_opt(plug_in())), "plug-in"
 
 
 def _checked_sample(values, name: str, expected_size: int | None = None) -> np.ndarray:
@@ -501,11 +506,9 @@ def _estimate(kind, two_phase, y, x, z, x_first, z_first, aux, weight, deltas) -
                 f"first-phase sample {name!r} (length {size}) must be strictly "
                 f"larger than the second phase (length {n})"
             )
-    resolved = None
-    if kind.is_combined:
-        resolved = _resolve_weight(
-            kind, weight, deltas, lambda: _plug_in_table(y_arr, second["x"], second["z"])
-        )
+    resolved, _ = _resolve_weight(
+        kind, weight, deltas, lambda: _plug_in_table(y_arr, second["x"], second["z"])
+    )
     return _checked_value(kind, two_phase, sy2, variances, aux, resolved)
 
 

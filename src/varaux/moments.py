@@ -82,9 +82,6 @@ class Population:
         """Number of units ``N``."""
         return int(self.y.size)
 
-    def __len__(self) -> int:
-        return self.size
-
     @property
     def sy2(self) -> float:
         """Population variance of ``y``, divisor ``N - 1``."""
@@ -100,11 +97,6 @@ class Population:
         """Population variance of ``z``, divisor ``N - 1``."""
         return float(np.var(self.z, ddof=1))
 
-    def variate(self, name: str) -> np.ndarray:
-        if name not in _VARIATES:
-            raise InvalidInputError(f"unknown variate {name!r}, expected one of {_VARIATES}")
-        return getattr(self, name)
-
 
 def _check_order(p: int, q: int, r: int) -> None:
     for label, value in (("p", p), ("q", q), ("r", r)):
@@ -115,6 +107,56 @@ def _check_order(p: int, q: int, r: int) -> None:
     total = p + q + r
     if total > MAX_MOMENT_ORDER:
         raise InvalidInputError(f"total moment order {total} exceeds the cap {MAX_MOMENT_ORDER}")
+
+
+def _power_product(order, squares, roots):
+    """``prod_i squares[i]^(e_i // 2) * roots[i]^(e_i % 2)`` over the
+    exponents ``e_i`` of ``order``, multiplied left to right from the
+    first factor; None when every exponent is zero."""
+    product = None
+    for exponent, square, root in zip(order, squares, roots):
+        for factor in (square,) * (exponent // 2) + (root,) * (exponent % 2):
+            product = factor if product is None else product * factor
+    return product
+
+
+def _moments(variates, orders) -> tuple[list, list, list]:
+    """The one moment kernel: ``mu_pqr`` and ``delta_pqr`` of each order.
+
+    ``variates`` are the ``y``, ``x`` and ``z`` values, reduced along
+    the last axis, so a row of a C-ordered block gets the bits of the
+    same values passed alone.  Each power of the deviations is built
+    from their squares, times one deviation when the exponent is odd;
+    the variances in each denominator likewise, times ``variance **
+    0.5``.  That root is C's ``pow`` on one population's variances but
+    numpy's ``sqrt`` on a block's, so the row-alone bits hold for even
+    orders only.  Floating-point warnings are off: a moment that over-
+    or underflows, or a zero variance, leaves a value that is not
+    finite, for the caller to refuse.
+
+    Returns
+    -------
+    (variances, moments, deltas)
+        The divisor-``n`` variances of ``y``, ``x`` and ``z``, then
+        ``mu_pqr`` and ``delta_pqr`` in the order of ``orders``.
+    """
+    odd = [any(order[i] % 2 for order in orders) for i in range(3)]
+    with np.errstate(all="ignore"):
+        deviations, squares = [], []
+        for values, keep in zip(variates, odd):
+            deviation = values - values.mean(axis=-1, keepdims=True)
+            deviations.append(deviation)
+            squares.append(np.multiply(deviation, deviation, out=None if keep else deviation))
+        variances = [square.mean(axis=-1) for square in squares]
+        roots = [variance**0.5 if keep else None for variance, keep in zip(variances, odd)]
+        moments, deltas = [], []
+        for order in orders:
+            product = _power_product(order, squares, deviations)
+            moment = np.ones_like(variances[0]) if product is None else product.mean(axis=-1)
+            scale = _power_product(order, variances, roots)
+            moments.append(moment)
+            deltas.append(moment if scale is None else moment / scale)
+    return variances, moments, deltas
 
 
 def central_moment(pop: Population, p: int, q: int, r: int) -> float:
@@ -134,17 +176,7 @@ def central_moment(pop: Population, p: int, q: int, r: int) -> float:
     float
     """
     _check_order(p, q, r)
-    product = None
-    for name, exponent in zip(_VARIATES, (p, q, r)):
-        if exponent == 0:
-            continue
-        values = pop.variate(name)
-        deviations = values - values.mean()
-        factor = deviations if exponent == 1 else deviations**exponent
-        product = factor if product is None else product * factor
-    if product is None:
-        return 1.0
-    return float(product.mean())
+    return float(_moments((pop.y, pop.x, pop.z), [(p, q, r)])[1][0])
 
 
 def delta(pop: Population, p: int, q: int, r: int) -> float:
@@ -163,25 +195,14 @@ def delta(pop: Population, p: int, q: int, r: int) -> float:
         If the value is not finite: powers of the deviations over- or
         underflow on a badly scaled population, as in :class:`DeltaTable`.
     """
-    numerator = central_moment(pop, p, q, r)
-    denominator = 1.0
-    for name, exponent, variance_order in (
-        ("y", p, (2, 0, 0)),
-        ("x", q, (0, 2, 0)),
-        ("z", r, (0, 0, 2)),
-    ):
-        if exponent == 0:
-            continue
-        variance = central_moment(pop, *variance_order)
-        if variance <= 0.0:
+    _check_order(p, q, r)
+    variances, _, deltas = _moments((pop.y, pop.x, pop.z), [(p, q, r)])
+    for name, exponent, variance in zip(_VARIATES, (p, q, r), variances):
+        if exponent and variance <= 0.0:
             raise DegeneratePopulationError(
                 f"variate {name!r} has zero variance, delta_{p}{q}{r} is undefined"
             )
-        try:
-            denominator *= variance ** (exponent / 2.0)
-        except OverflowError:
-            denominator = math.inf
-    value = numerator / denominator if 0.0 < denominator < math.inf else math.nan
+    value = float(deltas[0])
     if not math.isfinite(value):
         raise InvalidInputError(f"moment d{p}{q}{r} must be finite, got {value!r}")
     return value
@@ -285,20 +306,17 @@ class DeltaTable:
         return cls(**values)
 
 
-#: Variate pairs ``(a, b)`` of the six standardized fourth moments
-#: ``mu_ab / (mu_a mu_b)``, as positions in ``(y, x, z)``, in
+#: The orders of the six standardized fourth moments, in
 #: :meth:`DeltaTable.field_names` order.
-_DELTA_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_FOURTH_ORDERS = ((4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 0), (2, 0, 2), (0, 2, 2))
 
 
 def fourth_moments(y, x, z) -> tuple[list, list]:
     """Divisor-``n`` variances and standardized fourth moments along the last axis.
 
-    The one moment-table kernel: :func:`delta_table` applies it to a
-    population, the plug-in weights of the estimators to a sample, and
-    the simulation engine to a block of samples, one per row.  Every
-    reduction runs along the last axis, so a row of a C-ordered block
-    gets the same bits as the same values passed alone.
+    :func:`delta_table` applies it to a population, the plug-in weights
+    of the estimators to a sample, and the simulation engine to a block
+    of samples, one per row.
 
     Returns
     -------
@@ -307,16 +325,7 @@ def fourth_moments(y, x, z) -> tuple[list, list]:
         ``delta_pqr`` in :meth:`DeltaTable.field_names` order.  Where a
         variance is zero the deltas are not finite.
     """
-    squared = []
-    for values in (y, x, z):
-        deviations = values - values.mean(axis=-1, keepdims=True)
-        squared.append(np.multiply(deviations, deviations, out=deviations))
-    variances = [sq.mean(axis=-1) for sq in squared]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        deltas = [
-            (squared[a] * squared[b]).mean(axis=-1) / (variances[a] * variances[b])
-            for a, b in _DELTA_PAIRS
-        ]
+    variances, _, deltas = _moments((y, x, z), _FOURTH_ORDERS)
     return variances, deltas
 
 
@@ -455,8 +464,8 @@ def load_population_csv(path) -> Population:
     """
     data = load_csv_rows(path, "y,x,z", "a population")
     pop = Population(data[:, 0], data[:, 1], data[:, 2])
-    for name in _VARIATES:
-        if float(np.var(pop.variate(name), ddof=1)) == 0.0:
+    for name, variance in zip(_VARIATES, (pop.sy2, pop.sx2, pop.sz2)):
+        if variance == 0.0:
             warnings.warn(
                 f"{path}: variate {name!r} has zero variance; estimators that "
                 "use it will fail",

@@ -64,6 +64,7 @@ from .estimators import (
     EstimatorKind,
     Family,
     TwoPhaseDraw,
+    _resolve_weight,
     alpha_opt,
     alpha_terms,
     value_kernel,
@@ -197,8 +198,10 @@ class _Plan:
     weights: tuple[float | None, ...]  # None = plug-in, re-estimated per draw
     aux_sx2: float | None
     aux_sz2: float | None
-    # The variates to gather, for each phase.  The second phase's
+    # Whether a combined kind re-estimates its weight from every sample,
+    # and the variates to gather, for each phase.  The second phase's
     # auxiliaries also feed the plug-in moment table.
+    plug_in: bool = field(init=False, repr=False)
     need_x_second: bool = field(init=False, repr=False)
     need_z_second: bool = field(init=False, repr=False)
     need_x_first: bool = field(init=False, repr=False)
@@ -233,6 +236,7 @@ class _Plan:
         column = np.maximum(np.cumsum(consumes) - 1, 0)
         plug_in = any(kind.is_combined and w is None for kind, w in zip(self.kinds, self.weights))
         constants = {
+            "plug_in": plug_in,
             "need_x_second": plug_in or any(kind.uses_x for kind in self.kinds),
             "need_z_second": plug_in or any(kind.uses_z for kind in self.kinds),
             "need_x_first": any(kind.is_two_phase and kind.uses_x for kind in self.kinds),
@@ -430,7 +434,7 @@ def _simulate_block(plan: _Plan, start: int, stop: int, values: np.ndarray, fail
     # are never negative, so ``== 0.0`` is its ``<= 0.0`` test.
     checks: list[tuple[np.ndarray, str]] = []
     plug_weight = None
-    if any(kind.is_combined and weight is None for kind, weight in zip(plan.kinds, plan.weights)):
+    if plan.plug_in:
         moment_variances, deltas = fourth_moments(ys, xs, zs)
         for name, variance in zip("yxz", moment_variances):
             checks.append(
@@ -521,6 +525,14 @@ class EstimatorSummary:
     theory_pre: float
     formula_id: str
 
+
+#: The ``weight_mode`` of a report row for each weight source.
+_WEIGHT_MODES = {
+    "none": "none",
+    "fixed": "fixed",
+    "optimal": "population-optimal",
+    "plug-in": "plug-in",
+}
 
 #: CSV columns of a report: the summary's fields, in order.
 _CSV_COLUMNS = tuple(f.name for f in fields(EstimatorSummary))
@@ -625,31 +637,19 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
     # where it means "re-estimate from every sample"; theory columns
     # for those rows are evaluated at the population optimum instead,
     # since per-sample weights have no single theoretical value.
+    table = pop_deltas if config.weight_policy is WeightPolicy.POPULATION_OPTIMAL else None
     weights: list[float | None] = []
     modes: list[str] = []
     theory_weights: list[float | None] = []
     for kind in kinds:
-        if not kind.is_combined:
-            weights.append(None)
-            modes.append("none")
-            theory_weights.append(None)
-        elif kind.weight is not None:
-            weights.append(kind.weight)
-            modes.append("fixed")
-            theory_weights.append(kind.weight)
-        elif config.weight_policy is WeightPolicy.FIXED:
+        weight, source = _resolve_weight(kind, deltas=table)
+        if source == "plug-in" and config.weight_policy is WeightPolicy.FIXED:
             raise InvalidInputError(
                 f"weight policy 'fixed' requires an explicit weight on {kind.label!r}"
             )
-        else:
-            optimum = alpha_opt(pop_deltas)
-            if config.weight_policy is WeightPolicy.POPULATION_OPTIMAL:
-                weights.append(optimum)
-                modes.append("population-optimal")
-            else:
-                weights.append(None)
-                modes.append("plug-in")
-            theory_weights.append(optimum)
+        weights.append(weight)
+        modes.append(_WEIGHT_MODES[source])
+        theory_weights.append(alpha_opt(pop_deltas) if source == "plug-in" else weight)
 
     plan = _Plan(
         y=pop.y,

@@ -37,6 +37,7 @@ from .estimators import (
     COMBINED_TWO_PHASE,
     EstimatorKind,
     Family,
+    _resolve_weight,
     alpha_opt,
 )
 from .moments import DeltaTable
@@ -103,24 +104,6 @@ def _check_sy2(sy2: float) -> float:
     if not math.isfinite(value) or value <= 0.0:
         raise InvalidInputError(f"S_y^2 must be a finite positive number, got {sy2!r}")
     return value
-
-
-def _resolve_theory_weight(kind: EstimatorKind, weight: float | None) -> float | None:
-    if not kind.is_combined:
-        if weight is not None:
-            raise InvalidInputError(f"estimator {kind.label!r} does not take a weight")
-        return None
-    if weight is None:
-        weight = kind.weight
-    if weight is None:
-        raise InvalidInputError(
-            "combined theory evaluation needs a weight: pass weight=..., embed one "
-            "in the kind, or use min_mse_combined for the optimum"
-        )
-    weight = float(weight)
-    if not math.isfinite(weight):
-        raise InvalidInputError(f"weight must be finite, got {weight!r}")
-    return weight
 
 
 # The MSE brackets, added to the ``(d400 - 1)`` of the unbiased kind.
@@ -245,7 +228,14 @@ def theory_for_kind(
     sy2 = _check_sy2(sy2)
     if kind.is_two_phase and sizes.nprime is None:
         raise InvalidDesignError("two-phase theory needs sizes.nprime")
-    w = _resolve_theory_weight(kind, weight)
+    if weight is not None and not kind.is_combined:
+        raise InvalidInputError(f"estimator {kind.label!r} does not take a weight")
+    w, source = _resolve_weight(kind, weight)
+    if source == "plug-in":
+        raise InvalidInputError(
+            "combined theory evaluation needs a weight: pass weight=..., embed one "
+            "in the kind, or use min_mse_combined for the optimum"
+        )
     mse_bracket, formula_id, bias_bracket = _FORMULAS[kind.family]
     bracket = mse_bracket(deltas, w)
     if kind.is_two_phase:

@@ -22,9 +22,11 @@ from click.testing import CliRunner
 from varaux import (
     __version__,
     BUILTIN_EXAMPLE_DELTAS,
+    COMBINED,
     CORRECTIONS,
     central_moment,
     delta,
+    delta_table,
     EXP_RATIO,
     EXP_RATIO_TWO_PHASE,
     AuxKnowledge,
@@ -78,6 +80,14 @@ def first_phase_csv(tmp_path):
 def builtin_deltas_json(tmp_path):
     path = tmp_path / "deltas.json"
     path.write_text(json.dumps(BUILTIN_EXAMPLE_DELTAS.to_dict()), encoding="utf-8")
+    return str(path)
+
+
+def scaled_population_csv(scale: float, tmp_path) -> str:
+    """A 500-unit generated population with every value times ``scale``."""
+    pop = generate_population(PopulationSpec(size=500, seed=1))
+    path = tmp_path / "scaled.csv"
+    save_population_csv(Population(pop.y * scale, pop.x * scale, pop.z * scale), str(path))
     return str(path)
 
 
@@ -169,17 +179,38 @@ class TestMoments:
         result = invoke("moments", "--input", str(bad))
         assert result.exit_code == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     def test_badly_scaled_population_exits_2(self, scale, tmp_path):
         # Fourth powers of the deviations under- or overflow at these
         # scales, so the deltas cannot be computed: an input error.
-        pop = generate_population(PopulationSpec(size=500, seed=1))
-        path = tmp_path / "scaled.csv"
-        save_population_csv(Population(pop.y * scale, pop.x * scale, pop.z * scale), str(path))
-        result = invoke("moments", "--input", str(path))
+        path = scaled_population_csv(scale, tmp_path)
+        result = invoke("moments", "--input", path)
         assert result.exit_code == 2, result.output
         assert result.stderr == "error: moment d400 must be finite, got nan\n"
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize(
+        "command", [["moments"], ["simulate", "--n", "20", "--reps", "10"]], ids=["moments", "simulate"]
+    )
+    def test_badly_scaled_population_warns_nothing(self, command, scale, tmp_path):
+        # The moment kernel runs with floating-point warnings off: the
+        # error line is all the user sees.
+        path = scaled_population_csv(scale, tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = invoke(command[0], "--input", path, *command[1:])
+        assert result.exit_code == 2, result.output
+        assert [str(warning.message) for warning in caught] == []
+
+    def test_orders_rows_agree_with_the_delta_table(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        save_population_csv(generate_population(PopulationSpec(size=5000, seed=2)), str(path))
+        result = invoke("moments", "--input", str(path), "--format", "json")
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.stdout)
+        assert [row["order"] for row in doc["orders"]] == ["400", "040", "004", "220", "202", "022"]
+        for row in doc["orders"]:
+            assert row["delta"] == doc["delta_table"][f"d{row['order']}"], row["order"]
 
 
 class TestEstimate:
@@ -303,6 +334,43 @@ class TestEstimate:
         assert row["weight"] is None
         assert row["weight_source"] == "estimated from sample"
         assert isinstance(row["estimate"], float)
+
+    @pytest.mark.parametrize("source", ["--weight", "tag", "--deltas", "none"])
+    def test_reported_weight_is_the_weight_used(self, source, tiny_pop, tiny_csv, builtin_deltas_json):
+        flags = {"--weight": ["--weight", "0.7"], "--deltas": ["--deltas", builtin_deltas_json]}
+        result = invoke(
+            "estimate",
+            "--input",
+            tiny_csv,
+            "--estimators",
+            "combined:0.3" if source == "tag" else "combined",
+            "--sx2",
+            "6.0",
+            "--sz2",
+            "9.0",
+            *flags.get(source, []),
+            "--format",
+            "json",
+        )
+        assert result.exit_code == 0, result.output
+        row = json.loads(result.stdout)["rows"][0]
+        weight, label = {
+            "--weight": (0.7, "fixed"),
+            "tag": (0.3, "fixed"),
+            "--deltas": (alpha_opt(BUILTIN_EXAMPLE_DELTAS), "table-optimal"),
+            # The sample is the whole tiny population.
+            "none": (alpha_opt(delta_table(tiny_pop)), "estimated from sample"),
+        }[source]
+        assert row["weight_source"] == label
+        assert row["weight"] == (None if source == "none" else weight)
+        assert row["estimate"] == estimate_single_phase(
+            COMBINED,
+            tiny_pop.y,
+            tiny_pop.x,
+            tiny_pop.z,
+            aux=AuxKnowledge(sx2=6.0, sz2=9.0),
+            weight=weight,
+        )
 
     def test_explicit_weight_overrides_tag(self, tiny_csv):
         result = invoke(
