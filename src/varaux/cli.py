@@ -47,9 +47,11 @@ from .estimators import (
     estimate_two_phase,
 )
 from .moments import (
+    _FOURTH_ORDERS,
     DeltaTable,
-    central_moment,
-    delta,
+    _check_order,
+    _checked_delta,
+    _moments,
     delta_table,
     format_csv,
     load_csv_rows,
@@ -145,6 +147,10 @@ def _render(fmt: str, out: str | None, doc: dict, columns, rows, text: str) -> N
         _emit(text, out)
 
 
+def _population_doc(pop) -> dict:
+    return {"size": pop.size, "sy2": pop.sy2, "sx2": pop.sx2, "sz2": pop.sz2}
+
+
 def _parse_estimator_list(text: str, two_phase_available: bool) -> tuple[EstimatorKind, ...]:
     if text.strip().lower() == "all":
         kinds = SINGLE_PHASE_KINDS + (TWO_PHASE_KINDS if two_phase_available else ())
@@ -189,26 +195,15 @@ def cmd_moments(input_path: str, orders: str, fmt: str, out: str | None) -> None
     """Central and standardized moments of a population CSV."""
     pop = load_population_csv(input_path)
     requested = _parse_orders(orders)
+    # One kernel pass for every order; each is refused as central_moment
+    # and delta refuse it, in turn, and then the table as delta_table does.
+    variances, mus, deltas = _moments((pop.y, pop.x, pop.z), [*requested, *_FOURTH_ORDERS])
     rows = []
-    for p, q, r in requested:
-        rows.append(
-            {
-                "order": f"{p}{q}{r}",
-                "mu": central_moment(pop, p, q, r),
-                "delta": delta(pop, p, q, r),
-            }
-        )
-    table = delta_table(pop)
-    doc = {
-        "population": {
-            "size": pop.size,
-            "sy2": pop.sy2,
-            "sx2": pop.sx2,
-            "sz2": pop.sz2,
-        },
-        "orders": rows,
-        "delta_table": table.to_dict(),
-    }
+    for order, mu, value in zip(requested, mus, deltas):
+        _check_order(*order)
+        rows.append({"order": "".join(map(str, order)), "mu": float(mu), "delta": _checked_delta(order, variances, value)})
+    table = DeltaTable.from_moments(variances, deltas[len(requested) :])
+    doc = {"population": _population_doc(pop), "orders": rows, "delta_table": table.to_dict()}
     text_rows = [[row["order"], _fmt(row["mu"], 10), _fmt(row["delta"], 10)] for row in rows]
     body = [
         f"population: N={pop.size}  sy2={_fmt(pop.sy2, 10)}  "
@@ -665,12 +660,7 @@ def cmd_gen_pop(
     doc = {
         "spec": spec.to_dict(),
         "out": out,
-        "population": {
-            "size": pop.size,
-            "sy2": pop.sy2,
-            "sx2": pop.sx2,
-            "sz2": pop.sz2,
-        },
+        "population": _population_doc(pop),
         "realized_correlations": realized,
         "delta_table": table.to_dict(),
     }

@@ -13,8 +13,10 @@ so they are fixed here once:
   quantities.
 
 All moment computations are two-pass (center first, then average
-products of deviations), which keeps them stable for the badly scaled
-populations that show up in stress tests.
+products of deviations), so a mean far from zero costs little precision.
+They do not rescale: fourth powers of deviations beyond about 1e77, or
+below about 1e-77, over- or underflow, and such populations (say, a
+population multiplied by 1e150 or 1e-150) are refused as not finite.
 """
 
 from __future__ import annotations
@@ -197,15 +199,18 @@ def delta(pop: Population, p: int, q: int, r: int) -> float:
     """
     _check_order(p, q, r)
     variances, _, deltas = _moments((pop.y, pop.x, pop.z), [(p, q, r)])
-    for name, exponent, variance in zip(_VARIATES, (p, q, r), variances):
+    return _checked_delta((p, q, r), variances, deltas[0])
+
+
+def _checked_delta(order, variances, value) -> float:
+    """``value`` as ``delta`` of ``order``, refused as :func:`delta` refuses it."""
+    label = "".join(map(str, order))
+    for name, exponent, variance in zip(_VARIATES, order, variances):
         if exponent and variance <= 0.0:
-            raise DegeneratePopulationError(
-                f"variate {name!r} has zero variance, delta_{p}{q}{r} is undefined"
-            )
-    value = float(deltas[0])
+            raise DegeneratePopulationError(f"variate {name!r} has zero variance, delta_{label} is undefined")
     if not math.isfinite(value):
-        raise InvalidInputError(f"moment d{p}{q}{r} must be finite, got {value!r}")
-    return value
+        raise InvalidInputError(f"moment d{label} must be finite, got {float(value)!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

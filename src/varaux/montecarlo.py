@@ -23,9 +23,10 @@ Blocks
 A chunk is evaluated in blocks of replications, one row per
 replication, with numpy: the draws of a block, the gathers and sample
 variances, the plug-in moment tables and the estimator arithmetic each
-run once per block.  Every row still has its own substream and its own
-draw, and every reduction runs along a row, so each replication's
-values are bit for bit those of evaluating it alone.
+run once per block, into arrays that the chunk allocates once.  Every
+row still has its own substream and its own draw, and every reduction
+runs along a row, so each replication's values are bit for bit those of
+evaluating it alone, whatever the block size.
 
 The Fisher-Yates positions are numpy's ``Generator.integers`` draws.
 Per replication the engine only reads raw Philox words; it then applies
@@ -131,19 +132,13 @@ class SimulationConfig:
             if not isinstance(self.nprime, int) or isinstance(self.nprime, bool):
                 raise InvalidInputError(f"nprime must be an integer, got {self.nprime!r}")
             if self.nprime <= self.n:
-                raise InvalidDesignError(
-                    f"first-phase size nprime={self.nprime} must exceed n={self.n}"
-                )
+                raise InvalidDesignError(f"first-phase size nprime={self.nprime} must exceed n={self.n}")
         else:
             for kind in kinds:
                 if kind.is_two_phase:
-                    raise InvalidDesignError(
-                        f"estimator {kind.label!r} needs a first-phase size; pass nprime"
-                    )
+                    raise InvalidDesignError(f"estimator {kind.label!r} needs a first-phase size; pass nprime")
         if not isinstance(self.weight_policy, WeightPolicy):
-            raise InvalidInputError(
-                f"weight_policy must be a WeightPolicy, got {self.weight_policy!r}"
-            )
+            raise InvalidInputError(f"weight_policy must be a WeightPolicy, got {self.weight_policy!r}")
 
 
 def draw_srswor(stream: np.random.Generator, n_pop: int, n_sample: int) -> np.ndarray:
@@ -161,7 +156,7 @@ def draw_srswor(stream: np.random.Generator, n_pop: int, n_sample: int) -> np.nd
     if n_sample > n_pop:
         raise InvalidInputError(f"cannot draw {n_sample} units from a population of {n_pop}")
     positions = stream.integers(np.arange(n_sample), n_pop)
-    return _fisher_yates(positions[np.newaxis])[0]
+    return _fisher_yates(positions[np.newaxis], n_pop, _Workspace(1, n_sample, n_sample))[0]
 
 
 def draw_two_phase(
@@ -216,19 +211,21 @@ class _Plan:
     threshold: np.ndarray = field(init=False, repr=False)
     column: np.ndarray = field(init=False, repr=False)
     words: int = field(init=False, repr=False)
+    # Per phase, its draws' columns ``begin:end`` and its population size.
+    phases: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n_pop = self.y.size
         if self.nprime is None:
             low, high = np.arange(self.n), np.full(self.n, n_pop)
+            phases = ((0, self.n, n_pop),)
         else:
+            phases = ((0, self.nprime, n_pop), (self.nprime, self.nprime + self.n, self.nprime))
             low = np.concatenate((np.arange(self.nprime), np.arange(self.n)))
             high = np.concatenate((np.full(self.nprime, n_pop), np.full(self.n, self.nprime)))
         span = (high - low).astype(np.uint64)
         if span.max() > 2**32:
-            raise InvalidInputError(
-                f"population size {n_pop} exceeds 2**32, the range of the engine's 32-bit draws"
-            )
+            raise InvalidInputError(f"population size {n_pop} exceeds 2**32, the range of the engine's 32-bit draws")
         # A one-value range returns ``low`` without consuming a half-word;
         # its column repeats the previous draw's, which a span of 1 maps
         # to offset 0 and never rejects.
@@ -247,166 +244,198 @@ class _Plan:
             "threshold": ((2**32 - span) % span).astype(np.uint32),
             "column": column,
             "words": max(1, (int(consumes.sum()) + 1) // 2),
+            "phases": phases,
         }
         for name, value in constants.items():
             object.__setattr__(self, name, value)
 
 
 #: Bytes of drawn positions per block of replications.  Rows per block
-#: follow from the draw width ``n' + n``, so that the block's temporaries
-#: stay near a fixed size whatever the design.  Memory, not speed, sets
-#: this figure: about ten times it is live during a block, and at twice
-#: it glibc's malloc returned the block's memory to the system and
-#: faulted it back on every block (6,000 page faults per 2,048 two-phase
-#: replications instead of 100).
+#: follow from the draw width ``n' + n``: as many as fit this figure, but
+#: at least 64 while they fit four times it, so that numpy's fixed cost
+#: per call is shared by enough rows.  Blocks reuse their chunk's
+#: :class:`_Workspace`, so the figure bounds memory and cache use only.
 _BLOCK_BYTES = 64 * 1024
+
+#: Bytes a chunk's workspace takes at least: its first release raises
+#: glibc's mmap and trim thresholds so far that the per-block temporaries
+#: of the plug-in moment table no longer make malloc trim the heap (139
+#: minor faults per plugin-small-n job at seed 1 with 393 KB, 2 with this).
+_WORKSPACE_BYTES = 1 << 20
 
 
 def _block_rows(plan: _Plan) -> int:
-    width = plan.n + (plan.nprime or 0)
-    return max(1, min(CHUNK_SIZE, _BLOCK_BYTES // (8 * width)))
+    width = plan.span.size
+    return max(1, min(CHUNK_SIZE, max(_BLOCK_BYTES // (8 * width), min(64, _BLOCK_BYTES // (2 * width)))))
 
 
-def _draw_positions(plan: _Plan, start: int, stop: int) -> np.ndarray:
-    """Fisher-Yates positions of replications ``start..stop-1``, one row each.
+class _Workspace:
+    """Memory for blocks of up to ``rows`` rows of ``width`` positions, in
+    phases of up to ``k`` draws: one buffer of ``reserve`` bytes or more.
 
-    Row ``i`` holds the positions :func:`draw_two_phase` (or
-    :func:`draw_srswor`) draws from replication ``start + i``'s
-    substream with ``integers(low, high)``: the first phase's followed
-    by the second phase's.  The substream is ``Philox(key=seed)`` jumped
-    by the replication index, i.e. the Philox counter ``(0, 0, rep, 0)``;
-    one bit generator is reset to it per replication, and the only work
-    per row is that reset and reading the row's raw 64-bit words.
-
-    The rest runs once per block and is numpy's own rule for 32-bit
-    bounded integers (Lemire's multiply-and-reject): each word feeds two
-    draws, low half first; a draw of ``u`` over ``span`` values is
-    ``low + (u * span >> 32)`` unless the low 32 bits of ``u * span``
-    fall below ``(2**32 - span) % span``, in which case numpy rejects
-    ``u`` and reads the next half-word, shifting every later draw of the
-    row.  Rejections are rare (under 1 in 1,000 draws while ``span`` is
-    below about 4 million), so a row with one is redrawn from its reset
-    state with ``integers`` itself rather than resolved here: every row
-    is numpy's draw by construction.
+    It holds the ``link`` table of :func:`_fisher_yates`, an array per
+    ``(dtype, cols)`` of ``kept``, and scratch that each step borrows with
+    :meth:`arrays`.  A chunk allocates one, so that no block returns
+    memory to malloc only to fault it back in the next.
     """
+
+    def __init__(self, rows: int, k: int, width: int, kept=(), reserve: int = 0) -> None:
+        specs = [(np.intp, k), *kept]
+        size = sum(-(-rows * cols * np.dtype(dtype).itemsize // 64) * 64 for dtype, cols in specs)
+        # No step asks for more than 32 bytes per position, plus padding.
+        self.scratch = np.empty(max(size + 32 * rows * width + 512, reserve), dtype=np.uint8)
+        link, *self.kept = self.arrays(rows, *specs)
+        self.scratch = self.scratch[size:]
+        self.link = link.reshape(-1)  # link[i] = i between Fisher-Yates calls
+        self.link[:] = np.arange(self.link.size)
+        self.starts = np.arange(rows, dtype=np.intp)[:, np.newaxis]
+
+    def arrays(self, rows: int, *specs) -> list[np.ndarray]:
+        """A ``(rows, cols)`` array per ``(dtype, cols)``, valid until the next call."""
+        arrays, offset = [], 0
+        for dtype, cols in specs:
+            arrays.append(self.scratch[offset:].view(dtype)[: rows * cols].reshape(rows, cols))
+            offset += -(-arrays[-1].nbytes // 64) * 64
+        return arrays
+
+
+def _chunk_workspace(plan: _Plan, rows: int) -> _Workspace:
+    """A workspace that keeps each phase's positions, picks and indices."""
+    kept = [(np.int64, end - begin) for begin, end, _ in plan.phases]
+    return _Workspace(rows, plan.nprime or plan.n, plan.span.size, kept, _WORKSPACE_BYTES)
+
+
+def _draw_positions(plan: _Plan, start: int, stop: int, work: _Workspace) -> list[np.ndarray]:
+    """Fisher-Yates positions of replications ``start..stop-1``, one row
+    each, in one array per phase (``work.kept``).
+
+    Row ``i`` holds what :func:`draw_two_phase` (or :func:`draw_srswor`)
+    draws with ``integers(low, high)`` from replication ``start + i``'s
+    substream, the Philox counter ``(0, 0, rep, 0)``: per row, one bit
+    generator is reset to it and its raw 64-bit words are read.  The
+    rest runs once per block and is numpy's rule for 32-bit bounded
+    integers (Lemire's multiply-and-reject): each word feeds two draws,
+    low half first; a draw of ``u`` over ``span`` values is ``low + (u *
+    span >> 32)`` unless the low 32 bits of ``u * span`` fall below
+    ``(2**32 - span) % span``; then numpy rejects ``u`` and reads the
+    next half-word.  Such rows are rare (under 1 in 1,000 draws while
+    ``span`` is below about 4 million) and are drawn again with
+    ``integers`` itself, so every row is numpy's draw by construction.
+    """
+    count = stop - start
     bit_generator = np.random.Philox(key=plan.seed)
     state = bit_generator.state
     counter = state["state"]["counter"]
-    # The result is allocated before the temporaries: allocated after
-    # them, it left their freed memory at the heap top, which glibc then
-    # returned and faulted back on every block (550 minor page faults
-    # per plugin-small-n job instead of about 5).
-    product = np.empty((stop - start, plan.span.size), dtype=np.uint64)
-    raw = np.empty((stop - start, plan.words), dtype=np.uint64)
+    width = plan.span.size
+    raw, halves, rejects = work.arrays(count, (np.uint64, plan.words), (np.uint32, width), (bool, width))
     for row, rep in enumerate(range(start, stop)):
         counter[2] = rep
         bit_generator.state = state
         raw[row] = bit_generator.random_raw(plan.words)
     # Little-endian words, so that each word's low half comes first
     # whatever the host's byte order.
-    halves = np.take(raw.astype("<u8", copy=False).view("<u4"), plan.column, axis=1)
-    np.multiply(halves, plan.span, out=product)
-    np.copyto(halves, product, casting="unsafe")  # the low 32 bits
-    rejected = np.flatnonzero(np.less(halves, plan.threshold).any(axis=1))
-    positions = np.right_shift(product, 32, out=product).view(np.int64)
-    positions += plan.low
+    np.take(raw.astype("<u8", copy=False).view("<u4"), plan.column, axis=1, out=halves, mode="clip")
+    positions = []
+    for (begin, end, _), kept in zip(plan.phases, work.kept):
+        product = kept[:count].view(np.uint64)
+        np.multiply(halves[:, begin:end], plan.span[begin:end], out=product)
+        np.copyto(halves[:, begin:end], product, casting="unsafe")  # the low 32 bits
+        np.right_shift(product, 32, out=product)
+        positions.append(np.add(product.view(np.int64), plan.low[begin:end], out=product.view(np.int64)))
+    rejected = np.flatnonzero(np.less(halves, plan.threshold, out=rejects).any(axis=1))
     stream = np.random.Generator(bit_generator)
     for row in rejected.tolist():
         counter[2] = start + row
         bit_generator.state = state
-        positions[row] = stream.integers(plan.low, plan.high)
+        drawn = stream.integers(plan.low, plan.high)
+        for (begin, end, _), phase in zip(plan.phases, positions):
+            phase[row] = drawn[begin:end]
     return positions
 
 
-def _position_order(positions: np.ndarray) -> np.ndarray:
-    """Per row, the draw indices ordered by position, ties in draw order.
-
-    A least-significant-digit radix sort over 16-bit digits, each pass a
-    stable ``argsort`` of ``uint16`` keys (numpy's radix sort).  One pass
-    covers populations up to 65,536 units.  A comparison sort of packed
-    (position, draw) keys is slightly faster but maps about 0.3 MB more
-    of numpy's code into the process, a visible share of its peak memory.
-    """
-    order = None
-    rest = positions
-    while True:
-        digits = (rest % 65536).astype(np.uint16)
-        if order is not None:
-            digits = np.take_along_axis(digits, order, axis=1)
-        step = np.argsort(digits, axis=1, kind="stable")
-        order = step if order is None else np.take_along_axis(order, step, axis=1)
-        if not (rest >= 65536).any():
-            return order
-        rest = rest // 65536
-
-
-def _fisher_yates(positions: np.ndarray) -> np.ndarray:
+def _fisher_yates(positions: np.ndarray, n_pop: int, work: _Workspace) -> np.ndarray:
     """Partial Fisher-Yates on every row of ``positions`` at once.
 
-    ``positions[:, i]`` lies in ``[i, N)``.  Row by row the result, a
-    C-ordered ``(rows, k)`` array of picked indices, is that of the
-    sequential draw over the values ``0..N-1``: step ``i`` picks the
-    value at position ``j_i`` and moves the value at position ``i``
-    there.  So draw ``i`` picks ``j_i`` itself unless an earlier draw
-    ``m`` named the same position; then it picks what step ``m`` moved
-    there, the value position ``m`` held at that step.  That is ``m``
-    unless an earlier draw moved a value into position ``m``, and so on:
-    the chain of moves ends at a draw whose own index is the value.
-    Ordering each row's draws by position finds both kinds of earlier
-    draw; collisions are rare, so only the chains loop.  (Indexing is
-    two-dimensional throughout: it needs no integer arithmetic, whose
-    numpy loops would add to the process's mapped code.)
+    ``positions``, C-ordered, has rows of ``k`` draws, ``positions[:, i]``
+    in ``[i, n_pop)``; it is overwritten with the picked indices and
+    returned.  Row by row the result is that of the sequential draw over
+    the values ``0..n_pop-1``: step ``i`` picks the value at position
+    ``j_i`` and moves the value at position ``i`` there.  So draw ``i``
+    picks ``j_i`` itself unless an earlier draw ``m`` named the same
+    position; then it picks what step ``m`` moved there, the value
+    position ``m`` held at that step.  That is ``m`` unless an earlier
+    draw moved a value into position ``m``, and so on: the chain ends at
+    a draw whose own index is the value.  Ordering each row's draws by
+    position finds both kinds of earlier draw; only the chains loop.
+    Draws and positions are flat indices ``row * k + i``.
     """
     rows, k = positions.shape
-    draw = _position_order(positions)
-    pos = np.take_along_axis(positions, draw, axis=1)
-    # Equal positions are adjacent: earlier[r, t] marks the first and
-    # later[r, t + 1] the second of each such pair in row r.
-    earlier = np.zeros((rows, k), dtype=bool)
-    np.equal(pos[:, 1:], pos[:, :-1], out=earlier[:, :-1])
-    later = np.zeros((rows, k), dtype=bool)
-    later[:, 1:] = earlier[:, :-1]
-    # The last draw of each position p < k that moves a value into p
-    # before step p, where p is read as the source of the move.  Only
-    # the last is kept: numpy leaves unspecified which of several
-    # assignments to one index wins.
-    moves = (pos < k) & (draw < pos)
-    moves[:, :-1] &= ~(earlier[:, :-1] & moves[:, 1:])
-    # link[r, m]: the draw whose move set position m's value at step m,
-    # or m itself.
-    link = np.repeat(np.arange(k)[np.newaxis], rows, axis=0)
-    row, at = np.nonzero(moves)
-    link[row, pos[row, at]] = draw[row, at]
-    row, at = np.nonzero(earlier)
-    source = draw[row, at]
-    readers = draw[row, np.nonzero(later)[1]]
+    digits, pos, mask = work.arrays(rows, (np.uint16, k), (np.intp, k), (bool, k))
+    starts = work.starts[:rows] * k
+    # The draws by position, ties in draw order: a radix sort, one stable
+    # argsort of uint16 digits per 16 bits, least significant first.  A
+    # comparison sort of packed keys maps 0.3 MB more of numpy's code.
+    np.copyto(digits, positions, casting="unsafe")  # the low 16 bits
+    flat = np.argsort(digits, axis=1, kind="stable")
+    flat += starts
+    shift = 16
+    while n_pop > 1 << shift:
+        np.copyto(digits, np.right_shift(positions.reshape(-1)[flat], shift), casting="unsafe")
+        step = np.argsort(digits, axis=1, kind="stable")
+        step += starts
+        flat = flat.reshape(-1)[step]
+        shift += 16
+    np.add(np.take(positions.reshape(-1), flat, out=pos, mode="clip"), starts, out=pos)
+    # Moves into a position p < k before step p: the value a chain reads
+    # there.  Only the last move into each p counts: numpy leaves
+    # unspecified which of several assignments to one index wins.
+    inside = np.less(pos, starts + k, out=mask)
+    targets, sources = pos[inside], flat[inside]
+    moved = sources < targets
+    targets, sources = targets[moved], sources[moved]
+    last = np.ones(targets.size, dtype=bool)
+    np.not_equal(targets[1:], targets[:-1], out=last[:-1])
+    work.link[targets[last]] = sources[last]
+    # Equal positions are adjacent: of each such pair the second draw
+    # reads what the first one's chain ends at.
+    same = np.equal(pos[:, 1:], pos[:, :-1], out=mask[:, :-1])
+    source, readers = flat[:, :-1][same], flat[:, 1:][same]
     while True:
-        linked = link[row, source]
+        linked = work.link[source]
         if np.array_equal(linked, source):
             break
         source = linked
-    picked = positions.copy()
-    picked[row, readers] = source
-    return picked
+    work.link[targets] = targets
+    np.put(positions, readers, source % k)
+    return positions
 
 
-def _draw_block(plan: _Plan, start: int, stop: int) -> tuple[np.ndarray | None, np.ndarray]:
+def _draw_block(plan: _Plan, start: int, stop: int, work: _Workspace) -> tuple[np.ndarray | None, np.ndarray]:
     """First- and second-phase indices of replications ``start..stop-1``,
     one row each; the first phase is None in single-phase designs."""
-    positions = _draw_positions(plan, start, stop)
+    positions = _draw_positions(plan, start, stop, work)
+    picks = [_fisher_yates(phase, n_pop, work) for phase, (_, _, n_pop) in zip(positions, plan.phases)]
     if plan.nprime is None:
-        return None, _fisher_yates(positions)
-    first = _fisher_yates(positions[:, : plan.nprime])
-    return first, np.take_along_axis(first, _fisher_yates(positions[:, plan.nprime :]), axis=1)
+        return None, picks[0]
+    first, second = picks
+    # second[r, i] = first[r, second[r, i]]
+    (flat,) = work.arrays(stop - start, (np.intp, plan.n))
+    np.add(second, work.starts[: stop - start] * plan.nprime, out=flat)
+    return first, np.take(first.reshape(-1), flat, out=second, mode="clip")
 
 
-def _variance(block: np.ndarray) -> np.ndarray:
-    # Row-wise along the contiguous axis: bit-identical to np.var of each
-    # row alone.  A block in another memory order is summed differently.
-    return np.var(block, axis=1, ddof=1)
+def _variance(block: np.ndarray, deviations: np.ndarray) -> np.ndarray:
+    """``np.var(block, axis=1, ddof=1)`` of a C-ordered block, bit for bit, by numpy's
+    own steps; ``deviations`` is C-ordered scratch of the block's shape, or the block."""
+    mean = np.add.reduce(block, axis=1, keepdims=True)
+    np.true_divide(mean, block.shape[1], out=mean)
+    np.subtract(block, mean, out=deviations)
+    np.square(deviations, out=deviations)
+    variance = np.add.reduce(deviations, axis=1)
+    return np.true_divide(variance, block.shape[1] - 1, out=variance)
 
 
-def _simulate_block(plan: _Plan, start: int, stop: int, values: np.ndarray, failed: np.ndarray) -> str | None:
+def _simulate_block(plan: _Plan, start: int, stop: int, values: np.ndarray, failed: np.ndarray, work: _Workspace) -> str | None:
     """Fill ``values``/``failed`` for replications ``start..stop-1``.
 
     Returns the message of the first failed replication, or None.  A
@@ -414,21 +443,21 @@ def _simulate_block(plan: _Plan, start: int, stop: int, values: np.ndarray, fail
     the scalar path checks them: the plug-in moment table, then each
     kind's divisors in kind order.
     """
-    first, second = _draw_block(plan, start, stop)
-    ys = plan.y[second]
-    sy2 = _variance(ys)
-    xs = zs = None
-    variances = dict.fromkeys(("sx2", "sz2", "sx2_first", "sz2_first"))
-    if plan.need_x_second:
-        xs = plan.x[second]
-        variances["sx2"] = _variance(xs)
-    if plan.need_z_second:
-        zs = plan.z[second]
-        variances["sz2"] = _variance(zs)
-    if plan.need_x_first:
-        variances["sx2_first"] = _variance(plan.x[first])
-    if plan.need_z_first:
-        variances["sz2_first"] = _variance(plan.z[first])
+    first, second = _draw_block(plan, start, stop, work)
+    variances = dict.fromkeys(("sy2", "sx2", "sz2", "sx2_first", "sz2_first"))
+    (first_values,) = work.arrays(len(second), (np.float64, plan.nprime or 0))
+    for name, needed in (("x", plan.need_x_first), ("z", plan.need_z_first)):
+        if needed:
+            np.take(getattr(plan, name), first, out=first_values, mode="clip")
+            variances[f"s{name}2_first"] = _variance(first_values, first_values)
+    # The second phase's values, kept for the plug-in moment table.
+    gathered = "y" + "x" * plan.need_x_second + "z" * plan.need_z_second
+    deviations, *kept = work.arrays(len(second), *[(np.float64, plan.n)] * (1 + len(gathered)))
+    samples = dict.fromkeys("yxz")
+    for name, buffer in zip(gathered, kept):
+        samples[name] = np.take(getattr(plan, name), second, out=buffer, mode="clip")
+        variances[f"s{name}2"] = _variance(samples[name], deviations)
+    ys, xs, zs = samples.values()
 
     # (mask, message) per check, in the scalar path's order.  Variances
     # are never negative, so ``== 0.0`` is its ``<= 0.0`` test.
@@ -437,9 +466,7 @@ def _simulate_block(plan: _Plan, start: int, stop: int, values: np.ndarray, fail
     if plan.plug_in:
         moment_variances, deltas = fourth_moments(ys, xs, zs)
         for name, variance in zip("yxz", moment_variances):
-            checks.append(
-                (variance == 0.0, f"sample variate {name!r} has zero variance; cannot estimate moments")
-            )
+            checks.append((variance == 0.0, f"sample variate {name!r} has zero variance; cannot estimate moments"))
         degenerate = np.logical_or.reduce([mask for mask, _ in checks])
         unbounded = ~degenerate & ~np.isfinite(deltas).all(axis=0)
         if unbounded.any():
@@ -454,22 +481,10 @@ def _simulate_block(plan: _Plan, start: int, stop: int, values: np.ndarray, fail
         for idx, (kind, weight) in enumerate(zip(plan.kinds, plan.weights)):
             for name, message in DIVISOR_CHECKS[kind.family]:
                 checks.append((variances[name] == 0.0, message))
-            if kind.is_two_phase:
-                ref_x, ref_z = variances["sx2_first"], variances["sz2_first"]
-            else:
-                ref_x, ref_z = plan.aux_sx2, plan.aux_sz2
-            values[:, idx] = value_kernel(
-                kind.family,
-                sy2,
-                variances["sx2"],
-                variances["sz2"],
-                ref_x,
-                ref_z,
-                weight if weight is not None else plug_weight,
-            )
+            refs = (variances["sx2_first"], variances["sz2_first"]) if kind.is_two_phase else (plan.aux_sx2, plan.aux_sz2)
+            own = (variances[name] for name in ("sy2", "sx2", "sz2"))
+            values[:, idx] = value_kernel(kind.family, *own, *refs, plug_weight if weight is None else weight)
 
-    if not checks:
-        return None
     failed[:] = np.logical_or.reduce([mask for mask, _ in checks])
     if not failed.any():
         return None
@@ -485,11 +500,12 @@ def _simulate_chunk(plan: _Plan, start: int, stop: int) -> tuple[np.ndarray, np.
     values = np.full((count, len(plan.kinds)), np.nan)
     failed = np.zeros(count, dtype=bool)
     first_failure: str | None = None
-    rows = _block_rows(plan)
+    rows = min(_block_rows(plan), count)
+    work = _chunk_workspace(plan, rows)
     for block_start in range(start, stop, rows):
         block_stop = min(block_start + rows, stop)
         block = slice(block_start - start, block_stop - start)
-        message = _simulate_block(plan, block_start, block_stop, values[block], failed[block])
+        message = _simulate_block(plan, block_start, block_stop, values[block], failed[block], work)
         if first_failure is None:
             first_failure = message
     return values, failed, first_failure
@@ -526,13 +542,9 @@ class EstimatorSummary:
     formula_id: str
 
 
-#: The ``weight_mode`` of a report row for each weight source.
-_WEIGHT_MODES = {
-    "none": "none",
-    "fixed": "fixed",
-    "optimal": "population-optimal",
-    "plug-in": "plug-in",
-}
+#: The ``weight_mode`` of a report row for each weight source, where
+#: the two differ.
+_WEIGHT_MODES = {"optimal": "population-optimal"}
 
 #: CSV columns of a report: the summary's fields, in order.
 _CSV_COLUMNS = tuple(f.name for f in fields(EstimatorSummary))
@@ -609,9 +621,7 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
             f"size {n_pop}; a census admits no sampling variation"
         )
     if config.nprime is not None and config.nprime > n_pop:
-        raise InvalidDesignError(
-            f"first-phase size nprime={config.nprime} exceeds the population size {n_pop}"
-        )
+        raise InvalidDesignError(f"first-phase size nprime={config.nprime} exceeds the population size {n_pop}")
     kinds = tuple(dict.fromkeys((UNBIASED,) + config.estimators))
     sy2 = pop.sy2
     if sy2 <= 0.0:
@@ -644,11 +654,9 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
     for kind in kinds:
         weight, source = _resolve_weight(kind, deltas=table)
         if source == "plug-in" and config.weight_policy is WeightPolicy.FIXED:
-            raise InvalidInputError(
-                f"weight policy 'fixed' requires an explicit weight on {kind.label!r}"
-            )
+            raise InvalidInputError(f"weight policy 'fixed' requires an explicit weight on {kind.label!r}")
         weights.append(weight)
-        modes.append(_WEIGHT_MODES[source])
+        modes.append(_WEIGHT_MODES.get(source, source))
         theory_weights.append(alpha_opt(pop_deltas) if source == "plug-in" else weight)
 
     plan = _Plan(
@@ -669,9 +677,7 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
     if workers == 1 or len(starts) == 1:
         results = [_simulate_chunk(plan, start, stop) for start, stop in zip(starts, stops)]
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(plan,)
-        ) as executor:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(plan,)) as executor:
             results = list(executor.map(_simulate_range, starts, stops))
 
     values = np.concatenate([r[0] for r in results], axis=0)

@@ -39,6 +39,8 @@ from varaux import (
     PopulationSpec,
     save_population_csv,
 )
+from varaux import cli as cli_module
+from varaux import moments as moments_module
 from varaux.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -201,6 +203,23 @@ class TestMoments:
             result = invoke(command[0], "--input", path, *command[1:])
         assert result.exit_code == 2, result.output
         assert [str(warning.message) for warning in caught] == []
+
+    def test_one_pass_of_the_moment_kernel(self, tiny_csv, monkeypatch):
+        # The requested orders and the delta table come from one kernel
+        # pass over the population, not one or two per order.
+        calls = []
+        kernel = moments_module._moments
+
+        def counting(variates, orders):
+            calls.append(list(orders))
+            return kernel(variates, orders)
+
+        monkeypatch.setattr(moments_module, "_moments", counting)
+        monkeypatch.setattr(cli_module, "_moments", counting)
+        result = invoke("moments", "--input", tiny_csv, "--orders", "200,111,400", "--format", "json")
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+        assert calls[0][:3] == [(2, 0, 0), (1, 1, 1), (4, 0, 0)]
 
     def test_orders_rows_agree_with_the_delta_table(self, tmp_path):
         path = tmp_path / "pop.csv"

@@ -47,7 +47,10 @@ from varaux.montecarlo import (
     _draw_block,
     _draw_positions,
     _Plan,
+    _chunk_workspace,
     _simulate_chunk,
+    _variance,
+    _Workspace,
 )
 
 
@@ -174,6 +177,50 @@ class TestMatchesReferenceEngine:
         assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("design", ["two-phase", "plug-in"])
+def test_block_size_never_moves_a_bit(design, monkeypatch):
+    # x is 1 but on three units, so samples without them fail, from the
+    # first block on.  Blocks of 1, 5 and the default rows, the last
+    # one ragged, must give the reference's bits: no state a block
+    # leaves in the chunk's workspace may reach the next.
+    rng = np.random.default_rng(31)
+    if design == "two-phase":  # the width of perfbench's twophase-all
+        size, n, nprime, kinds, count = 500, 100, 400, ALL_KINDS, 150
+    else:
+        size, n, nprime, kinds, count = 40, 20, None, (UNBIASED, COMBINED), 500
+    x = np.ones(size)
+    x[:3] = 2.0
+    pop = Population(y=rng.lognormal(size=size), x=x, z=rng.lognormal(size=size))
+    weights = optimal_weights(pop, kinds) if design == "two-phase" else (None, None)
+    plan = make_plan(pop, n=n, nprime=nprime, seed=13, kinds=kinds, weights=weights)
+    default = _block_rows(plan)
+    assert count % default and count > default
+    expected = reference_engine._simulate_chunk(plan, 7, 7 + count)
+    assert expected[1][:default].any() and not expected[1].all()
+    for rows in (1, 5, default):
+        monkeypatch.setattr(montecarlo, "_block_rows", lambda plan, rows=rows: rows)
+        values, failed, first_failure = _simulate_chunk(plan, 7, 7 + count)
+        assert np.array_equal(values.view(np.uint64), expected[0].view(np.uint64)), rows
+        assert np.array_equal(failed, expected[1]), rows
+        assert first_failure == expected[2], rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 512),
+    width=st.integers(2, 400),
+    exponent=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_workspace_variance_is_numpys(rows, width, exponent, seed):
+    block = 10.0**exponent * np.random.default_rng(seed).lognormal(size=(rows, width))
+    want = np.var(block, axis=1, ddof=1).view(np.uint64)
+    (deviations,) = _Workspace(rows, width, width).arrays(rows, (np.float64, width))
+    assert np.array_equal(_variance(block, deviations).view(np.uint64), want)
+    # In place, as the engine computes the first phase's variances.
+    assert np.array_equal(_variance(block, block).view(np.uint64), want)
+
+
 @st.composite
 def kind_plans(draw):
     """Kinds, their weights (``None`` on a combined kind is plug-in) and sizes."""
@@ -277,7 +324,8 @@ def designs(draw, populations):
 )
 def test_block_draws_equal_scalar_draws(design, seed, start, count):
     n_pop, n, nprime = design
-    first, second = _draw_block(bare_plan(n_pop, n, nprime, seed), start, start + count)
+    plan = bare_plan(n_pop, n, nprime, seed)
+    first, second = _draw_block(plan, start, start + count, _chunk_workspace(plan, count))
     assert second.flags.c_contiguous
     for row, rep in enumerate(range(start, start + count)):
         reference, public = (
@@ -308,9 +356,10 @@ def numpy_positions(seed, rep, n_pop, n, nprime):
 
 
 def assert_positions_are_numpys(n_pop, n, nprime, seed, start, count):
-    positions = _draw_positions(bare_plan(n_pop, n, nprime, seed), start, start + count)
-    assert positions.dtype == np.int64
-    assert positions.flags.c_contiguous
+    plan = bare_plan(n_pop, n, nprime, seed)
+    phases = _draw_positions(plan, start, start + count, _chunk_workspace(plan, count))
+    assert all(phase.dtype == np.int64 and phase.flags.c_contiguous for phase in phases)
+    positions = np.hstack(phases)
     assert positions.shape == (count, n + (nprime or 0))
     for row, rep in enumerate(range(start, start + count)):
         assert np.array_equal(positions[row], numpy_positions(seed, rep, n_pop, n, nprime))
