@@ -181,6 +181,14 @@ class TestMoments:
         result = invoke("moments", "--input", str(bad))
         assert result.exit_code == 2
 
+    def test_digit_group_underscore_exits_2(self, tmp_path):
+        # float("2_0") is 20.0, but the reader's number syntax has no underscores.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("y,x,z\n1,2,3\n4,2_0,6\n7,8,9\n", encoding="utf-8")
+        result = invoke("moments", "--input", str(bad))
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {bad}: line 3: non-numeric field in ['4', '2_0', '6']\n"
+
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     def test_badly_scaled_population_exits_2(self, scale, tmp_path):
         # Fourth powers of the deviations under- or overflow at these

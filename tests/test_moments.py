@@ -10,12 +10,16 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tempfile
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_csv
 from varaux import (
     MAX_MOMENT_ORDER,
     DeltaTable,
@@ -340,6 +344,127 @@ class TestPopulationCsv:
             path.write_bytes(text.encode() + b"\xff\n")
             with pytest.raises(PopulationFormatError, match="pop.csv: not UTF-8 text"):
                 load(path)
+
+    def test_non_utf8_byte_past_the_first_megabyte(self, tmp_path):
+        # The handle decodes the file a buffer at a time; the bad byte
+        # here is far beyond the first buffer.
+        path = tmp_path / "pop.csv"
+        for load, text in both_readers("y,x,z\n" + "1,2,3\n" * 200_000, "x,z\n" + "1,2\n" * 300_000):
+            data = text.encode()
+            assert len(data) > 1 << 20
+            path.write_bytes(data + b"4,\xff\n")
+            with pytest.raises(PopulationFormatError, match="pop.csv: not UTF-8 text"):
+                load(path)
+
+    def test_digit_group_underscores_are_refused(self, tmp_path):
+        # float() reads "2_0" as 20.0; numpy's reader, and so varaux, does not.
+        path = tmp_path / "pop.csv"
+        cases = both_readers("y,x,z\n1,2,3\n4,2_0,6\n", "x,z\n1,2\n2_0,6\n")
+        for (load, text), fields in zip(cases, (["4", "2_0", "6"], ["2_0", "6"])):
+            path.write_text(text, encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(PopulationFormatError) as caught:
+                    load(path)
+            assert str(caught.value) == f"{path}: line 3: non-numeric field in {fields!r}"
+
+    def test_quoted_line_break_is_refused(self, tmp_path):
+        # csv.reader joins the two lines into one record and float() reads
+        # "1\n" as 1.0; numpy's reader takes a line at a time.
+        path = tmp_path / "pop.csv"
+        for load, text in both_readers('y,x,z\n"1\n",2,3\n4,5,6\n', 'x,z\n"1\n",2\n4,5\n'):
+            path.write_text(text, encoding="utf-8", newline="")
+            with pytest.raises(PopulationFormatError, match="line 2: expected"):
+                load(path)
+
+    def test_saved_bytes_match_the_csv_module(self, tmp_path):
+        awkward = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                   0.1, 1 / 3, 2.2250738585072014e-308, 123456789.12345679, -9.999999999999998e-05]
+        y = np.array(awkward)
+        pop = Population(y, y[::-1].copy(), np.roll(y, 4))
+        path = tmp_path / "pop.csv"
+        save_population_csv(pop, path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["y", "x", "z"])
+        for row in zip(pop.y, pop.x, pop.z):
+            writer.writerow([repr(float(value)) for value in row])
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def _lines(count: int, width: int, bad_at: int, bad: str) -> str:
+    rows = [",".join(f"{i}.{j}" for j in range(width)) for i in range(count)]
+    rows[bad_at] = bad
+    return "\n".join(rows) + "\n"
+
+
+# Data lines after the header, for headers y,x,z and x,z.
+READER_CASES = {
+    "plain": ("1,2,3\n4,5,6\n", "1,2\n4,5\n"),
+    "non-numeric": ("1,2,3\n4,oops,6\n7,8,9\n", "1,2\n4,oops\n7,8\n"),
+    "empty-field": ("1,2,3\n4,,6\n", "1,2\n,5\n"),
+    "comment-text": ("1,2,3\n3 # c,5,6\n", "1,2\n4,3 # c\n"),
+    "short-row": ("1,2,3\n4,5\n7,8,9\n", "1,2\n4\n7,8\n"),
+    "long-row": ("1,2,3\n4,5,6,7\n", "1,2\n4,5,6\n"),
+    "wrong-width-first-row": ("1,2\n3,4\n5,6\n", "1\n3\n5\n"),
+    "blank-middle": ("1,2,3\n\n4,5,6\n", "1,2\n\n4,5\n"),
+    "blank-end": ("1,2,3\n4,5,6\n\n", "1,2\n4,5\n\n"),
+    "blank-only": ("\n", "\n"),
+    "whitespace-line": ("1,2,3\n  \t\n4,5,6\n", "1,2\n  \t\n4,5\n"),
+    "inf": ("1,2,3\n4,inf,6\n", "1,2\n-inf,5\n"),
+    "nan": ("1,2,3\n4,5,nan\n", "1,2\nNaN,5\n"),
+    "overflow": ("1,2,3\n1e400,5,6\n", "1,2\n4,-1e400\n"),
+    "quoted": ('"1",2,"3.5"\n4,"5",6\n', '"1",2\n4,"5e-3"\n'),
+    "quoted-comma": ('1,"2,5",3\n4,5,6\n', '"1,5",2\n4,5\n'),
+    "spaces": (" 1 ,2,\t3\n4, 5 ,6 \n", " 1 ,2\n4,\t5 \n"),
+    "crlf": ("1,2,3\r\n4,5,6\r\n", "1,2\r\n4,5\r\n"),
+    "bare-cr": ("1,2,3\r4,5,6\r", "1,2\r4,5\r"),
+    "no-final-newline": ("1,2,3\n4,5,6", "1,2\n4,5"),
+    "awkward-numbers": ("-0.0,5e-324,1.7976931348623157e308\n1E5,+.5,-7.\n", "-0.0,5e-324\n0.30000000000000004,1e-320\n"),
+    "one-row": ("1,2,3\n", "1,2\n"),
+    "zero-rows": ("", ""),
+    "bad-line-in-a-later-block": (_lines(9000, 3, 8500, "1,x,3"), _lines(9000, 2, 4096, "1,inf")),
+    "blank-line-in-a-later-block": (_lines(9000, 3, 5000, ""), _lines(9000, 2, 8999, "")),
+}
+
+
+@pytest.mark.parametrize("bom", [False, True], ids=["utf8", "bom"])
+@pytest.mark.parametrize("header", ["y,x,z", "x,z"])
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_reader_matches_reference(case, header, bom, tmp_path):
+    """numpy's C reader gives the per-cell reader's bits, or its error."""
+    body = READER_CASES[case][header == "x,z"]
+    path = tmp_path / "rows.csv"
+    path.write_bytes((header + "\n" + body).encode("utf-8-sig" if bom else "utf-8"))
+
+    def outcome(load):
+        try:
+            data = load(path, header, "the rows")
+            return data.shape, data.tobytes()
+        except (PopulationFormatError, InvalidInputError) as exc:
+            return type(exc), str(exc)
+
+    expected = outcome(reference_csv.load_csv_rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome(load_csv_rows) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3)
+        | st.sampled_from([(-0.0, 5e-324, -1.7976931348623157e308), (1.7976931348623157e308, -5e-324, 0.0)]),
+        min_size=2,
+        max_size=40,
+    )
+)
+def test_saved_population_loads_back_bit_for_bit(rows):
+    data = np.array(rows, dtype=np.float64)
+    with tempfile.TemporaryDirectory() as folder:
+        path = f"{folder}/pop.csv"
+        save_population_csv(Population(data[:, 0], data[:, 1], data[:, 2]), path)
+        assert load_csv_rows(path, "y,x,z", "a population").tobytes() == data.tobytes()
 
 
 def test_format_csv_quotes_only_cells_that_need_it():
