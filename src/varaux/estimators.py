@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegeneratePopulationError,
     DegenerateSampleError,
     InvalidDesignError,
     InvalidInputError,
@@ -262,12 +261,11 @@ DIVISOR_CHECKS: dict[Family, tuple[tuple[str, str], ...]] = {
 
 
 def _exp(arg):
-    # ``math.exp`` elementwise: ``np.exp`` rounds differently from it on
-    # some hosts, and a block of values must match the scalar path bit
-    # for bit.
+    # ``math.exp`` elementwise, as ``np.exp`` rounds differently on some
+    # hosts; a scalar past 1 fails a check and would overflow it.
     if isinstance(arg, np.ndarray):
         return np.array([math.exp(value) for value in arg.tolist()])
-    return math.exp(arg)
+    return math.exp(min(arg, 1.0))
 
 
 def _ratio_factor(reference, observed):
@@ -283,8 +281,8 @@ def value_kernel(family: Family, sy2, sx2, sz2, ref_x, ref_z, weight):
 
     ``ref_x``/``ref_z`` are the reference variances: the known
     population ones in single-phase designs, the first-phase sample ones
-    in two-phase designs.  Nothing is validated here; callers check the
-    divisors (:data:`DIVISOR_CHECKS`) and resolve combined weights.
+    in two-phase designs.  Nothing is validated here; :func:`evaluate`
+    checks the divisors (:data:`DIVISOR_CHECKS`).
     """
     if family in _RATIO_FAMILIES:
         return sy2 * _ratio_factor(ref_x, sx2)
@@ -310,7 +308,7 @@ def single_phase_value(
 ) -> float:
     """Evaluate a single-phase estimator from already-computed variances.
 
-    This is the checked scalar entry to :func:`value_kernel`, shared by
+    This is the checked scalar entry to :func:`evaluate`, shared by
     :func:`estimate_single_phase`.  ``weight`` must already be resolved
     for combined kinds.
     """
@@ -347,33 +345,32 @@ def _check_design(kind: EstimatorKind, two_phase: bool, entry: str) -> None:
         )
 
 
-def _checked_value(kind, two_phase, sy2, variances, aux, weight) -> float:
+def _checked_value(kind, two_phase, sy2, variances, aux, weight, samples=None) -> float:
     """The checks and arithmetic of :func:`single_phase_value` and
-    :func:`two_phase_value`.
+    :func:`two_phase_value`, and of the estimates given ``samples``.
 
     ``variances`` maps the names of :data:`DIVISOR_CHECKS` to sample
-    variances.  The reference variances are the known ``aux`` ones in a
-    single-phase design and the first-phase ones in a two-phase design.
+    variances.  The first check of :func:`evaluate` that fails raises
+    its error; the numbers go in as numpy floats, so that no division
+    raises before then.
     """
     _check_design(kind, two_phase, "{}_phase_value")
     if kind.family is Family.UNBIASED:
         return sy2
     if not two_phase and aux is None:
         raise InvalidInputError(f"estimator {kind.label!r} needs known auxiliary variances")
-    if weight is None and kind.is_combined:
+    if weight is None and kind.is_combined and samples is None:
         raise InvalidInputError("combined estimator needs a resolved weight")
-    for name, message in DIVISOR_CHECKS[kind.family]:
-        if variances[name] <= 0.0:
-            raise DegenerateSampleError(message)
-        if not two_phase:
-            aux.require(name)  # the known variance divided against
-    if two_phase:
-        ref_x, ref_z = variances["sx2_first"], variances["sz2_first"]
-    else:
-        ref_x, ref_z = aux.sx2, aux.sz2
-    return value_kernel(
-        kind.family, sy2, variances["sx2"], variances["sz2"], ref_x, ref_z, weight
-    )
+    if not two_phase:
+        for name, _ in DIVISOR_CHECKS[kind.family]:
+            aux.require(name)  # the known variances divided against
+    refs = (None, None) if two_phase else (aux.sx2, aux.sz2)
+    numbers = {k: None if v is None else np.float64(v) for k, v in variances.items()}
+    (value,), checks = evaluate((kind,), (weight,), sy2, numbers, refs, samples)
+    for failed, error, message in checks:
+        if failed:
+            raise error(message)
+    return float(value)
 
 
 #: Message of the NoUniqueOptimumError for a flat combined-weight objective.
@@ -412,29 +409,60 @@ def alpha_opt(deltas: DeltaTable) -> float:
     return numerator / denominator
 
 
-def _plug_in_table(y: np.ndarray, x: np.ndarray, z: np.ndarray) -> DeltaTable:
-    try:
-        return DeltaTable.from_moments(*fourth_moments(y, x, z))
-    except DegeneratePopulationError as exc:
-        raise DegenerateSampleError(
-            f"cannot estimate moments from the sample: {exc}"
-        ) from exc
+def evaluate(kinds, weights, sy2, variances, refs, samples=None):
+    """Values and checks of ``kinds``, on floats or elementwise on arrays.
+
+    The one evaluation of the estimators, for the scalar entry points
+    and for the engine's blocks (one sample per row).  ``weights`` are
+    resolved, or None where a combined kind takes the plug-in weight of
+    the ``(y, x, z)`` ``samples``; ``variances`` maps the names of
+    :data:`DIVISOR_CHECKS`; ``refs`` are the known ``(S_x^2, S_z^2)``.
+
+    Returns a value per kind, undefined where a check fails, and
+    ``(failed, error class, message)`` per check in the order they
+    apply: for a plug-in weight, each variate's zero variance, then a
+    flat objective; then each kind's divisors.  A plug-in table that is
+    not finite, where no variance is zero, raises DeltaTable's error.
+    """
+    checks, plug_weight = [], None
+    with np.errstate(all="ignore"):
+        if any(kind.is_combined and weight is None for kind, weight in zip(kinds, weights)):
+            moment_variances, deltas = fourth_moments(*samples)
+            for name, variance in zip("yxz", moment_variances):
+                message = f"sample variate {name!r} has zero variance; cannot estimate moments"
+                checks.append((variance <= 0.0, DegenerateSampleError, message))
+            degenerate = np.logical_or.reduce([failed for failed, _, _ in checks])
+            unbounded = ~degenerate & ~np.isfinite(deltas).all(axis=0)
+            if unbounded.any():  # DeltaTable raises for the first such row
+                DeltaTable(*(np.ravel(d)[np.flatnonzero(unbounded)[0]] for d in deltas))
+            numerator, denominator = alpha_terms(*deltas)
+            checks.append((denominator == 0.0, NoUniqueOptimumError, FLAT_OBJECTIVE))
+            plug_weight = numerator / denominator
+        values = []
+        sx2, sz2 = variances["sx2"], variances["sz2"]
+        for kind, weight in zip(kinds, weights):
+            for name, message in DIVISOR_CHECKS[kind.family]:
+                checks.append((variances[name] <= 0.0, DegenerateSampleError, message))
+            ref_x, ref_z = refs
+            if kind.is_two_phase:
+                ref_x, ref_z = variances["sx2_first"], variances["sz2_first"]
+            weight = plug_weight if weight is None else weight
+            values.append(value_kernel(kind.family, sy2, sx2, sz2, ref_x, ref_z, weight))
+    return values, checks
 
 
 def _resolve_weight(
     kind: EstimatorKind,
     weight: float | None = None,
     deltas: DeltaTable | None = None,
-    plug_in=None,
 ) -> tuple[float | None, str]:
     """The weight a kind is evaluated at, and where it comes from.
 
     The one precedence of combined weights: an explicit ``weight``, then
     the kind's own, then the optimum of the moment table ``deltas``,
-    then the optimum of the sample's table, ``plug_in()``.  The source
-    is ``"none"`` for a kind that is not combined, then ``"fixed"``,
-    ``"optimal"`` or ``"plug-in"``; a plug-in weight is None when
-    ``plug_in`` is, left to the caller to estimate per sample.
+    then the optimum of each sample's table.  The source is ``"none"``
+    for a kind that is not combined, then ``"fixed"``, ``"optimal"`` or
+    ``"plug-in"``; a plug-in weight is None, left to :func:`evaluate`.
     """
     if not kind.is_combined:
         return None, "none"
@@ -447,7 +475,7 @@ def _resolve_weight(
         return kind.weight, "fixed"
     if deltas is not None:
         return alpha_opt(deltas), "optimal"
-    return (None if plug_in is None else alpha_opt(plug_in())), "plug-in"
+    return None, "plug-in"
 
 
 def _checked_sample(values, name: str, expected_size: int | None = None) -> np.ndarray:
@@ -476,8 +504,6 @@ def _estimate(kind, two_phase, y, x, z, x_first, z_first, aux, weight, deltas) -
     y_arr = _checked_sample(y, "y")
     n = y_arr.size
     sy2 = sample_variance(y_arr)
-    if kind.family is Family.UNBIASED:
-        return sy2
     variances = dict.fromkeys(("sx2", "sz2", "sx2_first", "sz2_first"))
     second: dict[str, np.ndarray] = {}
     first_sizes: dict[str, int] = {}
@@ -506,10 +532,9 @@ def _estimate(kind, two_phase, y, x, z, x_first, z_first, aux, weight, deltas) -
                 f"first-phase sample {name!r} (length {size}) must be strictly "
                 f"larger than the second phase (length {n})"
             )
-    resolved, _ = _resolve_weight(
-        kind, weight, deltas, lambda: _plug_in_table(y_arr, second["x"], second["z"])
-    )
-    return _checked_value(kind, two_phase, sy2, variances, aux, resolved)
+    resolved, _ = _resolve_weight(kind, weight, deltas)
+    samples = (y_arr, second.get("x"), second.get("z"))
+    return _checked_value(kind, two_phase, sy2, variances, aux, resolved, samples)
 
 
 def estimate_single_phase(

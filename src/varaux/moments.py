@@ -22,6 +22,7 @@ population multiplied by 1e150 or 1e-150) are refused as not finite.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -320,9 +321,9 @@ _FOURTH_ORDERS = ((4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 0), (2, 0, 2), (0, 2, 
 def fourth_moments(y, x, z) -> tuple[list, list]:
     """Divisor-``n`` variances and standardized fourth moments along the last axis.
 
-    :func:`delta_table` applies it to a population, the plug-in weights
-    of the estimators to a sample, and the simulation engine to a block
-    of samples, one per row.
+    :func:`delta_table` applies it to a population, and the plug-in
+    weights of :func:`varaux.estimators.evaluate` to a sample or to a
+    block of samples, one per row.
 
     Returns
     -------
@@ -429,29 +430,19 @@ def load_csv_rows(path, header: str, holds: str) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    text = str(value)
-    if any(char in text for char in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def format_csv(columns, rows) -> str:
     """CSV text of ``rows`` (mappings) under a header of ``columns``.
 
     Floats use ``repr``, so they parse back to the same value; None is
-    an empty field.  A cell holding a comma, a double quote or a line
-    break is quoted as RFC 4180 asks, inner quotes doubled; no other
-    cell is quoted.
+    an empty field, and keys outside ``columns`` are left out.  A cell
+    holding a comma, a double quote or a line feed is quoted as RFC 4180
+    asks, inner quotes doubled; no other cell is quoted.
     """
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[column]) for column in columns))
-    return "\n".join(lines) + "\n"
+    text = io.StringIO()
+    writer = csv.DictWriter(text, columns, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return text.getvalue()
 
 
 def save_delta_table(table: DeltaTable, path) -> None:

@@ -36,10 +36,12 @@ that rule rejects a word is drawn again with ``integers`` itself, so no
 row depends on a copy of numpy's rejection loop.
 
 Failed replications (a sample with zero auxiliary variance, or a
-plug-in weight with no unique optimum) are counted, and their draws are
-dropped for every estimator alike to preserve pairing.  More than 0.1
-percent failures aborts the run: at that point the population is
-unsuited to the estimators and aggregate numbers would mislead.
+plug-in weight with no unique optimum) fail the scalar estimators'
+checks, which :func:`varaux.estimators.evaluate` runs once per block.
+They are counted, and their draws are dropped for every estimator
+alike to preserve pairing.  More than 0.1 percent failures aborts the
+run: at that point the population is unsuited to the estimators and
+aggregate numbers would mislead.
 """
 
 from __future__ import annotations
@@ -59,18 +61,15 @@ from .errors import (
     SimulationError,
 )
 from .estimators import (
-    DIVISOR_CHECKS,
-    FLAT_OBJECTIVE,
     UNBIASED,
     EstimatorKind,
     Family,
     TwoPhaseDraw,
     _resolve_weight,
     alpha_opt,
-    alpha_terms,
-    value_kernel,
+    evaluate,
 )
-from .moments import DeltaTable, Population, delta_table, format_csv, fourth_moments
+from .moments import DeltaTable, Population, delta_table, format_csv
 from .theory import DesignSizes, pre, theory_for_kind
 
 #: Replications per work unit.  Fixed (never derived from the worker
@@ -193,10 +192,8 @@ class _Plan:
     weights: tuple[float | None, ...]  # None = plug-in, re-estimated per draw
     aux_sx2: float | None
     aux_sz2: float | None
-    # Whether a combined kind re-estimates its weight from every sample,
-    # and the variates to gather, for each phase.  The second phase's
+    # The variates to gather, for each phase.  The second phase's
     # auxiliaries also feed the plug-in moment table.
-    plug_in: bool = field(init=False, repr=False)
     need_x_second: bool = field(init=False, repr=False)
     need_z_second: bool = field(init=False, repr=False)
     need_x_first: bool = field(init=False, repr=False)
@@ -233,7 +230,6 @@ class _Plan:
         column = np.maximum(np.cumsum(consumes) - 1, 0)
         plug_in = any(kind.is_combined and w is None for kind, w in zip(self.kinds, self.weights))
         constants = {
-            "plug_in": plug_in,
             "need_x_second": plug_in or any(kind.uses_x for kind in self.kinds),
             "need_z_second": plug_in or any(kind.uses_z for kind in self.kinds),
             "need_x_first": any(kind.is_two_phase and kind.uses_x for kind in self.kinds),
@@ -438,10 +434,9 @@ def _variance(block: np.ndarray, deviations: np.ndarray) -> np.ndarray:
 def _simulate_block(plan: _Plan, start: int, stop: int, values: np.ndarray, failed: np.ndarray, work: _Workspace) -> str | None:
     """Fill ``values``/``failed`` for replications ``start..stop-1``.
 
-    Returns the message of the first failed replication, or None.  A
-    replication fails at the first check it does not pass, in the order
-    the scalar path checks them: the plug-in moment table, then each
-    kind's divisors in kind order.
+    One call of :func:`evaluate` gives every row's values and checks.
+    Returns the message of the first failed replication's first failed
+    check, or None.
     """
     first, second = _draw_block(plan, start, stop, work)
     variances = dict.fromkeys(("sy2", "sx2", "sz2", "sx2_first", "sz2_first"))
@@ -457,40 +452,16 @@ def _simulate_block(plan: _Plan, start: int, stop: int, values: np.ndarray, fail
     for name, buffer in zip(gathered, kept):
         samples[name] = np.take(getattr(plan, name), second, out=buffer, mode="clip")
         variances[f"s{name}2"] = _variance(samples[name], deviations)
-    ys, xs, zs = samples.values()
-
-    # (mask, message) per check, in the scalar path's order.  Variances
-    # are never negative, so ``== 0.0`` is its ``<= 0.0`` test.
-    checks: list[tuple[np.ndarray, str]] = []
-    plug_weight = None
-    if plan.plug_in:
-        moment_variances, deltas = fourth_moments(ys, xs, zs)
-        for name, variance in zip("yxz", moment_variances):
-            checks.append((variance == 0.0, f"sample variate {name!r} has zero variance; cannot estimate moments"))
-        degenerate = np.logical_or.reduce([mask for mask, _ in checks])
-        unbounded = ~degenerate & ~np.isfinite(deltas).all(axis=0)
-        if unbounded.any():
-            # Raises the InvalidInputError of the scalar path.
-            DeltaTable(*(d[np.flatnonzero(unbounded)[0]] for d in deltas))
-        numerator, denominator = alpha_terms(*deltas)
-        checks.append((denominator == 0.0, FLAT_OBJECTIVE))
-        with np.errstate(all="ignore"):
-            plug_weight = numerator / denominator
-
-    with np.errstate(all="ignore"):
-        for idx, (kind, weight) in enumerate(zip(plan.kinds, plan.weights)):
-            for name, message in DIVISOR_CHECKS[kind.family]:
-                checks.append((variances[name] == 0.0, message))
-            refs = (variances["sx2_first"], variances["sz2_first"]) if kind.is_two_phase else (plan.aux_sx2, plan.aux_sz2)
-            own = (variances[name] for name in ("sy2", "sx2", "sz2"))
-            values[:, idx] = value_kernel(kind.family, *own, *refs, plug_weight if weight is None else weight)
-
-    failed[:] = np.logical_or.reduce([mask for mask, _ in checks])
+    refs = (plan.aux_sx2, plan.aux_sz2)
+    own, checks = evaluate(plan.kinds, plan.weights, variances["sy2"], variances, refs, tuple(samples.values()))
+    for idx, value in enumerate(own):
+        values[:, idx] = value
+    failed[:] = np.logical_or.reduce([mask for mask, _, _ in checks])
     if not failed.any():
         return None
     values[failed] = np.nan
     row = int(np.flatnonzero(failed)[0])
-    message = next(message for mask, message in checks if mask[row])
+    message = next(message for mask, _, message in checks if mask[row])
     return f"replication {start + row}: {message}"
 
 
@@ -608,7 +579,7 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
     InvalidInputError, InvalidDesignError
         If the configuration does not fit the population.
     DegeneratePopulationError
-        If a variate an estimator relies on is constant in the population.
+        If any variate is constant in the population.
     SimulationError
         If too many replications fail.
     """
@@ -626,12 +597,7 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
     sy2 = pop.sy2
     if sy2 <= 0.0:
         raise DegeneratePopulationError("variate 'y' has zero variance; nothing to estimate")
-    uses_x = any(kind.uses_x for kind in kinds)
-    uses_z = any(kind.uses_z for kind in kinds)
-    if uses_x and pop.sx2 <= 0.0:
-        raise DegeneratePopulationError("variate 'x' has zero variance but an estimator uses it")
-    if uses_z and pop.sz2 <= 0.0:
-        raise DegeneratePopulationError("variate 'z' has zero variance but an estimator uses it")
+    pop_deltas = delta_table(pop)
     if config.n / n_pop > 0.05:
         warnings.warn(
             f"sampling fraction n/N = {config.n / n_pop:.3f} exceeds 5%; the "
@@ -640,7 +606,6 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
             stacklevel=2,
         )
 
-    pop_deltas = delta_table(pop)
     sizes = DesignSizes(config.n, config.nprime)
 
     # Resolve weights once.  A None slot survives only under PLUG_IN,
@@ -668,8 +633,8 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
         seed=config.seed,
         kinds=kinds,
         weights=tuple(weights),
-        aux_sx2=pop.sx2 if uses_x else None,
-        aux_sz2=pop.sz2 if uses_z else None,
+        aux_sx2=pop.sx2,
+        aux_sz2=pop.sz2,
     )
 
     starts = range(0, config.reps, CHUNK_SIZE)

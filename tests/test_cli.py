@@ -718,6 +718,19 @@ class TestSimulate:
         )
         assert result.exit_code == 3
 
+    def test_constant_auxiliary_exits_3_even_if_no_estimator_uses_it(self, tmp_path):
+        # The report's moment table needs every variate, so a constant x
+        # is refused for exp-product too.
+        rows = ["y,x,z"] + [f"{i}.5,2.0,{(7 * i) % 40}.0" for i in range(40)]
+        pop_path = tmp_path / "flat_x.csv"
+        pop_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        result = invoke_quietly(
+            "simulate", "--input", str(pop_path), "--n", "4", "--reps", "10",
+            "--estimators", "exp-product",
+        )
+        assert result.exit_code == 3
+        assert "'x'" in result.output
+
     def test_census_design_exits_2(self, tmp_path):
         pop_path = tmp_path / "pop.csv"
         rows = ["y,x,z"] + [f"{i}.5,{i + 1}.0,{20 - i}.0" for i in range(10)]

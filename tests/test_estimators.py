@@ -40,6 +40,7 @@ from varaux import (
     single_phase_value,
     two_phase_value,
 )
+from varaux.estimators import FLAT_OBJECTIVE
 from varaux.theory import BUILTIN_EXAMPLE_DELTAS
 
 from helpers import random_population
@@ -158,6 +159,14 @@ class TestSinglePhaseValues:
         aux = AuxKnowledge(sx2=9.0)
         with pytest.raises(DegenerateSampleError):
             single_phase_value(EXP_RATIO, sy2=2.0, sx2=0.0, aux=aux)
+
+    @pytest.mark.parametrize("kind", [ISAKI_RATIO, EXP_RATIO], ids=lambda kind: kind.label)
+    @pytest.mark.parametrize("sx2", [-1.0, -0.999])
+    def test_negative_auxiliary_variance_is_refused(self, kind, sx2):
+        # The engine's variances are never negative; the public values
+        # still refuse them rather than divide by zero or overflow.
+        with pytest.raises(DegenerateSampleError, match="sample variance of x is zero"):
+            single_phase_value(kind, sy2=1.0, sx2=sx2, aux=AuxKnowledge(sx2=1.0))
 
 
 class TestTwoPhaseValues:
@@ -318,6 +327,24 @@ class TestSampleEstimates:
         x = np.ones(4)
         with pytest.raises(DegenerateSampleError):
             estimate_single_phase(EXP_RATIO, y, x, aux=AuxKnowledge(sx2=2.0))
+
+    def test_plug_in_weight_of_constant_auxiliary_sample(self):
+        # The same words as a failed replication of the engine.
+        y, _, z = self.make_sample()
+        aux = AuxKnowledge(sx2=2.5, sz2=1.5)
+        with pytest.raises(DegenerateSampleError) as info:
+            estimate_single_phase(COMBINED, y, np.full(y.size, 3.0), z, aux=aux)
+        assert str(info.value) == "sample variate 'x' has zero variance; cannot estimate moments"
+
+    def test_plug_in_weight_of_flat_objective(self):
+        # x and z take two values, equally often: their kurtoses and their
+        # cross moment are all 1, so d040 + d004 + 2*d022 - 4 == 0.
+        y, _, _ = self.make_sample()
+        x = np.tile([1.0, -1.0], y.size // 2)
+        aux = AuxKnowledge(sx2=2.5, sz2=1.5)
+        with pytest.raises(NoUniqueOptimumError) as info:
+            estimate_single_phase(COMBINED, y, x, -x, aux=aux)
+        assert str(info.value) == FLAT_OBJECTIVE
 
 
 class TestTwoPhaseEstimates:

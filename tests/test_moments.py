@@ -481,6 +481,11 @@ def test_format_csv_quotes_only_cells_that_need_it():
     assert parsed[1:] == [[row["text"], repr(row["value"]), ""] for row in rows]
 
 
+def test_format_csv_leaves_out_keys_that_are_not_columns():
+    rows = [{"kind": "combined:opt", "weight": 0.25, "mse": 1.5}]
+    assert format_csv(["kind", "mse"], rows) == "kind,mse\ncombined:opt,1.5\n"
+
+
 class TestSampleVariance:
     def test_matches_numpy(self):
         rng = np.random.default_rng(11)
