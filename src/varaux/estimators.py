@@ -214,13 +214,15 @@ class TwoPhaseDraw:
     second_phase: np.ndarray
 
     def __post_init__(self) -> None:
+        units = {}  # each phase's indices, sorted
         for name in ("first_phase", "second_phase"):
             arr = np.array(getattr(self, name), dtype=np.int64, copy=True)
             if arr.ndim != 1:
                 raise InvalidDesignError(f"{name} indices must be one-dimensional")
             if arr.size and arr.min() < 0:
                 raise InvalidDesignError(f"{name} contains negative indices")
-            if np.unique(arr).size != arr.size:
+            units[name] = np.unique(arr)
+            if units[name].size != arr.size:
                 raise InvalidDesignError(f"{name} contains repeated indices")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -231,7 +233,8 @@ class TwoPhaseDraw:
                 "first phase must be strictly larger than the second phase, got "
                 f"{self.first_phase.size} <= {self.second_phase.size}"
             )
-        if not np.isin(self.second_phase, self.first_phase).all():
+        first, second = units.values()
+        if not np.array_equal(first.take(np.searchsorted(first, second), mode="clip"), second):
             raise InvalidDesignError("second-phase sample is not nested in the first phase")
 
 
@@ -364,6 +367,9 @@ def _checked_value(kind, two_phase, sy2, variances, aux, weight, samples=None) -
     if not two_phase:
         for name, _ in DIVISOR_CHECKS[kind.family]:
             aux.require(name)  # the known variances divided against
+    for name, _ in DIVISOR_CHECKS[kind.family]:
+        if variances[name] is None:
+            raise InvalidInputError(f"estimator {kind.label!r} needs the sample variance {name!r}")
     refs = (None, None) if two_phase else (aux.sx2, aux.sz2)
     numbers = {k: None if v is None else np.float64(v) for k, v in variances.items()}
     (value,), checks = evaluate((kind,), (weight,), sy2, numbers, refs, samples)

@@ -155,7 +155,7 @@ def draw_srswor(stream: np.random.Generator, n_pop: int, n_sample: int) -> np.nd
     if n_sample > n_pop:
         raise InvalidInputError(f"cannot draw {n_sample} units from a population of {n_pop}")
     positions = stream.integers(np.arange(n_sample), n_pop)
-    return _fisher_yates(positions[np.newaxis], n_pop, _Workspace(1, n_sample, n_sample))[0]
+    return _fisher_yates(positions[np.newaxis], _Workspace(1, n_sample, n_sample))[0]
 
 
 def draw_two_phase(
@@ -208,16 +208,16 @@ class _Plan:
     threshold: np.ndarray = field(init=False, repr=False)
     column: np.ndarray = field(init=False, repr=False)
     words: int = field(init=False, repr=False)
-    # Per phase, its draws' columns ``begin:end`` and its population size.
-    phases: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
+    # Per phase, its draws' columns ``begin:end``.
+    phases: tuple[tuple[int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n_pop = self.y.size
         if self.nprime is None:
             low, high = np.arange(self.n), np.full(self.n, n_pop)
-            phases = ((0, self.n, n_pop),)
+            phases = ((0, self.n),)
         else:
-            phases = ((0, self.nprime, n_pop), (self.nprime, self.nprime + self.n, self.nprime))
+            phases = ((0, self.nprime), (self.nprime, self.nprime + self.n))
             low = np.concatenate((np.arange(self.nprime), np.arange(self.n)))
             high = np.concatenate((np.full(self.nprime, n_pop), np.full(self.n, self.nprime)))
         span = (high - low).astype(np.uint64)
@@ -297,7 +297,7 @@ class _Workspace:
 
 def _chunk_workspace(plan: _Plan, rows: int) -> _Workspace:
     """A workspace that keeps each phase's positions, picks and indices."""
-    kept = [(np.int64, end - begin) for begin, end, _ in plan.phases]
+    kept = [(np.int64, end - begin) for begin, end in plan.phases]
     return _Workspace(rows, plan.nprime or plan.n, plan.span.size, kept, _WORKSPACE_BYTES)
 
 
@@ -332,7 +332,7 @@ def _draw_positions(plan: _Plan, start: int, stop: int, work: _Workspace) -> lis
     # whatever the host's byte order.
     np.take(raw.astype("<u8", copy=False).view("<u4"), plan.column, axis=1, out=halves, mode="clip")
     positions = []
-    for (begin, end, _), kept in zip(plan.phases, work.kept):
+    for (begin, end), kept in zip(plan.phases, work.kept):
         product = kept[:count].view(np.uint64)
         np.multiply(halves[:, begin:end], plan.span[begin:end], out=product)
         np.copyto(halves[:, begin:end], product, casting="unsafe")  # the low 32 bits
@@ -344,44 +344,37 @@ def _draw_positions(plan: _Plan, start: int, stop: int, work: _Workspace) -> lis
         counter[2] = start + row
         bit_generator.state = state
         drawn = stream.integers(plan.low, plan.high)
-        for (begin, end, _), phase in zip(plan.phases, positions):
+        for (begin, end), phase in zip(plan.phases, positions):
             phase[row] = drawn[begin:end]
     return positions
 
 
-def _fisher_yates(positions: np.ndarray, n_pop: int, work: _Workspace) -> np.ndarray:
+def _fisher_yates(positions: np.ndarray, work: _Workspace) -> np.ndarray:
     """Partial Fisher-Yates on every row of ``positions`` at once.
 
-    ``positions``, C-ordered, has rows of ``k`` draws, ``positions[:, i]``
-    in ``[i, n_pop)``; it is overwritten with the picked indices and
-    returned.  Row by row the result is that of the sequential draw over
-    the values ``0..n_pop-1``: step ``i`` picks the value at position
-    ``j_i`` and moves the value at position ``i`` there.  So draw ``i``
-    picks ``j_i`` itself unless an earlier draw ``m`` named the same
-    position; then it picks what step ``m`` moved there, the value
-    position ``m`` held at that step.  That is ``m`` unless an earlier
-    draw moved a value into position ``m``, and so on: the chain ends at
-    a draw whose own index is the value.  Ordering each row's draws by
-    position finds both kinds of earlier draw; only the chains loop.
-    Draws and positions are flat indices ``row * k + i``.
+    ``positions``, C-ordered int64, has rows of ``k`` draws, ``positions[:, i]``
+    in ``[i, N)``, ``N <= 2**32``; it is overwritten with the picked indices
+    and returned.  Row by row the result is the sequential draw over ``0..N-1``:
+    step ``i`` picks the value at position ``j_i`` and moves the value at
+    position ``i`` there.  So draw ``i`` picks ``j_i`` unless an earlier draw
+    ``m`` named the same position; then it picks the value position ``m`` held
+    at step ``m``: ``m`` unless an earlier draw moved a value there, and so on,
+    a chain that ends at a draw whose own index is the value.  An in-place sort
+    of each row's distinct keys ``(j_i << b) | i``, ``b`` the bits of ``k - 1``,
+    finds both kinds of earlier draw, whatever the sort algorithm.  Draws and
+    positions are flat indices ``row * k + i``.
     """
     rows, k = positions.shape
-    digits, pos, mask = work.arrays(rows, (np.uint16, k), (np.intp, k), (bool, k))
+    keys, pos, mask = work.arrays(rows, (np.uint64, k), (np.int64, k), (bool, k))
     starts = work.starts[:rows] * k
-    # The draws by position, ties in draw order: a radix sort, one stable
-    # argsort of uint16 digits per 16 bits, least significant first.  A
-    # comparison sort of packed keys maps 0.3 MB more of numpy's code.
-    np.copyto(digits, positions, casting="unsafe")  # the low 16 bits
-    flat = np.argsort(digits, axis=1, kind="stable")
+    bits = (k - 1).bit_length()
+    np.left_shift(positions.view(np.uint64), bits, out=keys)
+    np.bitwise_or(keys, work.link[:k].view(np.uint64), out=keys)  # link[:k] holds 0..k-1
+    keys.sort(axis=1)
+    np.right_shift(keys, bits, out=pos.view(np.uint64))
+    pos += starts
+    flat = np.bitwise_and(keys, (1 << bits) - 1, out=keys).view(np.int64)
     flat += starts
-    shift = 16
-    while n_pop > 1 << shift:
-        np.copyto(digits, np.right_shift(positions.reshape(-1)[flat], shift), casting="unsafe")
-        step = np.argsort(digits, axis=1, kind="stable")
-        step += starts
-        flat = flat.reshape(-1)[step]
-        shift += 16
-    np.add(np.take(positions.reshape(-1), flat, out=pos, mode="clip"), starts, out=pos)
     # Moves into a position p < k before step p: the value a chain reads
     # there.  Only the last move into each p counts: numpy leaves
     # unspecified which of several assignments to one index wins.
@@ -410,7 +403,7 @@ def _draw_block(plan: _Plan, start: int, stop: int, work: _Workspace) -> tuple[n
     """First- and second-phase indices of replications ``start..stop-1``,
     one row each; the first phase is None in single-phase designs."""
     positions = _draw_positions(plan, start, stop, work)
-    picks = [_fisher_yates(phase, n_pop, work) for phase, (_, _, n_pop) in zip(positions, plan.phases)]
+    picks = [_fisher_yates(phase, work) for phase in positions]
     if plan.nprime is None:
         return None, picks[0]
     first, second = picks

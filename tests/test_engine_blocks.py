@@ -315,9 +315,11 @@ def designs(draw, populations):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    # Small populations, and large ones whose positions take more than
-    # one 16-bit digit.
-    design=designs(st.one_of(st.integers(1, 2000), st.integers(65_000, 200_000))),
+    # Small populations, large ones, and the largest the engine admits,
+    # whose positions fill the 32 high bits of the packed sort keys.
+    design=designs(
+        st.one_of(st.integers(1, 2000), st.integers(65_000, 200_000), st.integers(2**31, 2**32))
+    ),
     seed=st.integers(0, 2**64 - 1),
     start=st.integers(0, 2**64 - 8),
     count=st.integers(1, 7),

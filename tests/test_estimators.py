@@ -40,7 +40,7 @@ from varaux import (
     single_phase_value,
     two_phase_value,
 )
-from varaux.estimators import FLAT_OBJECTIVE
+from varaux.estimators import DIVISOR_CHECKS, FLAT_OBJECTIVE
 from varaux.theory import BUILTIN_EXAMPLE_DELTAS
 
 from helpers import random_population
@@ -200,6 +200,27 @@ class TestTwoPhaseValues:
         )
         assert two_phase_value(COMBINED_TWO_PHASE, weight=1.0, **kwargs) == ratio
         assert two_phase_value(COMBINED_TWO_PHASE, weight=0.0, **kwargs) == product
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        (kind, name)
+        for kind in SINGLE_PHASE_KINDS + TWO_PHASE_KINDS
+        for name, _ in DIVISOR_CHECKS[kind.family]
+    ],
+    ids=lambda value: getattr(value, "label", value),
+)
+def test_missing_divisor_variance_is_refused(kind, name):
+    # Every other number is valid, so only the missing one can fail.
+    kwargs = {"sy2": 2.0, "sx2": 4.0, "sz2": 7.0, "weight": 0.4 if kind.is_combined else None}
+    if kind.is_two_phase:
+        value, kwargs = two_phase_value, {**kwargs, "sx2_first": 9.0, "sz2_first": 5.0}
+    else:
+        value, kwargs = single_phase_value, {**kwargs, "aux": AuxKnowledge(sx2=9.0, sz2=5.0)}
+    kwargs[name] = None
+    with pytest.raises(InvalidInputError, match=f"needs the sample variance '{name}'"):
+        value(kind, **kwargs)
 
 
 class TestOptimalWeight:
