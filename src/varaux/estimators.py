@@ -358,8 +358,10 @@ def _checked_value(kind, two_phase, sy2, variances, aux, weight, samples=None) -
     raises before then.
     """
     _check_design(kind, two_phase, "{}_phase_value")
+    if sy2 is None:
+        raise InvalidInputError(f"estimator {kind.label!r} needs the sample variance 'sy2'")
     if kind.family is Family.UNBIASED:
-        return sy2
+        return float(sy2)
     if not two_phase and aux is None:
         raise InvalidInputError(f"estimator {kind.label!r} needs known auxiliary variances")
     if weight is None and kind.is_combined and samples is None:

@@ -22,6 +22,7 @@ population multiplied by 1e150 or 1e-150) are refused as not finite.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -48,7 +49,8 @@ def _as_readonly_float_vector(values, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"variate {name!r} contains non-finite values")
     arr.setflags(write=False)
-    return arr
+    # A view of a read-only array cannot be made writeable again.
+    return arr.view()
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +60,9 @@ class Population:
     The study variable is ``y``; ``x`` and ``z`` are auxiliary
     variables, conventionally positively and negatively correlated
     with ``y``.  Arrays are copied and frozen on construction, so a
-    ``Population`` never changes under its consumers.
+    ``Population`` never changes under its consumers.  Its variances and
+    its moment table are therefore computed once, on first use, and
+    reused by every later call.
 
     Parameters
     ----------
@@ -86,20 +90,25 @@ class Population:
         """Number of units ``N``."""
         return int(self.y.size)
 
-    @property
+    @functools.cached_property
     def sy2(self) -> float:
         """Population variance of ``y``, divisor ``N - 1``."""
         return float(np.var(self.y, ddof=1))
 
-    @property
+    @functools.cached_property
     def sx2(self) -> float:
         """Population variance of ``x``, divisor ``N - 1``."""
         return float(np.var(self.x, ddof=1))
 
-    @property
+    @functools.cached_property
     def sz2(self) -> float:
         """Population variance of ``z``, divisor ``N - 1``."""
         return float(np.var(self.z, ddof=1))
+
+    @functools.cached_property
+    def _delta_table(self) -> DeltaTable:
+        """:func:`delta_table` of this population; an error is not cached."""
+        return DeltaTable.from_moments(*fourth_moments(self.y, self.x, self.z))
 
 
 def _check_order(p: int, q: int, r: int) -> None:
@@ -339,12 +348,14 @@ def fourth_moments(y, x, z) -> tuple[list, list]:
 def delta_table(pop: Population) -> DeltaTable:
     """Compute all six fourth-order standardized moments in one pass.
 
+    The table is computed on the first call for ``pop`` and reused after.
+
     Raises
     ------
     DegeneratePopulationError
         If any of the three variates has zero variance.
     """
-    return DeltaTable.from_moments(*fourth_moments(pop.y, pop.x, pop.z))
+    return pop._delta_table
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> PopulationFormatError:

@@ -129,6 +129,7 @@ class TestSinglePhaseValues:
 
     def test_unbiased_passthrough(self):
         assert single_phase_value(UNBIASED, sy2=3.25) == 3.25
+        assert type(single_phase_value(UNBIASED, sy2=np.float32(3.25))) is float
 
     def test_combined_is_weighted_arithmetic_blend(self):
         aux = AuxKnowledge(sx2=9.0, sz2=5.0)
@@ -220,6 +221,17 @@ def test_missing_divisor_variance_is_refused(kind, name):
         value, kwargs = single_phase_value, {**kwargs, "aux": AuxKnowledge(sx2=9.0, sz2=5.0)}
     kwargs[name] = None
     with pytest.raises(InvalidInputError, match=f"needs the sample variance '{name}'"):
+        value(kind, **kwargs)
+
+
+@pytest.mark.parametrize("kind", SINGLE_PHASE_KINDS + TWO_PHASE_KINDS, ids=lambda kind: kind.label)
+def test_missing_sy2_is_refused(kind):
+    kwargs = {"sy2": None, "sx2": 4.0, "sz2": 7.0, "weight": 0.4 if kind.is_combined else None}
+    if kind.is_two_phase:
+        value, kwargs = two_phase_value, {**kwargs, "sx2_first": 9.0, "sz2_first": 5.0}
+    else:
+        value, kwargs = single_phase_value, {**kwargs, "aux": AuxKnowledge(sx2=9.0, sz2=5.0)}
+    with pytest.raises(InvalidInputError, match="needs the sample variance 'sy2'"):
         value(kind, **kwargs)
 
 

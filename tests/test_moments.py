@@ -8,6 +8,7 @@ moments), so they are free of floating-point error.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 import tempfile
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 import reference_csv
 from varaux import (
     MAX_MOMENT_ORDER,
+    DegeneratePopulationError,
     DeltaTable,
     InvalidInputError,
     Population,
@@ -38,7 +40,7 @@ from varaux import (
     save_population_csv,
 )
 from varaux.moments import format_csv, fourth_moments, load_csv_rows
-from helpers import random_population
+from helpers import count_fourth_moments, random_population
 
 
 def brute_central_moment(y, x, z, p, q, r) -> float:
@@ -257,6 +259,21 @@ class TestPopulation:
         with pytest.raises(ValueError):
             tiny_pop.y[0] = 99.0
 
+    def test_arrays_cannot_be_made_writeable(self, tiny_pop):
+        # The cached statistics rest on the arrays never changing.
+        for values in (tiny_pop.y, tiny_pop.x, tiny_pop.z):
+            with pytest.raises(ValueError):
+                values.setflags(write=True)
+
+    def test_cached_variances_are_numpy_bits(self):
+        pop = random_population(np.random.default_rng(8), 1001)
+        for name, values in (("sy2", pop.y), ("sx2", pop.x), ("sz2", pop.z)):
+            assert name not in vars(pop)
+            first = getattr(pop, name)
+            assert vars(pop)[name] is first
+            assert getattr(pop, name) is first
+            assert first == float(np.var(values, ddof=1))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             Population(y=[1.0, 2.0], x=[1.0, 2.0, 3.0], z=[1.0, 2.0])
@@ -268,6 +285,37 @@ class TestPopulation:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
             Population(y=[1.0, math.nan], x=[1.0, 2.0], z=[1.0, 2.0])
+
+
+class TestDeltaTableCache:
+    def test_computed_once_per_population(self, monkeypatch):
+        calls = count_fourth_moments(monkeypatch)
+        pop = random_population(np.random.default_rng(9), 300)
+        first = delta_table(pop)
+        assert delta_table(pop) is first
+        assert len(calls) == 1
+        assert first == DeltaTable.from_moments(*fourth_moments(pop.y, pop.x, pop.z))
+        other = Population(pop.y, pop.x, pop.z)
+        assert delta_table(other).to_dict() == first.to_dict()
+        assert len(calls) == 2
+
+    def test_degenerate_population_raises_on_every_call(self, monkeypatch):
+        calls = count_fourth_moments(monkeypatch)
+        pop = Population(y=[1.0, 2.0, 4.0], x=[3.0, 3.0, 3.0], z=[1.0, 5.0, 2.0])
+        for attempt in range(1, 4):
+            with pytest.raises(DegeneratePopulationError, match="'x' has zero variance"):
+                delta_table(pop)
+            assert len(calls) == attempt
+
+    def test_replace_starts_with_an_empty_cache(self):
+        pop = random_population(np.random.default_rng(10), 300)
+        table = delta_table(pop)
+        assert pop.sy2 and {"sy2", "_delta_table"} <= vars(pop).keys()
+        changed = dataclasses.replace(pop, y=pop.y[::-1])
+        assert not {"sy2", "sx2", "sz2", "_delta_table"} & vars(changed).keys()
+        fresh = Population(changed.y, changed.x, changed.z)
+        assert delta_table(changed).to_dict() == delta_table(fresh).to_dict() != table.to_dict()
+        assert changed.sy2 == float(np.var(changed.y, ddof=1))
 
 
 def load_first_phase_csv(path):

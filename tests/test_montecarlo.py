@@ -35,7 +35,7 @@ from varaux import (
     run_simulation,
 )
 
-from helpers import random_population
+from helpers import count_fourth_moments, random_population
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +228,21 @@ class TestDeterminism:
 
 
 class TestRunSimulation:
+    def test_repeat_runs_on_one_population_match_a_fresh_one(self, monkeypatch):
+        # The population's statistics are computed once and then reused.
+        calls = count_fourth_moments(monkeypatch)
+        pop = random_population(np.random.default_rng(14), 500)
+        config = SimulationConfig(
+            n=12, nprime=60, reps=300, seed=5, estimators=tuple(SINGLE_PHASE_KINDS) + tuple(TWO_PHASE_KINDS)
+        )
+        first = quiet_run(pop, config)
+        assert len(calls) == 1
+        assert quiet_run(pop, config).to_json() == first.to_json()
+        assert len(calls) == 1  # no pass over the population once its cache is filled
+        fresh = Population(pop.y, pop.x, pop.z)
+        assert quiet_run(fresh, config).to_json() == first.to_json()
+        assert len(calls) == 2
+
     def test_unbiased_baseline_prepended_and_pre_100(self, small_pop):
         config = SimulationConfig(n=12, reps=200, seed=3, estimators=(EXP_RATIO,))
         report = quiet_run(small_pop, config)
