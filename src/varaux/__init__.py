@@ -10,6 +10,8 @@ engine (:mod:`varaux.montecarlo`), and synthetic population generation
 (:mod:`varaux.popgen`).  The ``varaux`` command exposes all of it.
 """
 
+import types as _types
+
 from .errors import (
     DegeneratePopulationError,
     DegenerateSampleError,
@@ -91,71 +93,10 @@ from .theory import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuxKnowledge",
-    "BUILTIN_EXAMPLE_DELTAS",
-    "BUILTIN_EXAMPLE_DESIGN",
-    "BUILTIN_EXAMPLE_NOTES",
-    "BUILTIN_EXAMPLE_POPULATION_SIZE",
-    "CHUNK_SIZE",
-    "COMBINED",
-    "COMBINED_TWO_PHASE",
-    "CORRECTIONS",
-    "Correction",
-    "DegeneratePopulationError",
-    "DegenerateSampleError",
-    "DeltaTable",
-    "DesignSizes",
-    "EXP_PRODUCT",
-    "EXP_PRODUCT_TWO_PHASE",
-    "EXP_RATIO",
-    "EXP_RATIO_TWO_PHASE",
-    "EstimatorKind",
-    "EstimatorSummary",
-    "Family",
-    "ISAKI_RATIO",
-    "InvalidDesignError",
-    "InvalidInputError",
-    "InvalidSpecError",
-    "MAX_MOMENT_ORDER",
-    "Marginal",
-    "NoUniqueOptimumError",
-    "Population",
-    "PopulationFormatError",
-    "PopulationSpec",
-    "REPORTED_PRE_SINGLE_PHASE",
-    "REPORTED_PRE_TWO_PHASE",
-    "SINGLE_PHASE_KINDS",
-    "SimulationConfig",
-    "SimulationError",
-    "SimulationReport",
-    "TWO_PHASE_KINDS",
-    "TheoryResult",
-    "TwoPhaseDraw",
-    "UNBIASED",
-    "VarauxError",
-    "WeightPolicy",
-    "alpha_opt",
-    "central_moment",
-    "combined_curvature",
-    "delta",
-    "delta_table",
-    "draw_srswor",
-    "draw_two_phase",
-    "estimate_single_phase",
-    "estimate_two_phase",
-    "generate_population",
-    "load_delta_table",
-    "load_population_csv",
-    "load_population_spec",
-    "min_mse_combined",
-    "pre",
-    "realized_correlations",
-    "run_simulation",
-    "sample_variance",
-    "save_delta_table",
-    "save_population_csv",
-    "single_phase_value",
-    "theory_for_kind",
-    "two_phase_value",
-]
+#: Every name imported above, but not the submodules that the imports
+#: bind here too.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -62,7 +62,9 @@ class Family(enum.Enum):
 
 
 # Tuples, not sets: membership then compares identities and never calls
-# the enum's Python-level hash, which matters on the scalar paths.
+# the enum's Python-level hash, which matters on the scalar paths.  For
+# the same reason those paths read a member as ``UNBIASED.family``, not as
+# ``Family.UNBIASED``, a lookup over ten times slower on Python 3.11.
 _TWO_PHASE_FAMILIES = (Family.EXP_RATIO_2P, Family.EXP_PRODUCT_2P, Family.COMBINED_2P)
 _COMBINED_FAMILIES = (Family.COMBINED, Family.COMBINED_2P)
 _RATIO_FAMILIES = (Family.EXP_RATIO, Family.EXP_RATIO_2P)
@@ -264,39 +266,38 @@ DIVISOR_CHECKS: dict[Family, tuple[tuple[str, str], ...]] = {
 
 
 def _exp(arg):
-    # ``math.exp`` elementwise, as ``np.exp`` rounds differently on some
-    # hosts; a scalar past 1 fails a check and would overflow it.
+    # libm's ``exp``, elementwise through ``fromiter`` over ``map``, the
+    # fastest Python loop for it: ``np.exp`` rounds some values
+    # differently on some hosts.  A scalar past 1 fails a check and would
+    # overflow it.
     if isinstance(arg, np.ndarray):
-        return np.array([math.exp(value) for value in arg.tolist()])
+        return np.fromiter(map(math.exp, arg.tolist()), np.float64, arg.size)
     return math.exp(min(arg, 1.0))
 
 
-def _ratio_factor(reference, observed):
-    return _exp((reference - observed) / (reference + observed))
-
-
-def _product_factor(reference, observed):
-    return _exp((observed - reference) / (observed + reference))
-
-
-def value_kernel(family: Family, sy2, sx2, sz2, ref_x, ref_z, weight):
+def value_kernel(family: Family, sy2, sx2, sz2, ref_x, ref_z, weight, factors):
     """The arithmetic of every estimator, on floats or elementwise on arrays.
 
     ``ref_x``/``ref_z`` are the reference variances: the known
     population ones in single-phase designs, the first-phase sample ones
-    in two-phase designs.  Nothing is validated here; :func:`evaluate`
-    checks the divisors (:data:`DIVISOR_CHECKS`).
+    in two-phase designs.  ``factors`` holds the exponential ``"ratio"``
+    and ``"product"`` factors of these variances once computed, so that
+    the kinds of one design share them.  Nothing is validated here;
+    :func:`evaluate` checks the divisors (:data:`DIVISOR_CHECKS`).
     """
-    if family in _RATIO_FAMILIES:
-        return sy2 * _ratio_factor(ref_x, sx2)
-    if family in _PRODUCT_FAMILIES:
-        return sy2 * _product_factor(ref_z, sz2)
-    if family in _COMBINED_FAMILIES:
-        ratio = _ratio_factor(ref_x, sx2)
-        product = _product_factor(ref_z, sz2)
-        return sy2 * (weight * ratio + (1.0 - weight) * product)
-    if family is Family.ISAKI_RATIO:
+    if family is ISAKI_RATIO.family:
         return sy2 * ref_x / sx2
+    if family in _X_FAMILIES:
+        if "ratio" not in factors:
+            factors["ratio"] = _exp((ref_x - sx2) / (ref_x + sx2))
+        if family in _RATIO_FAMILIES:
+            return sy2 * factors["ratio"]
+    if family in _Z_FAMILIES:
+        if "product" not in factors:
+            factors["product"] = _exp((sz2 - ref_z) / (sz2 + ref_z))
+        if family in _PRODUCT_FAMILIES:
+            return sy2 * factors["product"]
+        return sy2 * (weight * factors["ratio"] + (1.0 - weight) * factors["product"])
     return sy2
 
 
@@ -360,7 +361,7 @@ def _checked_value(kind, two_phase, sy2, variances, aux, weight, samples=None) -
     _check_design(kind, two_phase, "{}_phase_value")
     if sy2 is None:
         raise InvalidInputError(f"estimator {kind.label!r} needs the sample variance 'sy2'")
-    if kind.family is Family.UNBIASED:
+    if kind.family is UNBIASED.family:
         return float(sy2)
     if not two_phase and aux is None:
         raise InvalidInputError(f"estimator {kind.label!r} needs known auxiliary variances")
@@ -434,7 +435,7 @@ def evaluate(kinds, weights, sy2, variances, refs, samples=None):
     """
     checks, plug_weight = [], None
     with np.errstate(all="ignore"):
-        if any(kind.is_combined and weight is None for kind, weight in zip(kinds, weights)):
+        if samples is not None and any(kind.is_combined and weight is None for kind, weight in zip(kinds, weights)):
             moment_variances, deltas = fourth_moments(*samples)
             for name, variance in zip("yxz", moment_variances):
                 message = f"sample variate {name!r} has zero variance; cannot estimate moments"
@@ -446,16 +447,17 @@ def evaluate(kinds, weights, sy2, variances, refs, samples=None):
             numerator, denominator = alpha_terms(*deltas)
             checks.append((denominator == 0.0, NoUniqueOptimumError, FLAT_OBJECTIVE))
             plug_weight = numerator / denominator
-        values = []
+        values, factors = [], ({}, {})  # the factors of each design
         sx2, sz2 = variances["sx2"], variances["sz2"]
         for kind, weight in zip(kinds, weights):
             for name, message in DIVISOR_CHECKS[kind.family]:
                 checks.append((variances[name] <= 0.0, DegenerateSampleError, message))
             ref_x, ref_z = refs
-            if kind.is_two_phase:
+            two_phase = kind.is_two_phase
+            if two_phase:
                 ref_x, ref_z = variances["sx2_first"], variances["sz2_first"]
             weight = plug_weight if weight is None else weight
-            values.append(value_kernel(kind.family, sy2, sx2, sz2, ref_x, ref_z, weight))
+            values.append(value_kernel(kind.family, sy2, sx2, sz2, ref_x, ref_z, weight, factors[two_phase]))
     return values, checks
 
 

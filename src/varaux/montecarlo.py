@@ -308,8 +308,10 @@ def _draw_positions(plan: _Plan, start: int, stop: int, work: _Workspace) -> lis
     Row ``i`` holds what :func:`draw_two_phase` (or :func:`draw_srswor`)
     draws with ``integers(low, high)`` from replication ``start + i``'s
     substream, the Philox counter ``(0, 0, rep, 0)``: per row, one bit
-    generator is reset to it and its raw 64-bit words are read.  The
-    rest runs once per block and is numpy's rule for 32-bit bounded
+    generator is set to the block's state dict with that counter and its
+    raw 64-bit words are read.  The dict holds Python lists, which the
+    state setter reads item by item far faster than numpy arrays.
+    The rest runs once per block and is numpy's rule for 32-bit bounded
     integers (Lemire's multiply-and-reject): each word feeds two draws,
     low half first; a draw of ``u`` over ``span`` values is ``low + (u *
     span >> 32)`` unless the low 32 bits of ``u * span`` fall below
@@ -321,7 +323,9 @@ def _draw_positions(plan: _Plan, start: int, stop: int, work: _Workspace) -> lis
     count = stop - start
     bit_generator = np.random.Philox(key=plan.seed)
     state = bit_generator.state
-    counter = state["state"]["counter"]
+    counter = state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["state"]["key"] = state["state"]["key"].tolist()
+    state["buffer"] = state["buffer"].tolist()
     width = plan.span.size
     raw, halves, rejects = work.arrays(count, (np.uint64, plan.words), (np.uint32, width), (bool, width))
     for row, rep in enumerate(range(start, stop)):

@@ -40,7 +40,7 @@ from varaux import (
     single_phase_value,
     two_phase_value,
 )
-from varaux.estimators import DIVISOR_CHECKS, FLAT_OBJECTIVE
+from varaux.estimators import DIVISOR_CHECKS, FLAT_OBJECTIVE, _exp, evaluate
 from varaux.theory import BUILTIN_EXAMPLE_DELTAS
 
 from helpers import random_population
@@ -470,3 +470,76 @@ class TestAuxKnowledge:
             AuxKnowledge(sz2=-1.0)
         with pytest.raises(InvalidInputError):
             AuxKnowledge(sx2=math.inf)
+
+
+def count_exp(monkeypatch) -> list:
+    """Record each ``math.exp`` call, as the estimators make them."""
+    calls = []
+    original = math.exp
+
+    def counted(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(math, "exp", counted)
+    return calls
+
+
+class TestSharedExpFactors:
+    """One :func:`evaluate` call computes each design's ratio and product
+    factor once, for all of its kinds, as the engine's blocks run it."""
+
+    ROWS = 64
+    REFS = (1.3, 0.8)  # the known S_x^2 and S_z^2
+
+    @pytest.fixture
+    def block(self):
+        rng = np.random.default_rng(14)
+        names = ("sy2", "sx2", "sz2", "sx2_first", "sz2_first")
+        return {name: rng.uniform(0.5, 2.0, self.ROWS) for name in names}
+
+    def run(self, kinds, weights, block):
+        values, checks = evaluate(kinds, weights, block["sy2"], block, self.REFS)
+        assert not np.logical_or.reduce([failed for failed, _, _ in checks]).any()
+        return values
+
+    @pytest.mark.parametrize(
+        "kinds, calls_per_row",
+        [(SINGLE_PHASE_KINDS, 2), (SINGLE_PHASE_KINDS + TWO_PHASE_KINDS, 4)],
+    )
+    def test_one_exp_pass_per_factor(self, block, kinds, calls_per_row, monkeypatch):
+        weights = [0.3 if kind.is_combined else None for kind in kinds]
+        calls = count_exp(monkeypatch)
+        together = self.run(kinds, weights, block)
+        assert len(calls) == calls_per_row * self.ROWS
+        # Sharing the factors moves no bit: each kind alone gives the same values.
+        for kind, weight, values in zip(kinds, weights, together):
+            (alone,) = self.run((kind,), (weight,), block)
+            assert np.asarray(alone).tobytes() == np.asarray(values).tobytes()
+
+    @pytest.mark.parametrize(
+        "combined, ratio, product",
+        [
+            (COMBINED, EXP_RATIO, EXP_PRODUCT),
+            (COMBINED_TWO_PHASE, EXP_RATIO_TWO_PHASE, EXP_PRODUCT_TWO_PHASE),
+        ],
+    )
+    def test_combined_at_weights_one_and_zero_is_each_factor(self, block, combined, ratio, product):
+        (at_one,) = self.run((combined,), (1.0,), block)
+        (at_zero,) = self.run((combined,), (0.0,), block)
+        (ratio_values,) = self.run((ratio,), (None,), block)
+        (product_values,) = self.run((product,), (None,), block)
+        assert at_one.tobytes() == ratio_values.tobytes()
+        assert at_zero.tobytes() == product_values.tobytes()
+
+
+def test_array_exp_is_elementwise_math_exp():
+    # Bit for bit, where np.exp may round differently (which values
+    # differ depends on the host, so none is asserted here).  1.0 is the
+    # argument of a zero sample variance; NaN that of 0/0.
+    args = np.concatenate((np.random.default_rng(7).uniform(-1.0, 1.0, 1000), [1.0, np.nan]))
+    values = _exp(args)
+    expected = np.array([math.exp(arg) for arg in args.tolist()])
+    assert values.dtype == np.float64 and values.shape == args.shape
+    assert values.tobytes() == expected.tobytes()
+    assert np.isnan(values[-1])
