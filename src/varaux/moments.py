@@ -414,10 +414,13 @@ def load_csv_rows(path, header: str, holds: str) -> np.ndarray:
     which converts as ``float()`` does but takes no digit-group
     underscores.  ``holds`` names what the rows make up, for the error
     when fewer than two of them follow the header.
+
+    The lines are counted first and parsed straight into the returned
+    array, in Fortran order so that each column is contiguous: a load
+    allocates the data once, not once per block and again to join them.
     """
     names = header.split(",")
     width = len(names)
-    blocks = []
     lineno = 2
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
@@ -428,17 +431,36 @@ def load_csv_rows(path, header: str, holds: str) -> np.ndarray:
                 raise PopulationFormatError(
                     f"{path}: line 1: expected header '{header}', got {','.join(first)!r}"
                 )
+            data = np.empty((max(_count_lines(path) - 1, 0), width), order="F")
             # 4,096 lines a block: only one block is held as Python strings,
             # and a refused one is parsed again line by line in about 0.1 s.
             while lines := list(itertools.islice(handle, 4096)):
-                blocks.append(_parse_lines(path, lineno, lines, width))
+                data[lineno - 2 : lineno - 2 + len(lines)] = _parse_lines(path, lineno, lines, width)
                 lineno += len(lines)
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
     rows = lineno - 2
     if rows < 2:
         raise InvalidInputError(f"{path}: {holds} needs at least two data rows, found {rows}")
-    return np.concatenate(blocks)
+    # Fewer rows than lines only if a quoted header field spans lines.
+    return data if rows == len(data) else data[:rows].copy(order="F")
+
+
+def _count_lines(path) -> int:
+    """The lines ``open(path, newline="")`` yields: each ends at a line
+    feed, a carriage return and line feed, a lone carriage return, or
+    the end of the file."""
+    lines, last = 0, 10
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 18):
+            if chunk.endswith(b"\r"):
+                chunk += handle.read(1)  # a "\r\n" is never split between chunks
+            codes = np.frombuffer(chunk, np.uint8)
+            line_feeds, returns = codes == 10, codes == 13
+            pairs = np.count_nonzero(returns[:-1] & line_feeds[1:])
+            lines += np.count_nonzero(line_feeds) + np.count_nonzero(returns) - pairs
+            last = codes[-1]
+    return int(lines) + (last not in (10, 13))
 
 
 def format_csv(columns, rows) -> str:
@@ -485,9 +507,18 @@ def load_population_csv(path) -> Population:
     Parsing is strict (see :func:`load_csv_rows`).  A variate with zero
     variance loads fine but triggers a warning, since most estimators
     will refuse it later.
+
+    The population's arrays are the loaded columns themselves, frozen in
+    place: the loader holds the only reference to them and has checked
+    every value finite, so the copy the constructor makes is skipped and
+    a load holds the data once.
     """
     data = load_csv_rows(path, "y,x,z", "a population")
-    pop = Population(data[:, 0], data[:, 1], data[:, 2])
+    data.setflags(write=False)
+    pop = object.__new__(Population)
+    for name, column in zip(_VARIATES, data.T):
+        # A view of a read-only array cannot be made writeable again.
+        object.__setattr__(pop, name, column)
     for name, variance in zip(_VARIATES, (pop.sy2, pop.sx2, pop.sz2)):
         if variance == 0.0:
             warnings.warn(

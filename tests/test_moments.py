@@ -12,6 +12,7 @@ import dataclasses
 import io
 import math
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ from varaux import (
     save_delta_table,
     save_population_csv,
 )
-from varaux.moments import format_csv, fourth_moments, load_csv_rows
+from varaux.moments import _count_lines, format_csv, fourth_moments, load_csv_rows
 from helpers import count_fourth_moments, random_population
 
 
@@ -338,6 +339,38 @@ class TestPopulationCsv:
         assert np.array_equal(again.x, pop.x)
         assert np.array_equal(again.z, pop.z)
 
+    def test_loaded_arrays_are_frozen_contiguous_columns(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("y,x,z\n1,2,3\n4,5,6\n7,8,9\n", encoding="utf-8")
+        pop = load_population_csv(path)
+        for values, expected in zip((pop.y, pop.x, pop.z), ([1, 4, 7], [2, 5, 8], [3, 6, 9])):
+            assert values.tolist() == expected
+            assert values.flags.c_contiguous
+            with pytest.raises(ValueError):
+                values.setflags(write=True)
+        assert pop.sy2 == 9.0
+        assert delta_table(pop) is delta_table(pop)
+
+    def test_load_holds_the_data_once(self, tmp_path):
+        # The rows are parsed into the population's own arrays: no list of
+        # blocks, joined table or constructor copy sits beside them.
+        path = tmp_path / "pop.csv"
+        save_population_csv(random_population(np.random.default_rng(6), 200_000), path)
+        tracemalloc.start()
+        try:
+            pop = load_population_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 3 * pop.y.nbytes
+
+    def test_header_spanning_lines_leaves_no_spare_row(self, tmp_path):
+        # csv.reader reads the quoted line break into the header, so the
+        # file has one line more than header and rows.
+        path = tmp_path / "pop.csv"
+        path.write_text('"y\n",x,z\n1,2,3\n4,5,6\n', encoding="utf-8")
+        assert load_csv_rows(path, "y,x,z", "a population").tolist() == [[1, 2, 3], [4, 5, 6]]
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "pop.csv"
         path.write_text("a,b,c\n1,2,3\n4,5,6\n", encoding="utf-8")
@@ -513,6 +546,23 @@ def test_saved_population_loads_back_bit_for_bit(rows):
         path = f"{folder}/pop.csv"
         save_population_csv(Population(data[:, 0], data[:, 1], data[:, 2]), path)
         assert load_csv_rows(path, "y,x,z", "a population").tobytes() == data.tobytes()
+
+
+_CHUNK = 1 << 18  # the line counter's read size
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "a", "a\n", "a\r", "a\r\n", "\r\r\n\n", "a\rb\nc\r\nd", "\n\n\r",
+     "x" * (_CHUNK - 1) + "\r\ny\r", "x" * (_CHUNK - 1) + "\rz", "x" * _CHUNK + "\n\r"],
+    ids=["empty", "no-ending", "lf", "cr", "crlf", "runs", "mixed", "blank-lines",
+         "crlf-across-chunks", "cr-at-chunk-end", "lf-opens-chunk"],
+)
+def test_line_count_matches_text_mode(text, tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(text.encode())
+    with open(path, encoding="utf-8", newline="") as handle:
+        assert _count_lines(path) == len(list(handle))
 
 
 def test_format_csv_quotes_only_cells_that_need_it():
