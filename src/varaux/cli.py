@@ -59,7 +59,7 @@ from .moments import (
     load_population_csv,
     save_population_csv,
 )
-from .montecarlo import _CSV_COLUMNS, SimulationConfig, WeightPolicy, run_simulation
+from .montecarlo import SimulationConfig, WeightPolicy, run_simulation
 from .popgen import (
     PopulationSpec,
     generate_population,
@@ -262,30 +262,19 @@ def cmd_estimate(
 
     rows = []
     for kind in kinds:
+        # Every kind gets every column and reads only the variates it uses.
         if kind.is_two_phase:
             if first is None:
                 raise InvalidInputError(
                     f"estimator {kind.label!r} needs --first-phase (header x,z)"
                 )
             value = estimate_two_phase(
-                kind,
-                sample.y,
-                x_first=first[:, 0] if kind.uses_x else None,
-                z_first=first[:, 1] if kind.uses_z else None,
-                x_second=sample.x if kind.uses_x else None,
-                z_second=sample.z if kind.uses_z else None,
-                weight=weight,
-                deltas=deltas,
+                kind, sample.y, x_first=first[:, 0], z_first=first[:, 1],
+                x_second=sample.x, z_second=sample.z, weight=weight, deltas=deltas,
             )
         else:
             value = estimate_single_phase(
-                kind,
-                sample.y,
-                sample.x if kind.uses_x else None,
-                sample.z if kind.uses_z else None,
-                aux=aux,
-                weight=weight,
-                deltas=deltas,
+                kind, sample.y, sample.x, sample.z, aux=aux, weight=weight, deltas=deltas
             )
         used_weight, source = _resolve_weight(kind, weight, deltas)
         rows.append(
@@ -373,10 +362,7 @@ def cmd_theory(
 ) -> None:
     """First-order bias, MSE and efficiency for every estimator kind."""
     if corrections:
-        rows = [
-            {"formula_id": c.formula_id, "change": c.change, "forced_by": c.forced_by}
-            for c in CORRECTIONS
-        ]
+        rows = [asdict(correction) for correction in CORRECTIONS]
         blocks = [
             f"{row['formula_id']}\n  change:    {row['change']}\n  forced by: {row['forced_by']}"
             for row in rows
@@ -582,12 +568,9 @@ def cmd_simulate(
     summary = _summary(report)
     # With --out the file gets the report (JSON in place of text) and
     # stdout the summary.
-    rows = [asdict(row) for row in report.estimators]
-    _render(
-        "json" if fmt == "text" and out is not None else fmt,
-        out, report.to_dict(), _CSV_COLUMNS, rows, summary,
-    )
-    if out is not None:
+    if fmt != "text" or out is not None:
+        _emit(report.to_csv() if fmt == "csv" else report.to_json(), out)
+    if fmt == "text" or out is not None:
         click.echo(summary, nl=False)
 
 
@@ -624,39 +607,19 @@ def _summary(report) -> str:
 @click.option("--seed", type=int, default=None, help="Generation seed.")
 @click.option("--format", "fmt", type=_FORMAT_CHOICES, default="text", show_default=True)
 @_with_error_codes
-def cmd_gen_pop(
-    out: str,
-    spec_path: str | None,
-    size: int | None,
-    rho_yx: float | None,
-    rho_yz: float | None,
-    rho_xz: float | None,
-    marginal_y: str | None,
-    marginal_x: str | None,
-    marginal_z: str | None,
-    seed: int | None,
-    fmt: str,
-) -> None:
+def cmd_gen_pop(out: str, spec_path: str | None, fmt: str, **overrides) -> None:
     """Generate a synthetic population CSV and print its summary."""
+    # The spec flags arrive under PopulationSpec's own field names.
     base = load_population_spec(spec_path).to_dict() if spec_path else PopulationSpec().to_dict()
-    overrides = {
-        "size": size,
-        "rho_yx": rho_yx,
-        "rho_yz": rho_yz,
-        "rho_xz": rho_xz,
-        "marginal_y": marginal_y,
-        "marginal_x": marginal_x,
-        "marginal_z": marginal_z,
-        "seed": seed,
-    }
     for key, value in overrides.items():
         if value is not None:
             base[key] = value
     spec = PopulationSpec.from_dict(base)
     pop = generate_population(spec)
-    save_population_csv(pop, out)
-    realized = realized_correlations(pop)
+    # A population the moment table refuses is not written.
     table = delta_table(pop)
+    realized = realized_correlations(pop)
+    save_population_csv(pop, out)
     doc = {
         "spec": spec.to_dict(),
         "out": out,
@@ -672,7 +635,7 @@ def cmd_gen_pop(
         "delta table: " + "  ".join(f"{k}={_fmt(v, 6)}" for k, v in table.to_dict().items()),
     ]
     # --out names the population file; the summary always goes to stdout.
-    columns = ["size", "sy2", "rho_yx", "rho_yz", "rho_xz"]
+    columns = ["size", "sy2", *realized]
     _render(fmt, None, doc, columns, [row], "\n".join(lines) + "\n")
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -154,26 +154,14 @@ class PopulationSpec:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "rho_yx": self.rho_yx,
-            "rho_yz": self.rho_yz,
-            "rho_xz": self.rho_xz,
-            "marginal_y": self.marginal_y.tag,
-            "marginal_x": self.marginal_x.tag,
-            "marginal_z": self.marginal_z.tag,
-            "seed": self.seed,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: value.tag if isinstance(value, Marginal) else value for key, value in values.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PopulationSpec":
         if not isinstance(data, dict):
             raise InvalidSpecError(f"population spec must be a JSON object, got {type(data).__name__}")
-        known = {
-            "size", "rho_yx", "rho_yz", "rho_xz",
-            "marginal_y", "marginal_x", "marginal_z", "seed",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidSpecError(f"population spec has unknown keys: {sorted(unknown)}")
         return cls(**data)
@@ -206,11 +194,13 @@ def generate_population(spec: PopulationSpec) -> Population:
         ) from None
     rng = np.random.default_rng(spec.seed)
     latent = rng.standard_normal((spec.size, 3)) @ factor.T
-    return Population(
-        y=spec.marginal_y.transform(latent[:, 0]),
-        x=spec.marginal_x.transform(latent[:, 1]),
-        z=spec.marginal_z.transform(latent[:, 2]),
-    )
+    # A marginal that overflows gives inf, which Population refuses.
+    with np.errstate(over="ignore"):
+        return Population(
+            y=spec.marginal_y.transform(latent[:, 0]),
+            x=spec.marginal_x.transform(latent[:, 1]),
+            z=spec.marginal_z.transform(latent[:, 2]),
+        )
 
 
 def realized_correlations(pop: Population) -> dict[str, float]:

@@ -39,6 +39,7 @@ from .estimators import (
     Family,
     _resolve_weight,
     alpha_opt,
+    alpha_terms,
 )
 from .moments import DeltaTable
 
@@ -151,8 +152,8 @@ def combined_curvature(deltas: DeltaTable, sy2: float, sizes: DesignSizes) -> fl
     """
     sy2 = _check_sy2(sy2)
     factor = sizes.theta if sizes.nprime is not None else 1.0 / sizes.n
-    curvature = (deltas.d040 + deltas.d004 + 2.0 * deltas.d022 - 4.0) / 2.0
-    return sy2 * sy2 * factor * curvature
+    _, denominator = alpha_terms(*deltas.to_dict().values())
+    return sy2 * sy2 * factor * (denominator / 2.0)
 
 
 # Bias brackets (multiply by S_y^2 and the design factor).  The

@@ -2,9 +2,11 @@
 
 These run each subcommand through click's CliRunner and check output
 structure, exit codes, determinism, and agreement with direct library
-calls.  Two golden files under tests/data/ pin the exact JSON the
-``theory --builtin-s5`` and ``reproduce-tables`` commands emit, so any
-numerical or schema drift fails loudly.
+calls.  Golden files under tests/data/ pin the exact JSON the
+``theory --builtin-s5`` and ``reproduce-tables`` commands emit, and the
+JSON, CSV and text of ``estimate`` for every kind, so any numerical or
+schema drift fails loudly.  The last test runs every ``varaux`` command
+of the README as written.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import csv
 import importlib.metadata
 import io
 import json
+import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -37,13 +41,19 @@ from varaux import (
     load_population_csv,
     Population,
     PopulationSpec,
+    run_simulation,
     save_population_csv,
+    SimulationConfig,
+    SINGLE_PHASE_KINDS,
+    TWO_PHASE_KINDS,
+    WeightPolicy,
 )
 from varaux import cli as cli_module
 from varaux import moments as moments_module
 from varaux.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def invoke(*args: str):
@@ -420,6 +430,30 @@ class TestEstimate:
         assert row["weight"] == 0.9
         assert row["weight_source"] == "fixed"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize(
+        "name, estimators",
+        [
+            # every kind of both designs, combined at the table optimum
+            ("all", "all"),
+            # combined weights estimated from the sample, and fixed ones
+            ("plugin", "combined,combined:0.8,combined-2p,combined-2p:0.3"),
+        ],
+    )
+    def test_matches_golden(self, name, estimators, fmt, tiny_csv, first_phase_csv, builtin_deltas_json):
+        args = [
+            "estimate", "--input", tiny_csv, "--estimators", estimators,
+            "--sx2", "5.5", "--sz2", "9.25", "--first-phase", first_phase_csv,
+            "--format", fmt,
+        ]
+        if name == "all":
+            args += ["--deltas", builtin_deltas_json]
+        result = invoke(*args)
+        assert result.exit_code == 0, result.output
+        suffix = "txt" if fmt == "text" else fmt
+        golden = (DATA_DIR / f"golden_estimate_{name}.{suffix}").read_text(encoding="utf-8")
+        assert result.stdout == golden
+
     def test_unknown_estimator_exits_2(self, tiny_csv):
         result = invoke("estimate", "--input", tiny_csv, "--estimators", "bogus")
         assert result.exit_code == 2
@@ -522,24 +556,6 @@ class TestTheory:
         builtin = invoke("theory", "--builtin-s5", "--n", "10", "--format", "json")
         assert from_file.exit_code == 0
         assert json.loads(from_file.stdout)["rows"] == json.loads(builtin.stdout)["rows"]
-
-    def test_readme_moments_to_theory_pipeline(self, tmp_path):
-        # The README pipeline as written: `theory --deltas` reads the JSON
-        # document `moments --format json` writes.
-        runner = CliRunner()
-        with runner.isolated_filesystem(temp_dir=tmp_path):
-            steps = [
-                "gen-pop --out pop.csv --size 500 --seed 1",
-                "moments --input pop.csv --format json --out table.json",
-                "theory --deltas table.json --n 100",
-                "theory --deltas table.json --n 100 --nprime 400",
-            ]
-            for step in steps:
-                result = runner.invoke(main, step.split())
-                assert result.exit_code == 0, (step, result.output)
-            table = json.loads(Path("table.json").read_text(encoding="utf-8"))["delta_table"]
-            result = runner.invoke(main, "theory --deltas table.json --n 100 --format json".split())
-        assert json.loads(result.stdout)["deltas"] == table
 
     def test_unrealizable_table_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -645,6 +661,30 @@ class TestSimulate:
         assert result.exit_code == 0
         header = result.stdout.splitlines()[0]
         assert header.startswith("kind,weight_mode,weight,emp_mean")
+
+    def test_output_is_the_library_report(self, tmp_path):
+        # stdout, and the --out file in every format, are the report's
+        # own to_json()/to_csv(); with --out the text format writes JSON.
+        config = SimulationConfig(
+            n=40, reps=20, seed=5, estimators=SINGLE_PHASE_KINDS + TWO_PHASE_KINDS,
+            nprime=120, weight_policy=WeightPolicy.PLUG_IN,
+        )
+        report = run_simulation(generate_population(PopulationSpec()), config)
+        args = [
+            "simulate", "--gen", "--n", "40", "--nprime", "120", "--reps", "20",
+            "--seed", "5", "--weight-policy", "plug-in",
+        ]
+        expected = {"json": report.to_json(), "csv": report.to_csv()}
+        for fmt in ("json", "csv"):
+            result = invoke(*args, "--format", fmt)
+            assert result.exit_code == 0, result.output
+            assert result.stdout == expected[fmt]
+        for fmt, written in (("json", "json"), ("csv", "csv"), ("text", "json")):
+            out = tmp_path / f"report.{fmt}"
+            result = invoke(*args, "--format", fmt, "--out", str(out))
+            assert result.exit_code == 0, result.output
+            assert out.read_text(encoding="utf-8") == expected[written]
+            assert result.stdout.startswith("population N=5000")
 
     def test_two_phase_kinds_enabled_by_nprime(self):
         result = invoke(
@@ -834,6 +874,28 @@ class TestGenPop:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, code, message",
+        [
+            ("--marginal-x", "normal:0:1e-320", 3, "variate 'x' has zero variance, standardized moments are undefined"),
+            ("--marginal-y", "normal:0:1e300", 2, "moment d400 must be finite, got nan"),
+            ("--marginal-y", "lognormal:1000:1", 2, "variate 'y' contains non-finite values"),
+            ("--marginal-y", "normal:0:1e308", 2, "variate 'y' contains non-finite values"),
+        ],
+        ids=["subnormal-scale", "huge-scale", "exp-overflow", "scale-overflow"],
+    )
+    def test_refused_population_is_not_written(self, flag, value, code, message, tmp_path):
+        # The population is refused before anything is written or
+        # correlated, and the error line is all the user sees.
+        out = tmp_path / "pop.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = invoke("gen-pop", "--out", str(out), flag, value)
+        assert result.exit_code == code, result.output
+        assert result.stderr == f"error: {message}\n"
+        assert [str(warning.message) for warning in caught] == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["gen-pop", "simulate"])
     def test_non_numeric_spec_value_exits_2(self, tmp_path, command):
         spec_path = tmp_path / "spec.json"
@@ -863,3 +925,41 @@ def test_non_utf8_input_file_exits_2(kind, tiny_csv, tmp_path):
     result = invoke(*args)
     assert result.exit_code == 2
     assert f"{path}: not UTF-8 text" in result.stderr
+
+
+def readme_commands() -> list[str]:
+    """Every ``varaux`` command in the README's bash blocks, as written:
+    continuation lines joined, trailing comments dropped."""
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split(" #")[0].strip()
+            if line.startswith("varaux "):
+                commands.append(line)
+    return commands
+
+
+def test_every_readme_command_runs(tmp_path):
+    # The sample files the README reads but never writes are cut from the
+    # pop.csv its first commands write, before the first command names them.
+    inputs = {
+        "sample.csv": lambda rows: rows[:41],
+        "second_phase.csv": lambda rows: rows[:41],
+        "first_phase.csv": lambda rows: ["x,z"] + [row.split(",", 1)[1] for row in rows[1:161]],
+    }
+    commands = readme_commands()
+    assert len(commands) == 14, commands
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        for command in commands:
+            args = shlex.split(command)[1:]
+            for name, cut in inputs.items():
+                if name in args and not Path(name).exists():
+                    rows = Path("pop.csv").read_text(encoding="utf-8").splitlines()
+                    Path(name).write_text("\n".join(cut(rows)) + "\n", encoding="utf-8")
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, (command, result.output)
+        # `theory --deltas` reads the table the `moments --out` document holds.
+        table = json.loads(Path("table.json").read_text(encoding="utf-8"))["delta_table"]
+        result = runner.invoke(main, "theory --deltas table.json --n 100 --format json".split())
+    assert json.loads(result.stdout)["deltas"] == table
