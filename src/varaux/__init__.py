@@ -37,7 +37,6 @@ from .estimators import (
     AuxKnowledge,
     EstimatorKind,
     Family,
-    TwoPhaseDraw,
     alpha_opt,
     estimate_single_phase,
     estimate_two_phase,
@@ -54,7 +53,6 @@ from .moments import (
     load_delta_table,
     load_population_csv,
     sample_variance,
-    save_delta_table,
     save_population_csv,
 )
 from .montecarlo import (
@@ -85,7 +83,6 @@ from .theory import (
     REPORTED_PRE_SINGLE_PHASE,
     REPORTED_PRE_TWO_PHASE,
     TheoryResult,
-    combined_curvature,
     min_mse_combined,
     pre,
     theory_for_kind,

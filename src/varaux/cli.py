@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import click
 
@@ -609,12 +609,9 @@ def _summary(report) -> str:
 @_with_error_codes
 def cmd_gen_pop(out: str, spec_path: str | None, fmt: str, **overrides) -> None:
     """Generate a synthetic population CSV and print its summary."""
-    # The spec flags arrive under PopulationSpec's own field names.
-    base = load_population_spec(spec_path).to_dict() if spec_path else PopulationSpec().to_dict()
-    for key, value in overrides.items():
-        if value is not None:
-            base[key] = value
-    spec = PopulationSpec.from_dict(base)
+    # The flags carry PopulationSpec's field names; replace() validates them.
+    base = load_population_spec(spec_path) if spec_path else PopulationSpec()
+    spec = replace(base, **{k: v for k, v in overrides.items() if v is not None})
     pop = generate_population(spec)
     # A population the moment table refuses is not written.
     table = delta_table(pop)

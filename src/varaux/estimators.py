@@ -203,43 +203,6 @@ class AuxKnowledge:
         return value
 
 
-@dataclass(frozen=True, eq=False)
-class TwoPhaseDraw:
-    """Index sets of a nested two-phase draw from a population.
-
-    ``second_phase`` must be a strict subset of ``first_phase``; both
-    are duplicate-free index arrays.  Validation happens here so the
-    rest of the package can take nesting for granted.
-    """
-
-    first_phase: np.ndarray
-    second_phase: np.ndarray
-
-    def __post_init__(self) -> None:
-        units = {}  # each phase's indices, sorted
-        for name in ("first_phase", "second_phase"):
-            arr = np.array(getattr(self, name), dtype=np.int64, copy=True)
-            if arr.ndim != 1:
-                raise InvalidDesignError(f"{name} indices must be one-dimensional")
-            if arr.size and arr.min() < 0:
-                raise InvalidDesignError(f"{name} contains negative indices")
-            units[name] = np.unique(arr)
-            if units[name].size != arr.size:
-                raise InvalidDesignError(f"{name} contains repeated indices")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.second_phase.size < 2:
-            raise InvalidDesignError("second phase needs at least two units")
-        if self.first_phase.size <= self.second_phase.size:
-            raise InvalidDesignError(
-                "first phase must be strictly larger than the second phase, got "
-                f"{self.first_phase.size} <= {self.second_phase.size}"
-            )
-        first, second = units.values()
-        if not np.array_equal(first.take(np.searchsorted(first, second), mode="clip"), second):
-            raise InvalidDesignError("second-phase sample is not nested in the first phase")
-
-
 def _zero_message(label: str) -> str:
     return f"{label} is zero; the estimator is undefined"
 

@@ -478,19 +478,12 @@ def format_csv(columns, rows) -> str:
     return text.getvalue()
 
 
-def save_delta_table(table: DeltaTable, path) -> None:
-    """Write a moment table as JSON with the six ``dpqr`` keys."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(table.to_dict(), handle, indent=2)
-        handle.write("\n")
-
-
 def load_delta_table(path) -> DeltaTable:
     """Read a moment table from JSON, insisting on all six finite keys.
 
-    The file holds either the bare table (as :func:`save_delta_table`
-    writes it) or the document of ``varaux moments --format json``,
-    which carries the table under ``"delta_table"``.
+    The file holds either the bare table (the object
+    :meth:`DeltaTable.to_dict` gives) or the document of ``varaux moments
+    --format json``, which carries the table under ``"delta_table"``.
     """
     data = load_json(path)
     if isinstance(data, dict) and "delta_table" in data:

@@ -64,7 +64,6 @@ from .estimators import (
     UNBIASED,
     EstimatorKind,
     Family,
-    TwoPhaseDraw,
     _resolve_weight,
     alpha_opt,
     evaluate,
@@ -160,9 +159,10 @@ def draw_srswor(stream: np.random.Generator, n_pop: int, n_sample: int) -> np.nd
 
 def draw_two_phase(
     stream: np.random.Generator, n_pop: int, nprime: int, n: int
-) -> TwoPhaseDraw:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw a nested two-phase sample: SRSWOR of ``nprime`` from the
     population, then SRSWOR of ``n`` from that first-phase sample.
+    Returns ``(first_phase, second_phase)`` as int64 index arrays.
     """
     if not isinstance(nprime, int) or isinstance(nprime, bool):
         raise InvalidDesignError(f"nprime must be an integer, got {nprime!r}")
@@ -175,7 +175,7 @@ def draw_two_phase(
         )
     first = draw_srswor(stream, n_pop, nprime)
     second = first[draw_srswor(stream, nprime, n)]
-    return TwoPhaseDraw(first_phase=first, second_phase=second)
+    return first, second
 
 
 @dataclass(frozen=True)

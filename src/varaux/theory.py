@@ -39,7 +39,6 @@ from .estimators import (
     Family,
     _resolve_weight,
     alpha_opt,
-    alpha_terms,
 )
 from .moments import DeltaTable
 
@@ -139,21 +138,6 @@ def _combined_bracket(d: DeltaTable, weight: float) -> float:
 
 def _zero_bracket(d: DeltaTable, weight: float | None) -> float:
     return 0.0
-
-
-def combined_curvature(deltas: DeltaTable, sy2: float, sizes: DesignSizes) -> float:
-    """Second derivative of the combined-kind MSE in the weight.
-
-    Positive for every realizable moment table away from degenerate
-    boundaries, making the MSE an upward parabola with
-    :func:`~varaux.estimators.alpha_opt` its unique minimum.  The
-    factor is ``1/n`` for a single-phase design and ``1/n - 1/n'``
-    when ``sizes.nprime`` is present.
-    """
-    sy2 = _check_sy2(sy2)
-    factor = sizes.theta if sizes.nprime is not None else 1.0 / sizes.n
-    _, denominator = alpha_terms(*deltas.to_dict().values())
-    return sy2 * sy2 * factor * (denominator / 2.0)
 
 
 # Bias brackets (multiply by S_y^2 and the design factor).  The

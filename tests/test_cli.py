@@ -5,8 +5,8 @@ structure, exit codes, determinism, and agreement with direct library
 calls.  Golden files under tests/data/ pin the exact JSON the
 ``theory --builtin-s5`` and ``reproduce-tables`` commands emit, and the
 JSON, CSV and text of ``estimate`` for every kind, so any numerical or
-schema drift fails loudly.  The last test runs every ``varaux`` command
-of the README as written.
+schema drift fails loudly.  The last tests run every ``varaux`` command
+and every Python block of the README as written.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import shlex
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -31,6 +32,7 @@ from varaux import (
     central_moment,
     delta,
     delta_table,
+    draw_two_phase,
     EXP_RATIO,
     EXP_RATIO_TWO_PHASE,
     AuxKnowledge,
@@ -39,6 +41,7 @@ from varaux import (
     estimate_two_phase,
     generate_population,
     load_population_csv,
+    load_population_spec,
     Population,
     PopulationSpec,
     run_simulation,
@@ -864,6 +867,20 @@ class TestGenPop:
         assert doc["spec"]["size"] == 200
         assert doc["spec"]["seed"] == 1
 
+    def test_spec_file_population_is_the_specs_own(self, tmp_path):
+        # The marginal's loc has more significant digits than the spec's
+        # printed tag keeps; the population must come from the exact value.
+        marginal_y = {"family": "lognormal", "loc": 0.123456789, "scale": 0.3}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps({"size": 50, "seed": 3, "marginal_y": marginal_y}), encoding="utf-8"
+        )
+        out, want = tmp_path / "pop.csv", tmp_path / "want.csv"
+        result = invoke("gen-pop", "--out", str(out), "--spec", str(spec_path))
+        assert result.exit_code == 0, result.output
+        save_population_csv(generate_population(load_population_spec(spec_path)), want)
+        assert out.read_bytes() == want.read_bytes()
+
     def test_bad_marginal_exits_2(self, tmp_path):
         result = invoke(
             "gen-pop",
@@ -963,3 +980,24 @@ def test_every_readme_command_runs(tmp_path):
         table = json.loads(Path("table.json").read_text(encoding="utf-8"))["delta_table"]
         result = runner.invoke(main, "theory --deltas table.json --n 100 --format json".split())
     assert json.loads(result.stdout)["deltas"] == table
+
+
+def test_readme_python_blocks_run(capsys):
+    # The blocks run in order in one namespace.  The second estimates from
+    # samples the README leaves to the reader; they come from one nested
+    # draw of the population the first block generates.
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 2, blocks
+    namespace: dict = {}
+    exec(blocks[0], namespace)
+    pop = namespace["pop"]
+    first, second = draw_two_phase(np.random.default_rng(1), pop.size, 400, 80)
+    namespace.update(
+        y_sample=pop.y[second],
+        x_sample=pop.x[second],
+        known_sx2=pop.sx2,
+        x_first_phase=pop.x[first],
+    )
+    exec(blocks[1], namespace)
+    assert np.isfinite(namespace["value"])
+    assert namespace["report"].to_csv() in capsys.readouterr().out

@@ -341,9 +341,9 @@ def test_block_draws_equal_scalar_draws(design, seed, start, count):
             want_first = reference_engine._srswor(reference, n_pop, nprime)
             want = want_first[reference_engine._srswor(reference, nprime, n)]
             assert np.array_equal(first[row], want_first)
-            draw = draw_two_phase(public, n_pop, nprime, n)
-            assert np.array_equal(draw.first_phase, want_first)
-            assert np.array_equal(draw.second_phase, want)
+            draw_first, draw_second = draw_two_phase(public, n_pop, nprime, n)
+            assert np.array_equal(draw_first, want_first)
+            assert np.array_equal(draw_second, want)
         assert np.array_equal(second[row], want)
 
 

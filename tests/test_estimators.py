@@ -31,7 +31,6 @@ from varaux import (
     InvalidDesignError,
     InvalidInputError,
     NoUniqueOptimumError,
-    TwoPhaseDraw,
     alpha_opt,
     delta_table,
     estimate_single_phase,
@@ -415,44 +414,6 @@ class TestTwoPhaseEstimates:
         with pytest.raises(InvalidInputError):
             estimate_two_phase(
                 EXP_RATIO, pop.y[idx], x_first=pop.x, x_second=pop.x[idx]
-            )
-
-
-class TestTwoPhaseDraw:
-    def test_valid_draw(self):
-        draw = TwoPhaseDraw(
-            first_phase=np.arange(10, dtype=np.int64),
-            second_phase=np.array([2, 5, 7], dtype=np.int64),
-        )
-        assert draw.first_phase.size == 10
-        assert draw.second_phase.size == 3
-
-    def test_requires_nesting(self):
-        with pytest.raises(InvalidDesignError):
-            TwoPhaseDraw(
-                first_phase=np.arange(10, dtype=np.int64),
-                second_phase=np.array([3, 99], dtype=np.int64),
-            )
-
-    def test_requires_unique_indices(self):
-        with pytest.raises(InvalidDesignError):
-            TwoPhaseDraw(
-                first_phase=np.array([0, 1, 2, 2], dtype=np.int64),
-                second_phase=np.array([0, 1], dtype=np.int64),
-            )
-
-    def test_second_phase_needs_two_units(self):
-        with pytest.raises(InvalidDesignError):
-            TwoPhaseDraw(
-                first_phase=np.arange(5, dtype=np.int64),
-                second_phase=np.array([1], dtype=np.int64),
-            )
-
-    def test_first_phase_strictly_larger(self):
-        with pytest.raises(InvalidDesignError):
-            TwoPhaseDraw(
-                first_phase=np.arange(3, dtype=np.int64),
-                second_phase=np.arange(3, dtype=np.int64),
             )
 
 

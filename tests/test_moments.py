@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import json
 import math
 import tempfile
 import tracemalloc
@@ -37,7 +38,6 @@ from varaux import (
     load_delta_table,
     load_population_csv,
     sample_variance,
-    save_delta_table,
     save_population_csv,
 )
 from varaux.moments import _count_lines, format_csv, fourth_moments, load_csv_rows
@@ -239,7 +239,7 @@ class TestDeltaTable:
     def test_json_round_trip(self, tiny_pop, tmp_path):
         table = delta_table(tiny_pop)
         path = tmp_path / "deltas.json"
-        save_delta_table(table, path)
+        path.write_text(json.dumps(table.to_dict()), encoding="utf-8")
         assert load_delta_table(path) == table
 
     def test_load_rejects_malformed_json(self, tmp_path):

@@ -94,10 +94,10 @@ class TestDrawSrswor:
 class TestDrawTwoPhase:
     def test_nested_and_sized(self):
         rng = np.random.default_rng(1)
-        draw = draw_two_phase(rng, 200, 50, 10)
-        assert draw.first_phase.size == 50
-        assert draw.second_phase.size == 10
-        assert np.all(np.isin(draw.second_phase, draw.first_phase))
+        first, second = draw_two_phase(rng, 200, 50, 10)
+        assert first.size == 50
+        assert second.size == 10
+        assert np.all(np.isin(second, first))
 
     def test_size_order_enforced(self):
         rng = np.random.default_rng(1)
@@ -112,8 +112,8 @@ class TestDrawTwoPhase:
         hits = np.zeros(4)
         draws = 40_000
         for _ in range(draws):
-            draw = draw_two_phase(rng, 4, 3, 2)
-            for unit in draw.second_phase:
+            _, second = draw_two_phase(rng, 4, 3, 2)
+            for unit in second:
                 hits[unit] += 1
         # Each unit appears in the second phase with probability
         # P(in first) * P(in second | first) = (3/4)*(2/3) = 1/2.

@@ -18,12 +18,12 @@ EXPORTED = [
     "NoUniqueOptimumError", "Population", "PopulationFormatError", "PopulationSpec",
     "REPORTED_PRE_SINGLE_PHASE", "REPORTED_PRE_TWO_PHASE", "SINGLE_PHASE_KINDS",
     "SimulationConfig", "SimulationError", "SimulationReport", "TWO_PHASE_KINDS",
-    "TheoryResult", "TwoPhaseDraw", "UNBIASED", "VarauxError", "WeightPolicy",
-    "alpha_opt", "central_moment", "combined_curvature", "delta", "delta_table",
+    "TheoryResult", "UNBIASED", "VarauxError", "WeightPolicy",
+    "alpha_opt", "central_moment", "delta", "delta_table",
     "draw_srswor", "draw_two_phase", "estimate_single_phase", "estimate_two_phase",
     "generate_population", "load_delta_table", "load_population_csv",
     "load_population_spec", "min_mse_combined", "pre", "realized_correlations",
-    "run_simulation", "sample_variance", "save_delta_table", "save_population_csv",
+    "run_simulation", "sample_variance", "save_population_csv",
     "single_phase_value", "theory_for_kind", "two_phase_value",
 ]
 

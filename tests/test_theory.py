@@ -37,12 +37,12 @@ from varaux import (
     InvalidDesignError,
     InvalidInputError,
     alpha_opt,
-    combined_curvature,
     delta_table,
     min_mse_combined,
     pre,
     theory_for_kind,
 )
+from varaux.estimators import alpha_terms
 from varaux.theory import (
     BUILTIN_EXAMPLE_DELTAS,
     BUILTIN_EXAMPLE_DESIGN,
@@ -54,6 +54,13 @@ from helpers import random_population
 D = BUILTIN_EXAMPLE_DELTAS
 N10 = DesignSizes(10)
 N10_25 = DesignSizes(10, nprime=25)
+
+
+def combined_curvature(d, sy2, n):
+    """Second derivative in the weight of the single-phase combined-kind
+    MSE: ``S_y^4/n`` times half the denominator of the optimal weight."""
+    _, denominator = alpha_terms(*d.to_dict().values())
+    return sy2 * sy2 / n * (denominator / 2.0)
 
 
 def reference_brackets(d: DeltaTable, weight: float) -> dict[str, float]:
@@ -364,7 +371,7 @@ class TestOptimalWeight:
         for _ in range(10):
             pop = random_population(rng, 40)
             d = delta_table(pop)
-            assert combined_curvature(d, pop.sy2, DesignSizes(10)) > 0.0
+            assert combined_curvature(d, pop.sy2, 10) > 0.0
 
     def test_optimum_matches_alpha_opt_plugin(self):
         rng = np.random.default_rng(23)
@@ -382,7 +389,7 @@ class TestOptimalWeight:
         # (the objective is a parabola in the weight).
         d = D
         w_opt, m_opt = min_mse_combined(d, 1.0, N10)
-        curv = combined_curvature(d, 1.0, N10)
+        curv = combined_curvature(d, 1.0, N10.n)
         for w in [-0.5, 0.2, 0.9, 1.5]:
             m = theory_for_kind(COMBINED, d, 1.0, N10, weight=w).mse
             assert m - m_opt == pytest.approx(
