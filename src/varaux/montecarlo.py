@@ -154,7 +154,7 @@ def draw_srswor(stream: np.random.Generator, n_pop: int, n_sample: int) -> np.nd
     if n_sample > n_pop:
         raise InvalidInputError(f"cannot draw {n_sample} units from a population of {n_pop}")
     positions = stream.integers(np.arange(n_sample), n_pop)
-    return _fisher_yates(positions[np.newaxis], _Workspace(1, n_sample, n_sample))[0]
+    return _fisher_yates(positions[np.newaxis], n_pop, _Workspace(1, n_sample, n_sample))[0]
 
 
 def draw_two_phase(
@@ -201,23 +201,25 @@ class _Plan:
     # The position draw's constants, per draw: numpy's ``integers(low,
     # high)`` bounds, the range ``span = high - low``, Lemire's rejection
     # ``threshold`` and the 32-bit half of the row's words that feeds
-    # each draw (``column``), for ``words`` raw Philox words per row.
+    # each draw (``column``; None if draw i takes half-word i), for
+    # ``words`` raw Philox words per row.
     low: np.ndarray = field(init=False, repr=False)
     high: np.ndarray = field(init=False, repr=False)
     span: np.ndarray = field(init=False, repr=False)
     threshold: np.ndarray = field(init=False, repr=False)
-    column: np.ndarray = field(init=False, repr=False)
+    column: np.ndarray | None = field(init=False, repr=False)
     words: int = field(init=False, repr=False)
-    # Per phase, its draws' columns ``begin:end``.
-    phases: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+    # Per phase, its draws' columns ``begin:end`` and the number of units
+    # it draws from.
+    phases: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n_pop = self.y.size
         if self.nprime is None:
             low, high = np.arange(self.n), np.full(self.n, n_pop)
-            phases = ((0, self.n),)
+            phases = ((0, self.n, n_pop),)
         else:
-            phases = ((0, self.nprime), (self.nprime, self.nprime + self.n))
+            phases = ((0, self.nprime, n_pop), (self.nprime, self.nprime + self.n, self.nprime))
             low = np.concatenate((np.arange(self.nprime), np.arange(self.n)))
             high = np.concatenate((np.full(self.nprime, n_pop), np.full(self.n, self.nprime)))
         span = (high - low).astype(np.uint64)
@@ -238,7 +240,7 @@ class _Plan:
             "high": high,
             "span": span,
             "threshold": ((2**32 - span) % span).astype(np.uint32),
-            "column": column,
+            "column": None if consumes.all() else column,
             "words": max(1, (int(consumes.sum()) + 1) // 2),
             "phases": phases,
         }
@@ -271,20 +273,35 @@ class _Workspace:
 
     It holds the ``link`` table of :func:`_fisher_yates`, an array per
     ``(dtype, cols)`` of ``kept``, and scratch that each step borrows with
-    :meth:`arrays`.  A chunk allocates one, so that no block returns
-    memory to malloc only to fault it back in the next.
+    :meth:`arrays`.  Given a ``seed``, it also holds the substreams of
+    :func:`_draw_positions`: one Philox bit generator with that key and a
+    state dict to reset it to.  A chunk allocates one, so that no block
+    returns memory to malloc only to fault it back in the next, nor builds
+    a bit generator again.
     """
 
-    def __init__(self, rows: int, k: int, width: int, kept=(), reserve: int = 0) -> None:
+    def __init__(self, rows: int, k: int, width: int, kept=(), reserve: int = 0, seed: int | None = None) -> None:
         specs = [(np.intp, k), *kept]
         size = sum(-(-rows * cols * np.dtype(dtype).itemsize // 64) * 64 for dtype, cols in specs)
-        # No step asks for more than 32 bytes per position, plus padding.
+        # No step asks for more than 32 bytes per position, plus padding:
+        # the draw asks for 9, Fisher-Yates for 9 with 32-bit keys and 17
+        # with 64-bit ones, and the most is 32 per second-phase position,
+        # for its deviations and its y, x and z values.
         self.scratch = np.empty(max(size + 32 * rows * width + 512, reserve), dtype=np.uint8)
         link, *self.kept = self.arrays(rows, *specs)
         self.scratch = self.scratch[size:]
-        self.link = link.reshape(-1)  # link[i] = i between Fisher-Yates calls
-        self.link[:] = np.arange(self.link.size)
+        self.link = link.reshape(-1)
+        self.link[:] = -1  # between Fisher-Yates calls
+        self.draws = np.arange(k, dtype=np.uint32)  # the low bits of Fisher-Yates keys
         self.starts = np.arange(rows, dtype=np.intp)[:, np.newaxis]
+        if seed is not None:
+            # The state setter reads Python lists item by item far faster
+            # than numpy arrays.  Only the counter's replication word ever
+            # changes; the bit generator's own state is never read back.
+            self.stream = np.random.Generator(np.random.Philox(key=seed))
+            self.state = self.stream.bit_generator.state
+            self.state["state"] = {name: value.tolist() for name, value in self.state["state"].items()}
+            self.state["buffer"] = self.state["buffer"].tolist()
 
     def arrays(self, rows: int, *specs) -> list[np.ndarray]:
         """A ``(rows, cols)`` array per ``(dtype, cols)``, valid until the next call."""
@@ -296,9 +313,10 @@ class _Workspace:
 
 
 def _chunk_workspace(plan: _Plan, rows: int) -> _Workspace:
-    """A workspace that keeps each phase's positions, picks and indices."""
-    kept = [(np.int64, end - begin) for begin, end in plan.phases]
-    return _Workspace(rows, plan.nprime or plan.n, plan.span.size, kept, _WORKSPACE_BYTES)
+    """A workspace that keeps each phase's positions, picks and indices,
+    with the substreams of the plan's seed."""
+    kept = [(np.int64, end - begin) for begin, end, _ in plan.phases]
+    return _Workspace(rows, plan.nprime or plan.n, plan.span.size, kept, _WORKSPACE_BYTES, plan.seed)
 
 
 def _draw_positions(plan: _Plan, start: int, stop: int, work: _Workspace) -> list[np.ndarray]:
@@ -307,10 +325,11 @@ def _draw_positions(plan: _Plan, start: int, stop: int, work: _Workspace) -> lis
 
     Row ``i`` holds what :func:`draw_two_phase` (or :func:`draw_srswor`)
     draws with ``integers(low, high)`` from replication ``start + i``'s
-    substream, the Philox counter ``(0, 0, rep, 0)``: per row, one bit
-    generator is set to the block's state dict with that counter and its
-    raw 64-bit words are read.  The dict holds Python lists, which the
-    state setter reads item by item far faster than numpy arrays.
+    substream, the Philox counter ``(0, 0, rep, 0)``: per row, the chunk's
+    bit generator (``work.stream``) is set to the chunk's state dict
+    (``work.state``) with that counter and its raw 64-bit words are read.
+    Every reset sets the whole state, so what one row or block leaves in
+    the bit generator never reaches the next.
     The rest runs once per block and is numpy's rule for 32-bit bounded
     integers (Lemire's multiply-and-reject): each word feeds two draws,
     low half first; a draw of ``u`` over ``span`` values is ``low + (u *
@@ -321,11 +340,8 @@ def _draw_positions(plan: _Plan, start: int, stop: int, work: _Workspace) -> lis
     ``integers`` itself, so every row is numpy's draw by construction.
     """
     count = stop - start
-    bit_generator = np.random.Philox(key=plan.seed)
-    state = bit_generator.state
-    counter = state["state"]["counter"] = state["state"]["counter"].tolist()
-    state["state"]["key"] = state["state"]["key"].tolist()
-    state["buffer"] = state["buffer"].tolist()
+    bit_generator, state = work.stream.bit_generator, work.state
+    counter = state["state"]["counter"]
     width = plan.span.size
     raw, halves, rejects = work.arrays(count, (np.uint64, plan.words), (np.uint32, width), (bool, width))
     for row, rep in enumerate(range(start, stop)):
@@ -334,71 +350,83 @@ def _draw_positions(plan: _Plan, start: int, stop: int, work: _Workspace) -> lis
         raw[row] = bit_generator.random_raw(plan.words)
     # Little-endian words, so that each word's low half comes first
     # whatever the host's byte order.
-    np.take(raw.astype("<u8", copy=False).view("<u4"), plan.column, axis=1, out=halves, mode="clip")
+    words = raw.astype("<u8", copy=False).view("<u4")
+    if plan.column is None:
+        halves = words[:, :width]
+    else:
+        np.take(words, plan.column, axis=1, out=halves, mode="clip")
     positions = []
-    for (begin, end), kept in zip(plan.phases, work.kept):
+    for (begin, end, _), kept in zip(plan.phases, work.kept):
         product = kept[:count].view(np.uint64)
         np.multiply(halves[:, begin:end], plan.span[begin:end], out=product)
         np.copyto(halves[:, begin:end], product, casting="unsafe")  # the low 32 bits
         np.right_shift(product, 32, out=product)
         positions.append(np.add(product.view(np.int64), plan.low[begin:end], out=product.view(np.int64)))
     rejected = np.flatnonzero(np.less(halves, plan.threshold, out=rejects).any(axis=1))
-    stream = np.random.Generator(bit_generator)
     for row in rejected.tolist():
         counter[2] = start + row
         bit_generator.state = state
-        drawn = stream.integers(plan.low, plan.high)
-        for (begin, end), phase in zip(plan.phases, positions):
+        drawn = work.stream.integers(plan.low, plan.high)
+        for (begin, end, _), phase in zip(plan.phases, positions):
             phase[row] = drawn[begin:end]
     return positions
 
 
-def _fisher_yates(positions: np.ndarray, work: _Workspace) -> np.ndarray:
+def _fisher_yates(positions: np.ndarray, n_pop: int, work: _Workspace) -> np.ndarray:
     """Partial Fisher-Yates on every row of ``positions`` at once.
 
     ``positions``, C-ordered int64, has rows of ``k`` draws, ``positions[:, i]``
-    in ``[i, N)``, ``N <= 2**32``; it is overwritten with the picked indices
-    and returned.  Row by row the result is the sequential draw over ``0..N-1``:
-    step ``i`` picks the value at position ``j_i`` and moves the value at
-    position ``i`` there.  So draw ``i`` picks ``j_i`` unless an earlier draw
-    ``m`` named the same position; then it picks the value position ``m`` held
-    at step ``m``: ``m`` unless an earlier draw moved a value there, and so on,
-    a chain that ends at a draw whose own index is the value.  An in-place sort
-    of each row's distinct keys ``(j_i << b) | i``, ``b`` the bits of ``k - 1``,
-    finds both kinds of earlier draw, whatever the sort algorithm.  Draws and
-    positions are flat indices ``row * k + i``.
+    in ``[i, n_pop)``, ``n_pop <= 2**32``; it is overwritten with the picked
+    indices and returned.  Row by row the result is the sequential draw over
+    ``0..n_pop-1``: step ``i`` picks the value at position ``j_i`` and moves the
+    value at position ``i`` there.  So draw ``i`` picks ``j_i`` unless an
+    earlier draw ``m`` named the same position; then it picks the value
+    position ``m`` held at step ``m``: ``m`` unless an earlier draw moved a
+    value there, and so on, a chain that ends at a draw whose own index is the
+    value.  An in-place sort of each row's distinct keys ``(j_i << b) | i``,
+    ``b`` the bits of ``k - 1``, finds both kinds of earlier draw, whatever the
+    sort algorithm.  The keys are uint32 while ``n_pop << b <= 2**32``, which
+    bounds them, and uint64 beyond.  ``flatnonzero`` over the flat keys finds
+    those earlier draws, and only their few keys are unpacked, into flat
+    indices ``row * k + i`` of draws and positions; rows without two equal
+    positions need nothing more.
     """
     rows, k = positions.shape
-    keys, pos, mask = work.arrays(rows, (np.uint64, k), (np.int64, k), (bool, k))
-    starts = work.starts[:rows] * k
     bits = (k - 1).bit_length()
-    np.left_shift(positions.view(np.uint64), bits, out=keys)
-    np.bitwise_or(keys, work.link[:k].view(np.uint64), out=keys)  # link[:k] holds 0..k-1
-    keys.sort(axis=1)
-    np.right_shift(keys, bits, out=pos.view(np.uint64))
-    pos += starts
-    flat = np.bitwise_and(keys, (1 << bits) - 1, out=keys).view(np.int64)
-    flat += starts
-    # Moves into a position p < k before step p: the value a chain reads
-    # there.  Only the last move into each p counts: numpy leaves
-    # unspecified which of several assignments to one index wins.
-    inside = np.less(pos, starts + k, out=mask)
-    targets, sources = pos[inside], flat[inside]
-    moved = sources < targets
-    targets, sources = targets[moved], sources[moved]
-    last = np.ones(targets.size, dtype=bool)
-    np.not_equal(targets[1:], targets[:-1], out=last[:-1])
-    work.link[targets[last]] = sources[last]
-    # Equal positions are adjacent: of each such pair the second draw
-    # reads what the first one's chain ends at.
-    same = np.equal(pos[:, 1:], pos[:, :-1], out=mask[:, :-1])
-    source, readers = flat[:, :-1][same], flat[:, 1:][same]
+    dtype = np.uint32 if n_pop << bits <= 2**32 else np.uint64
+    packed, xor, mask = work.arrays(rows, (dtype, k), (dtype, k), (bool, k))
+    np.copyto(packed, positions, casting="unsafe")
+    np.left_shift(packed, bits, out=packed)
+    np.bitwise_or(packed, work.draws[:k], out=packed)
+    packed.sort(axis=1)
+    keys, xor, mask = packed.reshape(-1), xor.reshape(-1)[:-1], mask.reshape(-1)
+    # The first draw of each pair of equal positions, which are adjacent
+    # and whose keys agree above the low b bits.  Without such a pair every
+    # draw picks its position.
+    np.less(np.bitwise_xor(keys[1:], keys[:-1], out=xor), 1 << bits, out=mask[:-1])
+    mask[k - 1 :: k] = False  # a row's last key and the next row's first
+    pairs = np.flatnonzero(mask)
+    if not pairs.size:
+        return positions
+    # The draws into positions p < k, then both draws of each pair.
+    moves = np.flatnonzero(np.less_equal(keys, (k << bits) - 1, out=mask))
+    at = np.concatenate((moves, pairs, pairs + 1))
+    found, offsets = keys[at], at - at % k
+    flat = (found & (1 << bits) - 1).astype(np.intp) + offsets
+    split = moves.size + pairs.size
+    sources, source, readers = flat[: moves.size], flat[moves.size : split], flat[split:]
+    targets = (found[: moves.size] >> bits).astype(np.intp) + offsets[: moves.size]
+    # link[p] becomes the last draw that moved a value into p before step p,
+    # whose value a chain reads there, or stays -1.  Of the draws into p only
+    # draw p itself, which moves nothing, is not such a move.
+    np.maximum.at(work.link, targets, np.where(sources < targets, sources, -1))
+    # Of each pair the second draw reads what the first one's chain ends at.
     while True:
         linked = work.link[source]
-        if np.array_equal(linked, source):
+        if linked.max(initial=-1) < 0:
             break
-        source = linked
-    work.link[targets] = targets
+        source = np.where(linked < 0, source, linked)
+    work.link[targets] = -1
     np.put(positions, readers, source % k)
     return positions
 
@@ -407,7 +435,7 @@ def _draw_block(plan: _Plan, start: int, stop: int, work: _Workspace) -> tuple[n
     """First- and second-phase indices of replications ``start..stop-1``,
     one row each; the first phase is None in single-phase designs."""
     positions = _draw_positions(plan, start, stop, work)
-    picks = [_fisher_yates(phase, work) for phase in positions]
+    picks = [_fisher_yates(phase, n_pop, work) for (_, _, n_pop), phase in zip(plan.phases, positions)]
     if plan.nprime is None:
         return None, picks[0]
     first, second = picks

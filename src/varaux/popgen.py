@@ -98,6 +98,12 @@ class Marginal:
         return cls(family, loc, scale)
 
 
+def _exact(value: float) -> str:
+    """``value`` as ``:g`` prints it where that is exact, else at ``repr`` precision."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def _coerce_marginal(value) -> Marginal:
     if isinstance(value, Marginal):
         return value
@@ -154,8 +160,13 @@ class PopulationSpec:
         )
 
     def to_dict(self) -> dict:
+        """The spec's fields, each marginal as ``family:loc:scale`` with
+        numbers that :meth:`from_dict` reads back to the same floats."""
         values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {key: value.tag if isinstance(value, Marginal) else value for key, value in values.items()}
+        return {
+            key: f"{value.family}:{_exact(value.loc)}:{_exact(value.scale)}" if isinstance(value, Marginal) else value
+            for key, value in values.items()
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "PopulationSpec":

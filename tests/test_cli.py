@@ -881,6 +881,26 @@ class TestGenPop:
         save_population_csv(generate_population(load_population_spec(spec_path)), want)
         assert out.read_bytes() == want.read_bytes()
 
+    def test_printed_spec_regenerates_the_population(self, tmp_path):
+        # loc and scale with more significant digits than ``:g`` keeps;
+        # the other marginals print as ``:g`` does.
+        marginal_y = {"family": "lognormal", "loc": 0.123456789, "scale": 0.30000001}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps({"size": 50, "seed": 3, "marginal_y": marginal_y}), encoding="utf-8"
+        )
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        result = invoke("gen-pop", "--out", str(first), "--spec", str(spec_path), "--format", "json")
+        assert result.exit_code == 0, result.output
+        printed = json.loads(result.output)["spec"]
+        assert printed["marginal_y"] == "lognormal:0.123456789:0.30000001"
+        assert printed["marginal_x"] == "lognormal:0:0.6"
+        printed_path = tmp_path / "printed.json"
+        printed_path.write_text(json.dumps(printed), encoding="utf-8")
+        result = invoke("gen-pop", "--out", str(again), "--spec", str(printed_path))
+        assert result.exit_code == 0, result.output
+        assert again.read_bytes() == first.read_bytes()
+
     def test_bad_marginal_exits_2(self, tmp_path):
         result = invoke(
             "gen-pop",

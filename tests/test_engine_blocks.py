@@ -46,6 +46,7 @@ from varaux.montecarlo import (
     _block_rows,
     _draw_block,
     _draw_positions,
+    _fisher_yates,
     _Plan,
     _chunk_workspace,
     _simulate_chunk,
@@ -400,3 +401,82 @@ def test_one_value_range_consumes_no_word(n_pop, n, nprime):
 def test_population_beyond_32_bit_draws_is_rejected():
     with pytest.raises(InvalidInputError, match="exceeds 2\\*\\*32"):
         bare_plan(2**32 + 1, 2, None, 0)
+
+
+@pytest.fixture
+def key_widths(monkeypatch):
+    """Bits of the Fisher-Yates keys of every call from now on, read off its
+    ``arrays`` request: keys and scratch of one dtype, then a bool mask."""
+    widths = []
+    arrays = _Workspace.arrays
+
+    def recording(self, rows, *specs):
+        if len(specs) == 3 and specs[0] == specs[1] and specs[2][0] is bool:
+            widths.append(8 * np.dtype(specs[0][0]).itemsize)
+        return arrays(self, rows, *specs)
+
+    monkeypatch.setattr(_Workspace, "arrays", recording)
+    return widths
+
+
+# Keys ``(position << b) | draw``, b the bits of k - 1, fill 32 bits at
+# n_pop << b = 2**32, the last size with 32-bit keys.
+KEY_WIDTHS = [(2**31, 2, 32), (2**31 + 1, 2, 64), (2**23, 400, 32), (2**23 + 1, 400, 64)]
+
+
+@pytest.mark.parametrize("n_pop, k, key_bits", KEY_WIDTHS)
+def test_key_widths_at_their_boundary(n_pop, k, key_bits, key_widths):
+    seed, start, count = 2**63 + 5, 2**40, 6
+    plan = bare_plan(n_pop, k, None, seed)
+    _, picks = _draw_block(plan, start, start + count, _chunk_workspace(plan, count))
+    for row, rep in enumerate(range(start, start + count)):
+        reference, public = (
+            np.random.Generator(np.random.Philox(key=seed).jumped(rep)) for _ in range(2)
+        )
+        want = reference_engine._srswor(reference, n_pop, k)
+        assert np.array_equal(picks[row], want)
+        assert np.array_equal(draw_srswor(public, n_pop, k), want)
+    assert set(key_widths) == {key_bits}
+
+
+class FixedPositions:
+    """A stand-in stream whose ``integers`` returns fixed positions."""
+
+    def __init__(self, positions):
+        self.positions = positions
+
+    def integers(self, low, high):
+        assert np.all(low <= self.positions) and np.all(self.positions < high)
+        return self.positions.copy()
+
+
+@pytest.mark.parametrize("n_pop, k, key_bits", KEY_WIDTHS)
+def test_top_positions_resolve_in_either_key_width(n_pop, k, key_bits, key_widths):
+    # Every draw names one of the last two positions, so the keys are the
+    # largest of their width and nearly every draw reads a chain.
+    positions = n_pop - 1 - np.arange(k) % 2
+    want = reference_engine._srswor(FixedPositions(positions), n_pop, k)
+    got = _fisher_yates(positions[np.newaxis].copy(), n_pop, _Workspace(1, k, k))
+    assert np.array_equal(got[0], want)
+    assert key_widths == [key_bits]
+
+
+def test_chunk_substream_state_reused_across_blocks(monkeypatch):
+    # (2**32 - N) % N = 2**30 for N = 3 * 2**30, so nearly every row is
+    # drawn again with ``integers``, which moves the chunk's bit generator.
+    # Blocks of 5 rows reuse the chunk's state dict; none may carry what a
+    # redraw left in the bit generator into the next row or block.  The
+    # blocks only draw: the variates of a plan this size are not gathered.
+    n_pop, n, nprime, seed, start, count = 3 * 2**30, 20, 60, 2**64 - 3, 2**50 + 3, 17
+    drawn = []
+
+    def draw_only(plan, start, stop, values, failed, work):
+        drawn.append(np.hstack(_draw_positions(plan, start, stop, work)))
+
+    monkeypatch.setattr(montecarlo, "_block_rows", lambda plan: 5)
+    monkeypatch.setattr(montecarlo, "_simulate_block", draw_only)
+    _simulate_chunk(bare_plan(n_pop, n, nprime, seed), start, start + count)
+    assert len(drawn) == 4
+    positions = np.vstack(drawn)
+    for row, rep in enumerate(range(start, start + count)):
+        assert np.array_equal(positions[row], numpy_positions(seed, rep, n_pop, n, nprime))
