@@ -86,6 +86,7 @@ from .theory import (
     min_mse_combined,
     pre,
     theory_for_kind,
+    theory_table,
 )
 
 __version__ = "0.1.0"

@@ -75,8 +75,7 @@ from .theory import (
     DesignSizes,
     REPORTED_PRE_SINGLE_PHASE,
     REPORTED_PRE_TWO_PHASE,
-    pre,
-    theory_for_kind,
+    theory_table,
 )
 
 _FORMAT_CHOICES = click.Choice(["json", "csv", "text"])
@@ -311,33 +310,6 @@ def _design_kinds(sizes: DesignSizes) -> list[EstimatorKind]:
     return [UNBIASED] + list(TWO_PHASE_KINDS)
 
 
-def _theory_rows(
-    deltas: DeltaTable,
-    sy2: float,
-    sizes: DesignSizes,
-    alpha: float | None,
-    kinds: list[EstimatorKind],
-) -> list[dict]:
-    """One row per kind; combined kinds at ``alpha``, or the optimum when None."""
-    baseline = theory_for_kind(kinds[0], deltas, sy2, sizes).mse
-    rows = []
-    for kind in kinds:
-        used_weight, _ = _resolve_weight(kind, alpha, deltas)
-        result = theory_for_kind(kind, deltas, sy2, sizes, weight=used_weight)
-        rows.append(
-            {
-                "kind": kind.label,
-                "weight": used_weight,
-                "bias": result.bias,
-                "mse": result.mse,
-                "pre": pre(result.mse, baseline),
-                "formula_id": result.formula_id,
-                "valid": result.valid,
-            }
-        )
-    return rows
-
-
 @main.command("theory")
 @click.option("--deltas", "deltas_path", type=click.Path(exists=True, dir_okay=False), default=None, help="Moment-table JSON (keys d400,d040,d004,d220,d202,d022).")
 @click.option("--builtin-s5", is_flag=True, help="Use the built-in worked-example moment table.")
@@ -383,7 +355,7 @@ def cmd_theory(
             "moment table violates realizability bounds: " + "; ".join(violations)
         )
     sizes = DesignSizes(n, nprime)
-    rows = _theory_rows(deltas, sy2, sizes, alpha, _design_kinds(sizes))
+    rows = theory_table(_design_kinds(sizes), deltas, sy2, sizes, alpha)
     doc = {
         "deltas": deltas.to_dict(),
         "design": {"n": n, "nprime": nprime},
@@ -425,7 +397,7 @@ _TWO_PHASE_FLAG = (
 def _reproduction_rows() -> tuple[list[dict], list[dict]]:
     def build(kinds, sizes, reported):
         rows = []
-        theory_rows = _theory_rows(BUILTIN_EXAMPLE_DELTAS, 1.0, sizes, None, kinds)
+        theory_rows = theory_table(kinds, BUILTIN_EXAMPLE_DELTAS, 1.0, sizes)
         for kind, row in zip(kinds, theory_rows):
             computed = row["pre"]
             published = reported[kind.family.value]

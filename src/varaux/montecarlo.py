@@ -55,7 +55,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import (
-    DegeneratePopulationError,
     InvalidDesignError,
     InvalidInputError,
     SimulationError,
@@ -63,13 +62,11 @@ from .errors import (
 from .estimators import (
     UNBIASED,
     EstimatorKind,
-    Family,
     _resolve_weight,
-    alpha_opt,
     evaluate,
 )
 from .moments import DeltaTable, Population, delta_table, format_csv
-from .theory import DesignSizes, pre, theory_for_kind
+from .theory import DesignSizes, pre, theory_table
 
 #: Replications per work unit.  Fixed (never derived from the worker
 #: count) so that the chunk boundaries, and with them the assembled
@@ -604,7 +601,9 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
     InvalidInputError, InvalidDesignError
         If the configuration does not fit the population.
     DegeneratePopulationError
-        If any variate is constant in the population.
+        If any variate is constant in the population, or its y kurtosis
+        is at the lower bound ``d400 = 1``, where the theory has no
+        baseline; both before any replication runs.
     SimulationError
         If too many replications fail.
     """
@@ -620,8 +619,6 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
         raise InvalidDesignError(f"first-phase size nprime={config.nprime} exceeds the population size {n_pop}")
     kinds = tuple(dict.fromkeys((UNBIASED,) + config.estimators))
     sy2 = pop.sy2
-    if sy2 <= 0.0:
-        raise DegeneratePopulationError("variate 'y' has zero variance; nothing to estimate")
     pop_deltas = delta_table(pop)
     if config.n / n_pop > 0.05:
         warnings.warn(
@@ -631,8 +628,6 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
             stacklevel=2,
         )
 
-    sizes = DesignSizes(config.n, config.nprime)
-
     # Resolve weights once.  A None slot survives only under PLUG_IN,
     # where it means "re-estimate from every sample"; theory columns
     # for those rows are evaluated at the population optimum instead,
@@ -640,14 +635,13 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
     table = pop_deltas if config.weight_policy is WeightPolicy.POPULATION_OPTIMAL else None
     weights: list[float | None] = []
     modes: list[str] = []
-    theory_weights: list[float | None] = []
     for kind in kinds:
         weight, source = _resolve_weight(kind, deltas=table)
         if source == "plug-in" and config.weight_policy is WeightPolicy.FIXED:
             raise InvalidInputError(f"weight policy 'fixed' requires an explicit weight on {kind.label!r}")
         weights.append(weight)
         modes.append(_WEIGHT_MODES.get(source, source))
-        theory_weights.append(alpha_opt(pop_deltas) if source == "plug-in" else weight)
+    theory = theory_table(kinds, pop_deltas, sy2, DesignSizes(config.n, config.nprime))
 
     plan = _Plan(
         y=pop.y,
@@ -693,39 +687,25 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
             "an estimator's empirical MSE is zero; the design admits no "
             "sampling variation (is n = N?)"
         )
-    baseline_idx = next(i for i, kind in enumerate(kinds) if kind.family is Family.UNBIASED)
-    baseline_mse = float(emp_mse[baseline_idx])
+    # The unbiased baseline is always the first kind.
+    baseline_mse = float(emp_mse[0])
 
-    theory_results = [
-        theory_for_kind(kind, pop_deltas, sy2, sizes, weight=theory_weights[i])
-        for i, kind in enumerate(kinds)
+    summaries = [
+        EstimatorSummary(
+            kind=row["kind"],
+            weight_mode=modes[i],
+            weight=row["weight"],
+            emp_mean=float(emp_mean[i]),
+            emp_bias=float(emp_mean[i] - sy2),
+            emp_mse=float(emp_mse[i]),
+            emp_pre=pre(float(emp_mse[i]), baseline_mse),
+            theory_bias=row["bias"],
+            theory_mse=row["mse"],
+            theory_pre=row["pre"],
+            formula_id=row["formula_id"],
+        )
+        for i, row in enumerate(theory)
     ]
-    theory_baseline = theory_results[baseline_idx].mse
-    if theory_baseline <= 0.0:
-        raise DegeneratePopulationError(
-            "the population's y kurtosis sits at its lower bound (d400 = 1), "
-            "so first-order theory gives zero baseline variance and "
-            "efficiencies are undefined"
-        )
-
-    summaries = []
-    for i, kind in enumerate(kinds):
-        theory = theory_results[i]
-        summaries.append(
-            EstimatorSummary(
-                kind=kind.label,
-                weight_mode=modes[i],
-                weight=theory_weights[i],
-                emp_mean=float(emp_mean[i]),
-                emp_bias=float(emp_mean[i] - sy2),
-                emp_mse=float(emp_mse[i]),
-                emp_pre=pre(float(emp_mse[i]), baseline_mse),
-                theory_bias=theory.bias,
-                theory_mse=theory.mse,
-                theory_pre=pre(theory.mse, theory_baseline),
-                formula_id=theory.formula_id,
-            )
-        )
 
     return SimulationReport(
         pop_size=n_pop,

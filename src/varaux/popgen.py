@@ -74,7 +74,8 @@ class Marginal:
 
     @property
     def tag(self) -> str:
-        return f"{self.family}:{self.loc:g}:{self.scale:g}"
+        """``family:loc:scale``, which :meth:`parse` reads back to this marginal."""
+        return f"{self.family}:{_exact(self.loc)}:{_exact(self.scale)}"
 
     @classmethod
     def parse(cls, text: str) -> "Marginal":
@@ -160,11 +161,10 @@ class PopulationSpec:
         )
 
     def to_dict(self) -> dict:
-        """The spec's fields, each marginal as ``family:loc:scale`` with
-        numbers that :meth:`from_dict` reads back to the same floats."""
+        """The spec's fields, each marginal as its :attr:`Marginal.tag`."""
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         return {
-            key: f"{value.family}:{_exact(value.loc)}:{_exact(value.scale)}" if isinstance(value, Marginal) else value
+            key: value.tag if isinstance(value, Marginal) else value
             for key, value in values.items()
         }
 

@@ -8,6 +8,10 @@ throughout, matching the source study; Monte Carlo comparisons should
 therefore keep the sampling fraction small (the simulation engine warns
 above 5 percent).
 
+:func:`theory_table` builds every table of kinds: ``varaux theory``,
+``varaux reproduce-tables`` and the theory columns of each simulation
+report.
+
 Provenance discipline
 ---------------------
 Several of the published formulas this module implements contain
@@ -29,9 +33,10 @@ optimal weight is a true minimum.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import InvalidDesignError, InvalidInputError
+from .errors import DegeneratePopulationError, InvalidDesignError, InvalidInputError
 from .estimators import (
     COMBINED,
     COMBINED_TWO_PHASE,
@@ -241,6 +246,47 @@ def pre(mse_candidate: float, mse_baseline: float) -> float:
         if not math.isfinite(float(value)) or float(value) <= 0.0:
             raise InvalidInputError(f"{label} must be a finite positive number, got {value!r}")
     return 100.0 * mse_baseline / mse_candidate
+
+
+def theory_table(
+    kinds: Sequence[EstimatorKind],
+    deltas: DeltaTable,
+    sy2: float,
+    sizes: DesignSizes,
+    weight: float | None = None,
+) -> list[dict]:
+    """One row of :func:`theory_for_kind` per kind, with PRE against the first.
+
+    A combined kind is evaluated at ``weight``, else at its own weight,
+    else at ``alpha_opt(deltas)``; the row's ``weight`` is None for a
+    kind that takes none.
+
+    Raises
+    ------
+    DegeneratePopulationError
+        When the first row's MSE is not positive, as at ``d400 = 1``.
+    """
+    weights = [_resolve_weight(kind, weight, deltas)[0] for kind in kinds]
+    results = [theory_for_kind(kind, deltas, sy2, sizes, weight=w) for kind, w in zip(kinds, weights)]
+    baseline = results[0].mse
+    if baseline <= 0.0:
+        raise DegeneratePopulationError(
+            "the moment table's y kurtosis sits at its lower bound (d400 = 1), "
+            "so first-order theory gives the unbiased baseline zero variance "
+            "and efficiencies are undefined"
+        )
+    return [
+        {
+            "kind": kind.label,
+            "weight": w,
+            "bias": result.bias,
+            "mse": result.mse,
+            "pre": pre(result.mse, baseline),
+            "formula_id": result.formula_id,
+            "valid": result.valid,
+        }
+        for kind, w, result in zip(kinds, weights, results)
+    ]
 
 
 def min_mse_combined(

@@ -2,10 +2,12 @@
 
 These run each subcommand through click's CliRunner and check output
 structure, exit codes, determinism, and agreement with direct library
-calls.  Golden files under tests/data/ pin the exact JSON the
-``theory --builtin-s5`` and ``reproduce-tables`` commands emit, and the
-JSON, CSV and text of ``estimate`` for every kind, so any numerical or
-schema drift fails loudly.  The last tests run every ``varaux`` command
+calls.  Golden files under tests/data/ pin the exact output of
+``theory --builtin-s5`` (single- and two-phase, optimal and fixed
+weights), of ``reproduce-tables`` and of ``estimate`` for every kind, in
+JSON, CSV or text, and one plug-in ``simulate`` JSON report of the small
+population in tests/data/, so any numerical or schema drift fails
+loudly.  The last tests run every ``varaux`` command
 and every Python block of the README as written.
 """
 
@@ -484,6 +486,19 @@ class TestTheory:
         golden = (DATA_DIR / "golden_theory_builtin.json").read_text(encoding="utf-8")
         assert result.stdout == golden
 
+    @pytest.mark.parametrize(
+        "golden, args",
+        [
+            ("golden_theory_builtin_2p.json", ["--nprime", "25", "--format", "json"]),
+            ("golden_theory_alpha.csv", ["--alpha", "0.5", "--format", "csv"]),
+            ("golden_theory_alpha.txt", ["--alpha", "0.5", "--format", "text"]),
+        ],
+    )
+    def test_matches_golden(self, golden, args):
+        result = invoke("theory", "--builtin-s5", "--n", "10", *args)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == (DATA_DIR / golden).read_text(encoding="utf-8")
+
     def test_two_phase_rows(self):
         result = invoke(
             "theory", "--builtin-s5", "--n", "10", "--nprime", "25", "--format", "json"
@@ -573,11 +588,30 @@ class TestTheory:
         assert "realizability" in result.stderr
 
 
+    def test_kurtosis_at_its_bound_exits_3(self, tmp_path):
+        # d400 = 1 forces d220 = d202 = 1; the table is realizable, but
+        # the unbiased baseline's first-order MSE is zero.
+        path = tmp_path / "bound.json"
+        table = {**BUILTIN_EXAMPLE_DELTAS.to_dict(), "d400": 1.0, "d220": 1.0, "d202": 1.0}
+        path.write_text(json.dumps(table), encoding="utf-8")
+        result = invoke("theory", "--deltas", str(path), "--n", "10")
+        assert result.exit_code == 3
+        assert "d400 = 1" in result.stderr
+        assert "efficiencies are undefined" in result.stderr
+
+
 class TestReproduceTables:
     def test_matches_golden(self):
         result = invoke("reproduce-tables", "--format", "json")
         assert result.exit_code == 0
         golden = (DATA_DIR / "golden_reproduce_tables.json").read_text(encoding="utf-8")
+        assert result.stdout == golden
+
+    @pytest.mark.parametrize("fmt, suffix", [("csv", "csv"), ("text", "txt")])
+    def test_csv_and_text_match_golden(self, fmt, suffix):
+        result = invoke("reproduce-tables", "--format", fmt)
+        assert result.exit_code == 0
+        golden = (DATA_DIR / f"golden_reproduce_tables.{suffix}").read_text(encoding="utf-8")
         assert result.stdout == golden
 
     def test_single_phase_rows_consistent(self):
@@ -773,6 +807,18 @@ class TestSimulate:
         )
         assert result.exit_code == 3
         assert "'x'" in result.output
+
+    def test_plug_in_report_matches_golden(self):
+        # n/N = 20/400; under plug-in the report's combined weight is the
+        # population optimum its theory columns are evaluated at.
+        result = invoke(
+            "simulate", "--input", str(DATA_DIR / "population_small.csv"),
+            "--n", "20", "--nprime", "60", "--reps", "3000", "--seed", "7",
+            "--weight-policy", "plug-in", "--format", "json",
+        )
+        assert result.exit_code == 0, result.output
+        golden = (DATA_DIR / "golden_simulate_plugin.json").read_text(encoding="utf-8")
+        assert result.stdout == golden
 
     def test_census_design_exits_2(self, tmp_path):
         pop_path = tmp_path / "pop.csv"

@@ -35,6 +35,8 @@ from varaux import (
     run_simulation,
 )
 
+from varaux import montecarlo
+
 from helpers import count_fourth_moments, random_population
 
 
@@ -344,6 +346,19 @@ class TestRunSimulation:
         config = SimulationConfig(n=5, reps=10, seed=0, estimators=(UNBIASED,))
         with pytest.raises(DegeneratePopulationError):
             quiet_run(pop, config)
+
+    def test_kurtosis_at_its_bound_refused_before_any_chunk(self, monkeypatch):
+        # A two-valued y has d400 = 1: first-order theory gives the
+        # unbiased baseline zero MSE, which is known before any draw.
+        def no_chunk(*args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(montecarlo, "_simulate_chunk", no_chunk)
+        rng = np.random.default_rng(3)
+        pop = Population(y=np.tile([1.0, 2.0], 1000), x=rng.lognormal(size=2000), z=rng.lognormal(size=2000))
+        config = SimulationConfig(n=20, reps=50_000, seed=0, estimators=(UNBIASED, EXP_RATIO))
+        with pytest.raises(DegeneratePopulationError, match=r"d400 = 1"):
+            run_simulation(pop, config)
 
     def test_degenerate_auxiliary_rejected(self):
         # The report always carries the population's full moment table, so

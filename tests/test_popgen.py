@@ -73,6 +73,19 @@ class TestMarginal:
         with pytest.raises(InvalidSpecError, match=f"marginal {field} must be a number"):
             Marginal("normal", **{field: value})
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        family=st.sampled_from(["normal", "lognormal"]),
+        loc=st.floats(allow_nan=False, allow_infinity=False),
+        scale=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_tag_parses_back_to_the_same_marginal(self, family, loc, scale):
+        m = Marginal(family, loc, scale)
+        assert Marginal.parse(m.tag) == m
+
+    def test_tag_is_exact(self):
+        assert Marginal("lognormal", 0.123456789, 0.3).tag == "lognormal:0.123456789:0.3"
+
 
 class TestPopulationSpec:
     def test_defaults(self):

@@ -24,7 +24,7 @@ EXPORTED = [
     "generate_population", "load_delta_table", "load_population_csv",
     "load_population_spec", "min_mse_combined", "pre", "realized_correlations",
     "run_simulation", "sample_variance", "save_population_csv",
-    "single_phase_value", "theory_for_kind", "two_phase_value",
+    "single_phase_value", "theory_for_kind", "theory_table", "two_phase_value",
 ]
 
 

@@ -32,8 +32,11 @@ from varaux import (
     SINGLE_PHASE_KINDS,
     TWO_PHASE_KINDS,
     UNBIASED,
+    DegeneratePopulationError,
     DeltaTable,
     DesignSizes,
+    EstimatorKind,
+    Family,
     InvalidDesignError,
     InvalidInputError,
     alpha_opt,
@@ -41,6 +44,7 @@ from varaux import (
     min_mse_combined,
     pre,
     theory_for_kind,
+    theory_table,
 )
 from varaux.estimators import alpha_terms
 from varaux.theory import (
@@ -508,6 +512,47 @@ class TestTheoryForKind:
     def test_weight_on_non_combined_rejected(self):
         with pytest.raises(InvalidInputError):
             theory_for_kind(UNBIASED, D, 1.0, N10, weight=0.5)
+
+
+class TestTheoryTable:
+    ALL_KINDS = SINGLE_PHASE_KINDS + TWO_PHASE_KINDS
+
+    @pytest.mark.parametrize("source", ["builtin", "population"])
+    def test_rows_are_theory_for_kind_at_the_row_weight(self, source):
+        if source == "builtin":
+            d, sy2 = D, 1.0
+        else:
+            pop = random_population(np.random.default_rng(17), 80)
+            d, sy2 = delta_table(pop), pop.sy2
+        rows = theory_table(self.ALL_KINDS, d, sy2, N10_25)
+        assert [row["kind"] for row in rows] == [kind.label for kind in self.ALL_KINDS]
+        for kind, row in zip(self.ALL_KINDS, rows):
+            expected = theory_for_kind(kind, d, sy2, N10_25, weight=row["weight"])
+            assert row["mse"] == expected.mse
+            assert row["bias"] == expected.bias
+            assert row["formula_id"] == expected.formula_id
+            assert row["valid"] is expected.valid
+            assert row["pre"] == pre(expected.mse, rows[0]["mse"])
+            assert (row["weight"] is None) == (not kind.is_combined)
+
+    def test_first_row_is_the_baseline(self):
+        rows = theory_table(SINGLE_PHASE_KINDS, D, 1.0, N10)
+        assert rows[0]["pre"] == 100.0
+        assert list(rows[0]) == ["kind", "weight", "bias", "mse", "pre", "formula_id", "valid"]
+
+    def test_combined_weight_precedence(self):
+        kinds = [UNBIASED, COMBINED, EstimatorKind(Family.COMBINED, 0.25), COMBINED_TWO_PHASE]
+        optimal = theory_table(kinds, D, 1.0, N10_25)
+        assert [row["weight"] for row in optimal] == [None, alpha_opt(D), 0.25, alpha_opt(D)]
+        fixed = theory_table(kinds, D, 1.0, N10_25, weight=0.7)
+        assert [row["weight"] for row in fixed] == [None, 0.7, 0.7, 0.7]
+
+    def test_zero_baseline_refused(self):
+        # d400 = 1 forces d220 = d202 = 1; the table is realizable.
+        d = DeltaTable(d400=1.0, d040=D.d040, d004=D.d004, d220=1.0, d202=1.0, d022=D.d022)
+        assert d.violations() == []
+        with pytest.raises(DegeneratePopulationError, match=r"d400 = 1"):
+            theory_table(SINGLE_PHASE_KINDS, d, 1.0, N10)
 
 
 class TestPublishedFigures:
