@@ -43,6 +43,7 @@ from .estimators import (
     AuxKnowledge,
     EstimatorKind,
     _resolve_weight,
+    _row_label,
     estimate_single_phase,
     estimate_two_phase,
 )
@@ -278,7 +279,7 @@ def cmd_estimate(
         used_weight, source = _resolve_weight(kind, weight, deltas)
         rows.append(
             {
-                "kind": kind.label,
+                "kind": _row_label(kind, used_weight, source),
                 "estimate": value,
                 "weight": used_weight,
                 "weight_source": _WEIGHT_SOURCES[source],

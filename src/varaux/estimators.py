@@ -49,7 +49,16 @@ from .moments import DeltaTable, fourth_moments, sample_variance
 
 
 class Family(enum.Enum):
-    """Estimator families, by their stable report tags."""
+    """Estimator families, by their stable report tags.
+
+    A tag reads ``<form>[-2p]``, and each member derives its facts from
+    it once: ``form`` (the tag without ``-2p``), ``two_phase``, whether
+    it ``uses_x`` and ``uses_z``, and ``divisors``, the ``(variance name,
+    message)`` of each sample variance it divides by, in checking order.
+    The names are keyword arguments of :func:`single_phase_value` and
+    :func:`two_phase_value`; a variance that is not positive fails the
+    estimate with the message.
+    """
 
     UNBIASED = "unbiased"
     ISAKI_RATIO = "isaki-ratio"
@@ -60,19 +69,21 @@ class Family(enum.Enum):
     EXP_PRODUCT_2P = "exp-product-2p"
     COMBINED_2P = "combined-2p"
 
-
-# Tuples, not sets: membership then compares identities and never calls
-# the enum's Python-level hash, which matters on the scalar paths.  For
-# the same reason those paths read a member as ``UNBIASED.family``, not as
-# ``Family.UNBIASED``, a lookup over ten times slower on Python 3.11.
-_TWO_PHASE_FAMILIES = (Family.EXP_RATIO_2P, Family.EXP_PRODUCT_2P, Family.COMBINED_2P)
-_COMBINED_FAMILIES = (Family.COMBINED, Family.COMBINED_2P)
-_RATIO_FAMILIES = (Family.EXP_RATIO, Family.EXP_RATIO_2P)
-_PRODUCT_FAMILIES = (Family.EXP_PRODUCT, Family.EXP_PRODUCT_2P)
-_X_FAMILIES = (
-    Family.ISAKI_RATIO, Family.EXP_RATIO, Family.COMBINED, Family.EXP_RATIO_2P, Family.COMBINED_2P
-)
-_Z_FAMILIES = (Family.EXP_PRODUCT, Family.COMBINED, Family.EXP_PRODUCT_2P, Family.COMBINED_2P)
+    def __init__(self, tag: str) -> None:
+        self.form = tag.removesuffix("-2p")
+        self.two_phase = self.form != tag
+        self.uses_x = self.form in ("isaki-ratio", "exp-ratio", "combined")
+        self.uses_z = self.form in ("exp-product", "combined")
+        phases = ("first-phase ", "") if self.two_phase else ("",)
+        self.divisors = tuple(
+            (
+                f"s{name}2_first" if phase else f"s{name}2",
+                f"{phase}sample variance of {name} is zero; the estimator is undefined",
+            )
+            for name, used in (("x", self.uses_x), ("z", self.uses_z))
+            if used
+            for phase in phases
+        )
 
 
 @dataclass(frozen=True)
@@ -94,7 +105,7 @@ class EstimatorKind:
                 f"family must be a Family member, got {self.family!r}"
             )
         if self.weight is not None:
-            if self.family not in _COMBINED_FAMILIES:
+            if not self.is_combined:
                 raise InvalidInputError(
                     f"estimator {self.family.value!r} does not take a weight"
                 )
@@ -105,19 +116,19 @@ class EstimatorKind:
 
     @property
     def is_two_phase(self) -> bool:
-        return self.family in _TWO_PHASE_FAMILIES
+        return self.family.two_phase
 
     @property
     def is_combined(self) -> bool:
-        return self.family in _COMBINED_FAMILIES
+        return self.family.form == "combined"
 
     @property
     def uses_x(self) -> bool:
-        return self.family in _X_FAMILIES
+        return self.family.uses_x
 
     @property
     def uses_z(self) -> bool:
-        return self.family in _Z_FAMILIES
+        return self.family.uses_z
 
     @property
     def label(self) -> str:
@@ -203,31 +214,6 @@ class AuxKnowledge:
         return value
 
 
-def _zero_message(label: str) -> str:
-    return f"{label} is zero; the estimator is undefined"
-
-
-_X = ("sx2", _zero_message("sample variance of x"))
-_Z = ("sz2", _zero_message("sample variance of z"))
-_X_FIRST = ("sx2_first", _zero_message("first-phase sample variance of x"))
-_Z_FIRST = ("sz2_first", _zero_message("first-phase sample variance of z"))
-
-#: ``(variance name, message)`` for each sample variance a family
-#: divides by, in checking order.  Names are the keyword arguments of
-#: :func:`single_phase_value` and :func:`two_phase_value`; a variance
-#: that is not positive fails the estimate with the message.
-DIVISOR_CHECKS: dict[Family, tuple[tuple[str, str], ...]] = {
-    Family.UNBIASED: (),
-    Family.ISAKI_RATIO: (_X,),
-    Family.EXP_RATIO: (_X,),
-    Family.EXP_PRODUCT: (_Z,),
-    Family.COMBINED: (_X, _Z),
-    Family.EXP_RATIO_2P: (_X_FIRST, _X),
-    Family.EXP_PRODUCT_2P: (_Z_FIRST, _Z),
-    Family.COMBINED_2P: (_X_FIRST, _X, _Z_FIRST, _Z),
-}
-
-
 def _exp(arg):
     # libm's ``exp``, elementwise through ``fromiter`` over ``map``, the
     # fastest Python loop for it: ``np.exp`` rounds some values
@@ -246,19 +232,19 @@ def value_kernel(family: Family, sy2, sx2, sz2, ref_x, ref_z, weight, factors):
     in two-phase designs.  ``factors`` holds the exponential ``"ratio"``
     and ``"product"`` factors of these variances once computed, so that
     the kinds of one design share them.  Nothing is validated here;
-    :func:`evaluate` checks the divisors (:data:`DIVISOR_CHECKS`).
+    :func:`evaluate` checks the family's ``divisors``.
     """
-    if family is ISAKI_RATIO.family:
+    if family.form == "isaki-ratio":
         return sy2 * ref_x / sx2
-    if family in _X_FAMILIES:
+    if family.uses_x:
         if "ratio" not in factors:
             factors["ratio"] = _exp((ref_x - sx2) / (ref_x + sx2))
-        if family in _RATIO_FAMILIES:
+        if not family.uses_z:
             return sy2 * factors["ratio"]
-    if family in _Z_FAMILIES:
+    if family.uses_z:
         if "product" not in factors:
             factors["product"] = _exp((sz2 - ref_z) / (sz2 + ref_z))
-        if family in _PRODUCT_FAMILIES:
+        if not family.uses_x:
             return sy2 * factors["product"]
         return sy2 * (weight * factors["ratio"] + (1.0 - weight) * factors["product"])
     return sy2
@@ -316,7 +302,7 @@ def _checked_value(kind, two_phase, sy2, variances, aux, weight, samples=None) -
     """The checks and arithmetic of :func:`single_phase_value` and
     :func:`two_phase_value`, and of the estimates given ``samples``.
 
-    ``variances`` maps the names of :data:`DIVISOR_CHECKS` to sample
+    ``variances`` maps the names of the family's ``divisors`` to sample
     variances.  The first check of :func:`evaluate` that fails raises
     its error; the numbers go in as numpy floats, so that no division
     raises before then.
@@ -324,16 +310,16 @@ def _checked_value(kind, two_phase, sy2, variances, aux, weight, samples=None) -
     _check_design(kind, two_phase, "{}_phase_value")
     if sy2 is None:
         raise InvalidInputError(f"estimator {kind.label!r} needs the sample variance 'sy2'")
-    if kind.family is UNBIASED.family:
+    if kind.family.form == "unbiased":
         return float(sy2)
     if not two_phase and aux is None:
         raise InvalidInputError(f"estimator {kind.label!r} needs known auxiliary variances")
     if weight is None and kind.is_combined and samples is None:
         raise InvalidInputError("combined estimator needs a resolved weight")
     if not two_phase:
-        for name, _ in DIVISOR_CHECKS[kind.family]:
+        for name, _ in kind.family.divisors:
             aux.require(name)  # the known variances divided against
-    for name, _ in DIVISOR_CHECKS[kind.family]:
+    for name, _ in kind.family.divisors:
         if variances[name] is None:
             raise InvalidInputError(f"estimator {kind.label!r} needs the sample variance {name!r}")
     refs = (None, None) if two_phase else (aux.sx2, aux.sz2)
@@ -387,8 +373,8 @@ def evaluate(kinds, weights, sy2, variances, refs, samples=None):
     The one evaluation of the estimators, for the scalar entry points
     and for the engine's blocks (one sample per row).  ``weights`` are
     resolved, or None where a combined kind takes the plug-in weight of
-    the ``(y, x, z)`` ``samples``; ``variances`` maps the names of
-    :data:`DIVISOR_CHECKS`; ``refs`` are the known ``(S_x^2, S_z^2)``.
+    the ``(y, x, z)`` ``samples``; ``variances`` maps the names of the
+    families' ``divisors``; ``refs`` are the known ``(S_x^2, S_z^2)``.
 
     Returns a value per kind, undefined where a check fails, and
     ``(failed, error class, message)`` per check in the order they
@@ -413,7 +399,7 @@ def evaluate(kinds, weights, sy2, variances, refs, samples=None):
         values, factors = [], ({}, {})  # the factors of each design
         sx2, sz2 = variances["sx2"], variances["sz2"]
         for kind, weight in zip(kinds, weights):
-            for name, message in DIVISOR_CHECKS[kind.family]:
+            for name, message in kind.family.divisors:
                 checks.append((variances[name] <= 0.0, DegenerateSampleError, message))
             ref_x, ref_z = refs
             two_phase = kind.is_two_phase
@@ -449,6 +435,13 @@ def _resolve_weight(
     if deltas is not None:
         return alpha_opt(deltas), "optimal"
     return None, "plug-in"
+
+
+def _row_label(kind: EstimatorKind, weight: float | None, source: str) -> str:
+    """The label of a row evaluated at ``weight`` from ``source``, as
+    :func:`_resolve_weight` returns them: a fixed weight is spelled out,
+    an optimal or plug-in one keeps the kind's ``:opt``."""
+    return EstimatorKind(kind.family, weight).label if source == "fixed" else kind.label
 
 
 def _checked_sample(values, name: str, expected_size: int | None = None) -> np.ndarray:

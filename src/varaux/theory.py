@@ -18,16 +18,20 @@ Several of the published formulas this module implements contain
 typographical errors: coefficients or signs under which the published
 numerical tables cannot be reproduced and the printed optimal weight is
 not the minimizer of the printed MSE.  This module evaluates the
-corrected forms.  Every result carries a ``formula_id`` ending in
-``as-published`` or ``corrected``, and :data:`CORRECTIONS` records, for
+corrected forms.  :data:`CORRECTIONS` is the one record of them: for
 each corrected formula, what changed and which internal-consistency
-check forces the change.  The CLI prints this registry via
+check forces the change.  Every result carries a ``formula_id`` that
+ends in ``corrected`` when the registry lists it and in
+``as-published`` otherwise.  The CLI prints this registry via
 ``varaux theory --corrections``.
 
-The corrected combined-kind MSE is an upward parabola in the weight
-whenever ``d040 + d004 + 2*d022 > 4``, which holds strictly for every
-realizable moment table except degenerate boundary cases, so the
-optimal weight is a true minimum.
+Every kind's MSE is one bracket in the weights ``(p, q)`` its form
+gives the ratio and product sides (:func:`theory_for_kind`), so the
+families differ only in those two numbers.  The corrected combined-kind
+MSE is an upward parabola in the weight whenever ``d040 + d004 +
+2*d022 > 4``, which holds strictly for every realizable moment table
+except degenerate boundary cases, so the optimal weight is a true
+minimum.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from .estimators import (
     COMBINED,
     COMBINED_TWO_PHASE,
     EstimatorKind,
-    Family,
     _resolve_weight,
+    _row_label,
     alpha_opt,
 )
 from .moments import DeltaTable
@@ -111,71 +115,36 @@ def _check_sy2(sy2: float) -> float:
     return value
 
 
-# The MSE brackets, added to the ``(d400 - 1)`` of the unbiased kind.
-# They are shared verbatim between the single-phase and two-phase
-# formulas (the designs differ only in the factor multiplying the
-# bracket), which is what makes the reduction identities between the
-# two families exact.  Each takes the moment table and the resolved
-# weight, which only the combined brackets read.
-
-def _isaki_bracket(d: DeltaTable, weight: float | None) -> float:
-    return (d.d040 - 1.0) - 2.0 * (d.d220 - 1.0)
-
-
-def _ratio_bracket(d: DeltaTable, weight: float | None) -> float:
-    return (d.d040 - 1.0) / 4.0 - (d.d220 - 1.0)
+#: The weights ``(p, q)`` that each form's first-order expansion gives
+#: the relative errors of ``s_x^2`` and ``s_z^2`` (its ratio and product
+#: sides), doubled; the combined forms take ``(w, 1 - w)``.
+_SIDES = {
+    "unbiased": (0.0, 0.0),
+    "isaki-ratio": (2.0, 0.0),
+    "exp-ratio": (1.0, 0.0),
+    "exp-product": (0.0, 1.0),
+}
 
 
-def _product_bracket(d: DeltaTable, weight: float | None) -> float:
-    return (d.d004 - 1.0) / 4.0 + (d.d202 - 1.0)
-
-
-def _combined_bracket(d: DeltaTable, weight: float) -> float:
-    co = 1.0 - weight
+def _mse_bracket(d: DeltaTable, p: float, q: float) -> float:
+    """The MSE bracket of sides ``(p, q)``, added to the ``(d400 - 1)`` of
+    the unbiased kind.  Every term is a spread above a moment's lower
+    bound."""
     return (
-        (weight * weight / 4.0) * (d.d040 - 1.0)
-        + (co * co / 4.0) * (d.d004 - 1.0)
-        - weight * (d.d220 - 1.0)
-        + co * (d.d202 - 1.0)
-        - (weight * co / 2.0) * (d.d022 - 1.0)
+        (p * p / 4.0) * (d.d040 - 1.0)
+        + (q * q / 4.0) * (d.d004 - 1.0)
+        - p * (d.d220 - 1.0)
+        + q * (d.d202 - 1.0)
+        - (p * q / 2.0) * (d.d022 - 1.0)
     )
 
 
-def _zero_bracket(d: DeltaTable, weight: float | None) -> float:
-    return 0.0
-
-
-# Bias brackets (multiply by S_y^2 and the design factor).  The
-# coefficients are the corrected ones, ``(3/8, -1/2)`` on the ratio side
-# and ``(-1/8, +1/2)`` on the product side; the published print
-# transposes the 1/8 and 3/8 factors.
-
-def _bias_ratio_bracket(d: DeltaTable, weight: float | None) -> float:
-    return (3.0 / 8.0) * (d.d040 - 1.0) - 0.5 * (d.d220 - 1.0)
-
-
-def _bias_product_bracket(d: DeltaTable, weight: float | None) -> float:
-    return -(1.0 / 8.0) * (d.d004 - 1.0) + 0.5 * (d.d202 - 1.0)
-
-
-def _bias_combined_bracket(d: DeltaTable, weight: float) -> float:
-    return weight * _bias_ratio_bracket(d, None) + (1.0 - weight) * _bias_product_bracket(d, None)
-
-
-#: The first-order theory of every family: its MSE bracket, its formula
-#: id and its bias bracket.  No bias expression is implemented for the
-#: ratio kind or the two-phase kinds; simulation reports their empirical
-#: bias instead.
-_FORMULAS = {
-    Family.UNBIASED: (_zero_bracket, "var:unbiased:as-published", _zero_bracket),
-    Family.ISAKI_RATIO: (_isaki_bracket, "mse:isaki-ratio:as-published", None),
-    Family.EXP_RATIO: (_ratio_bracket, "mse:exp-ratio:corrected", _bias_ratio_bracket),
-    Family.EXP_PRODUCT: (_product_bracket, "mse:exp-product:as-published", _bias_product_bracket),
-    Family.COMBINED: (_combined_bracket, "mse:combined:corrected", _bias_combined_bracket),
-    Family.EXP_RATIO_2P: (_ratio_bracket, "mse:exp-ratio-2p:as-published", None),
-    Family.EXP_PRODUCT_2P: (_product_bracket, "mse:exp-product-2p:as-published", None),
-    Family.COMBINED_2P: (_combined_bracket, "mse:combined-2p:corrected", None),
-}
+def _bias_bracket(d: DeltaTable, p: float, q: float) -> float:
+    """The bias bracket of sides ``(p, q)`` (multiply by ``S_y^2/n``).  The
+    published print transposes the 1/8 and 3/8 factors of each side."""
+    ratio = (3.0 / 8.0) * (d.d040 - 1.0) - 0.5 * (d.d220 - 1.0)
+    product = -(1.0 / 8.0) * (d.d004 - 1.0) + 0.5 * (d.d202 - 1.0)
+    return p * ratio + q * product
 
 
 def theory_for_kind(
@@ -187,33 +156,45 @@ def theory_for_kind(
 ) -> TheoryResult:
     """First-order MSE, and bias where one is implemented, of any kind.
 
-    With ``bracket`` the family's MSE bracket, a single-phase kind has
-    MSE ``(S_y^4/n) * ((d400 - 1) + bracket)`` and a two-phase kind,
-    with ``theta = 1/n - 1/n'``, ``S_y^4 * ((d400 - 1)/n + theta *
-    bracket)``.  Brackets (all terms are spreads above the moment lower
-    bounds):
+    Every kind has the classical linearized MSE (Isaki, JASA 78, 1983):
+    a single-phase kind ``(S_y^4/n) * ((d400 - 1) + bracket)`` and a
+    two-phase kind, with ``theta = 1/n - 1/n'``, ``S_y^4 * ((d400 - 1)/n
+    + theta * bracket)``, where
 
-    * unbiased:      ``0``
-    * isaki-ratio:   ``(d040 - 1) - 2 (d220 - 1)``
-    * exp-ratio:     ``(d040 - 1)/4 - (d220 - 1)``  (corrected)
-    * exp-product:   ``(d004 - 1)/4 + (d202 - 1)``
-    * combined(a):   ``(a^2/4)(d040 - 1) + ((1-a)^2/4)(d004 - 1)
-      - a (d220 - 1) + (1-a)(d202 - 1) - (a(1-a)/2)(d022 - 1)``  (corrected)
+    ``bracket = (p^2/4)(d040 - 1) + (q^2/4)(d004 - 1) - p (d220 - 1)
+    + q (d202 - 1) - (pq/2)(d022 - 1)``
 
-    The two-phase kinds share the bracket of their single-phase
-    counterparts.  That shared bracket is what makes the reductions
+    and ``p``, ``q`` are the weights of the form's ratio and product
+    sides (twice those its expansion gives ``e_x`` and ``e_z``):
+
+    ============  ==============
+    form          ``(p, q)``
+    ============  ==============
+    unbiased      ``(0, 0)``
+    isaki-ratio   ``(2, 0)``
+    exp-ratio     ``(1, 0)``
+    exp-product   ``(0, 1)``
+    combined(a)   ``(a, 1 - a)``
+    ============  ==============
+
+    A two-phase kind takes its form's sides.  The single-phase
+    exponential forms have bias ``(S_y^2/n) (p * ratio + q * product)``
+    with ``ratio = (3/8)(d040 - 1) - (d220 - 1)/2`` and ``product =
+    (d202 - 1)/2 - (d004 - 1)/8`` (corrected), the unbiased kind 0, and
+    the others none.  The shared bracket is what makes the reductions
     exact: weight 1 gives the ratio MSE, weight 0 the product MSE, and
-    ``1/n' -> 0`` recovers the single-phase values.  The two designs keep
-    separate final expressions because folding them into one factor
-    form would round differently in the last bit.  A single-phase kind
-    ignores ``sizes.nprime``.
+    ``1/n' -> 0`` recovers the single-phase values.  The two designs
+    keep separate final expressions because folding them into one
+    factor form would round differently in the last bit.  A
+    single-phase kind ignores ``sizes.nprime``.
 
     The exp-ratio correction replaces a printed ``+1/4`` constant by
     ``-1/4``; the combined correction replaces a printed
     ``(1 - a^2)/4`` coefficient by ``((1 - a)^2)/4``.  The published
     print of the combined two-phase MSE fails the reductions (a flipped
-    cross-term sign and a ``(k^2 - 1)/4`` coefficient).  See
-    :data:`CORRECTIONS`.
+    cross-term sign and a ``(k^2 - 1)/4`` coefficient).  A
+    ``formula_id`` ends in ``:corrected`` exactly when
+    :data:`CORRECTIONS` lists it, and in ``:as-published`` otherwise.
     """
     sy2 = _check_sy2(sy2)
     if kind.is_two_phase and sizes.nprime is None:
@@ -226,14 +207,22 @@ def theory_for_kind(
             "combined theory evaluation needs a weight: pass weight=..., embed one "
             "in the kind, or use min_mse_combined for the optimum"
         )
-    mse_bracket, formula_id, bias_bracket = _FORMULAS[kind.family]
-    bracket = mse_bracket(deltas, w)
+    form = kind.family.form
+    p, q = (w, 1.0 - w) if kind.is_combined else _SIDES[form]
+    bracket = _mse_bracket(deltas, p, q)
     if kind.is_two_phase:
         mse = sy2 * sy2 * ((deltas.d400 - 1.0) / sizes.n + sizes.theta * bracket)
     else:
         mse = sy2 * sy2 * ((deltas.d400 - 1.0) + bracket) / sizes.n
-    bias = None if bias_bracket is None else sy2 * bias_bracket(deltas, w) / sizes.n
-    return TheoryResult(mse=mse, bias=bias, formula_id=formula_id, valid=mse >= 0.0)
+    if form == "unbiased":
+        bias = 0.0  # not a (0, 0) bracket, which may be -0.0
+    elif kind.is_two_phase or form == "isaki-ratio":
+        bias = None
+    else:
+        bias = sy2 * _bias_bracket(deltas, p, q) / sizes.n
+    formula = "var:unbiased" if form == "unbiased" else f"mse:{kind.family.value}"
+    status = "corrected" if f"{formula}:corrected" in _CORRECTED_IDS else "as-published"
+    return TheoryResult(mse=mse, bias=bias, formula_id=f"{formula}:{status}", valid=mse >= 0.0)
 
 
 def pre(mse_candidate: float, mse_baseline: float) -> float:
@@ -259,15 +248,16 @@ def theory_table(
 
     A combined kind is evaluated at ``weight``, else at its own weight,
     else at ``alpha_opt(deltas)``; the row's ``weight`` is None for a
-    kind that takes none.
+    kind that takes none.  A row at a fixed weight is labelled with it,
+    as ``combined:0.5``; one at the optimum keeps ``combined:opt``.
 
     Raises
     ------
     DegeneratePopulationError
         When the first row's MSE is not positive, as at ``d400 = 1``.
     """
-    weights = [_resolve_weight(kind, weight, deltas)[0] for kind in kinds]
-    results = [theory_for_kind(kind, deltas, sy2, sizes, weight=w) for kind, w in zip(kinds, weights)]
+    resolved = [_resolve_weight(kind, weight, deltas) for kind in kinds]
+    results = [theory_for_kind(kind, deltas, sy2, sizes, weight=w) for kind, (w, _) in zip(kinds, resolved)]
     baseline = results[0].mse
     if baseline <= 0.0:
         raise DegeneratePopulationError(
@@ -277,7 +267,7 @@ def theory_table(
         )
     return [
         {
-            "kind": kind.label,
+            "kind": _row_label(kind, w, source),
             "weight": w,
             "bias": result.bias,
             "mse": result.mse,
@@ -285,7 +275,7 @@ def theory_table(
             "formula_id": result.formula_id,
             "valid": result.valid,
         }
-        for kind, w, result in zip(kinds, weights, results)
+        for kind, (w, source), result in zip(kinds, resolved, results)
     ]
 
 
@@ -509,3 +499,5 @@ CORRECTIONS: tuple[Correction, ...] = (
         ),
     ),
 )
+
+_CORRECTED_IDS = frozenset(c.formula_id for c in CORRECTIONS)

@@ -435,6 +435,15 @@ class TestEstimate:
         assert row["weight"] == 0.9
         assert row["weight_source"] == "fixed"
 
+    def test_fixed_weight_rows_are_labelled_with_their_weight(self, tiny_csv):
+        result = invoke(
+            "estimate", "--input", tiny_csv, "--estimators", "combined:0.6,combined",
+            "--sx2", "6.0", "--sz2", "9.0", "--weight", "0.9", "--format", "json",
+        )
+        assert result.exit_code == 0, result.output
+        rows = json.loads(result.stdout)["rows"]
+        assert [(row["kind"], row["weight"]) for row in rows] == [("combined:0.9", 0.9)] * 2
+
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     @pytest.mark.parametrize(
         "name, estimators",
@@ -528,6 +537,16 @@ class TestTheory:
             row for row in json.loads(result.stdout)["rows"] if "combined" in row["kind"]
         ]
         assert combined[0]["weight"] == 0.3
+
+    @pytest.mark.parametrize(
+        "args, label",
+        [([], "combined:0.5"), (["--nprime", "25"], "combined-2p:0.5")],
+        ids=["single-phase", "two-phase"],
+    )
+    def test_fixed_alpha_row_is_labelled_with_it(self, args, label):
+        result = invoke("theory", "--builtin-s5", "--n", "10", "--alpha", "0.5", *args, "--format", "json")
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["rows"][-1]["kind"] == label
 
     def test_corrections_listing(self):
         result = invoke("theory", "--corrections", "--format", "json")

@@ -39,7 +39,7 @@ from varaux import (
     single_phase_value,
     two_phase_value,
 )
-from varaux.estimators import DIVISOR_CHECKS, FLAT_OBJECTIVE, _exp, evaluate
+from varaux.estimators import FLAT_OBJECTIVE, _exp, evaluate
 from varaux.theory import BUILTIN_EXAMPLE_DELTAS
 
 from helpers import random_population
@@ -106,6 +106,35 @@ class TestKindParsing:
         assert COMBINED.uses_x and COMBINED.uses_z and COMBINED.is_combined
         assert all(k.is_two_phase for k in TWO_PHASE_KINDS)
         assert not any(k.is_two_phase for k in SINGLE_PHASE_KINDS)
+
+
+_X = ("sx2", "sample variance of x is zero; the estimator is undefined")
+_Z = ("sz2", "sample variance of z is zero; the estimator is undefined")
+_X_FIRST = ("sx2_first", "first-phase sample variance of x is zero; the estimator is undefined")
+_Z_FIRST = ("sz2_first", "first-phase sample variance of z is zero; the estimator is undefined")
+
+#: Each family's two-phase, combined, uses-x and uses-z flags, and the
+#: ``(variance name, message)`` checks of the variances it divides by,
+#: in checking order; the kinds' flags read the family's own.
+FAMILY_FACTS = {
+    Family.UNBIASED: (False, False, False, False, ()),
+    Family.ISAKI_RATIO: (False, False, True, False, (_X,)),
+    Family.EXP_RATIO: (False, False, True, False, (_X,)),
+    Family.EXP_PRODUCT: (False, False, False, True, (_Z,)),
+    Family.COMBINED: (False, True, True, True, (_X, _Z)),
+    Family.EXP_RATIO_2P: (True, False, True, False, (_X_FIRST, _X)),
+    Family.EXP_PRODUCT_2P: (True, False, False, True, (_Z_FIRST, _Z)),
+    Family.COMBINED_2P: (True, True, True, True, (_X_FIRST, _X, _Z_FIRST, _Z)),
+}
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda family: family.value)
+def test_family_facts(family):
+    kind = EstimatorKind(family)
+    facts = (kind.is_two_phase, kind.is_combined, kind.uses_x, kind.uses_z, family.divisors)
+    assert facts == FAMILY_FACTS[family]
+    assert (family.two_phase, family.uses_x, family.uses_z) == (kind.is_two_phase, kind.uses_x, kind.uses_z)
+    assert family.form == family.value.removesuffix("-2p")
 
 
 class TestSinglePhaseValues:
@@ -207,7 +236,7 @@ class TestTwoPhaseValues:
     [
         (kind, name)
         for kind in SINGLE_PHASE_KINDS + TWO_PHASE_KINDS
-        for name, _ in DIVISOR_CHECKS[kind.family]
+        for name, _ in kind.family.divisors
     ],
     ids=lambda value: getattr(value, "label", value),
 )

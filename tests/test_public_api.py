@@ -4,8 +4,13 @@ names ``varaux/__init__.py`` imports, and this pins the result."""
 from __future__ import annotations
 
 import types
+from pathlib import Path
 
 import varaux
+
+SOURCE_DIR = Path(__file__).resolve().parent.parent / "src" / "varaux"
+#: Aim 2's goal for ``wc -l src/varaux/*.py``, held by ROADMAP Direction 7.
+LINE_BUDGET = 3441
 
 EXPORTED = [
     "AuxKnowledge", "BUILTIN_EXAMPLE_DELTAS", "BUILTIN_EXAMPLE_DESIGN",
@@ -42,3 +47,11 @@ def test_star_import_binds_exactly_the_exported_names():
     namespace: dict = {}
     exec("from varaux import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == EXPORTED
+
+
+def test_source_stays_within_the_line_budget():
+    lines = sum(path.read_text(encoding="utf-8").count("\n") for path in SOURCE_DIR.glob("*.py"))
+    assert lines < LINE_BUDGET, (
+        f"src/varaux/*.py has {lines} lines, at or above the budget of {LINE_BUDGET} "
+        "that ROADMAP Direction 7 holds"
+    )

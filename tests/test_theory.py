@@ -14,9 +14,12 @@ Frozen oracle values below come from two independent sources:
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varaux import (
     COMBINED,
@@ -92,6 +95,77 @@ def reference_brackets(d: DeltaTable, weight: float) -> dict[str, float]:
             - w * (1.0 - w) / 2.0 * f
         ),
     }
+
+
+def per_family_theory(kind, d, sy2, sizes, w):
+    """MSE and bias of ``kind`` from one bracket expression per family.
+
+    The expressions are written out as the theory states each family's
+    bracket on its own, with the same operations in the same order, so
+    that :func:`theory_for_kind` must match them bit for bit.  ``w`` is
+    the combined weight; the other families ignore it.
+    """
+    co = 1.0 - w
+    mse_brackets = {
+        "unbiased": 0.0,
+        "isaki-ratio": (d.d040 - 1.0) - 2.0 * (d.d220 - 1.0),
+        "exp-ratio": (d.d040 - 1.0) / 4.0 - (d.d220 - 1.0),
+        "exp-product": (d.d004 - 1.0) / 4.0 + (d.d202 - 1.0),
+        "combined": (
+            (w * w / 4.0) * (d.d040 - 1.0)
+            + (co * co / 4.0) * (d.d004 - 1.0)
+            - w * (d.d220 - 1.0)
+            + co * (d.d202 - 1.0)
+            - (w * co / 2.0) * (d.d022 - 1.0)
+        ),
+    }
+    ratio = (3.0 / 8.0) * (d.d040 - 1.0) - 0.5 * (d.d220 - 1.0)
+    product = -(1.0 / 8.0) * (d.d004 - 1.0) + 0.5 * (d.d202 - 1.0)
+    bias_brackets = {
+        "unbiased": 0.0,
+        "exp-ratio": ratio,
+        "exp-product": product,
+        "combined": w * ratio + (1.0 - w) * product,
+    }
+    form = kind.family.value.removesuffix("-2p")
+    bracket = mse_brackets[form]
+    if kind.is_two_phase:
+        return sy2 * sy2 * ((d.d400 - 1.0) / sizes.n + sizes.theta * bracket), None
+    mse = sy2 * sy2 * ((d.d400 - 1.0) + bracket) / sizes.n
+    bias = sy2 * bias_brackets[form] / sizes.n if form in bias_brackets else None
+    return mse, bias
+
+
+def same_bits(got, want) -> bool:
+    """Equal floats with equal sign bits, any NaN matching any NaN."""
+    if got is None or want is None:
+        return got is want
+    if math.isnan(got) or math.isnan(want):
+        return math.isnan(got) and math.isnan(want)
+    return struct.pack("<d", got) == struct.pack("<d", want)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+MOMENTS = st.floats(0.0, 20.0) | FINITE
+WEIGHTS = st.sampled_from([0.0, -0.0, 1.0, -3.0, 0.5, 1e300, 5e-324, -5e-324]) | FINITE
+
+
+class TestBracketBits:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.builds(DeltaTable, *[MOMENTS] * 6),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.integers(2, 1000),
+        st.integers(0, 1000),
+        WEIGHTS,
+    )
+    def test_mse_and_bias_match_per_family_expressions(self, d, sy2, n, extra, weight):
+        sizes = DesignSizes(n, n + extra)
+        for kind in SINGLE_PHASE_KINDS + TWO_PHASE_KINDS:
+            got = theory_for_kind(kind, d, sy2, sizes, weight=weight if kind.is_combined else None)
+            mse, bias = per_family_theory(kind, d, sy2, sizes, weight)
+            assert same_bits(got.mse, mse), (kind.label, got.mse, mse)
+            assert same_bits(got.bias, bias), (kind.label, got.bias, bias)
 
 
 class TestVarUnbiased:
@@ -547,6 +621,13 @@ class TestTheoryTable:
         fixed = theory_table(kinds, D, 1.0, N10_25, weight=0.7)
         assert [row["weight"] for row in fixed] == [None, 0.7, 0.7, 0.7]
 
+    def test_fixed_weight_rows_are_labelled_with_their_weight(self):
+        kinds = [UNBIASED, COMBINED, EstimatorKind(Family.COMBINED, 0.25), COMBINED_TWO_PHASE]
+        optimal = theory_table(kinds, D, 1.0, N10_25)
+        assert [row["kind"] for row in optimal] == ["unbiased", "combined:opt", "combined:0.25", "combined-2p:opt"]
+        fixed = theory_table(kinds, D, 1.0, N10_25, weight=0.7)
+        assert [row["kind"] for row in fixed] == ["unbiased", "combined:0.7", "combined:0.7", "combined-2p:0.7"]
+
     def test_zero_baseline_refused(self):
         # d400 = 1 forces d220 = d202 = 1; the table is realizable.
         d = DeltaTable(d400=1.0, d040=D.d040, d004=D.d004, d220=1.0, d202=1.0, d022=D.d022)
@@ -603,6 +684,19 @@ class TestCorrectionRegistry:
         for formula_id in tagged:
             assert formula_id.endswith(":corrected")
             assert formula_id in table, formula_id
+
+    def test_theory_ids_and_registry_agree_both_ways(self):
+        registry = {c.formula_id for c in CORRECTIONS}
+        produced = set()
+        for kind in SINGLE_PHASE_KINDS + TWO_PHASE_KINDS:
+            weight = 0.5 if kind.is_combined else None
+            formula_id = theory_for_kind(kind, D, 1.0, N10_25, weight=weight).formula_id
+            produced.add(formula_id)
+            formula, _, status = formula_id.rpartition(":")
+            assert status in ("corrected", "as-published"), formula_id
+            assert (status == "corrected") == (f"{formula}:corrected" in registry), formula_id
+        theory_entries = {i for i in registry if i.startswith(("mse:", "var:"))}
+        assert theory_entries and theory_entries <= produced
 
 
 class TestPreAntisymmetry:
