@@ -44,8 +44,9 @@ from .errors import (
     InvalidDesignError,
     InvalidInputError,
     NoUniqueOptimumError,
+    _finite,
 )
-from .moments import DeltaTable, fourth_moments, sample_variance
+from .moments import DeltaTable, _exact, _finite_vector, fourth_moments, sample_variance
 
 
 class Family(enum.Enum):
@@ -109,10 +110,7 @@ class EstimatorKind:
                 raise InvalidInputError(
                     f"estimator {self.family.value!r} does not take a weight"
                 )
-            weight = float(self.weight)
-            if not math.isfinite(weight):
-                raise InvalidInputError(f"weight must be finite, got {self.weight!r}")
-            object.__setattr__(self, "weight", weight)
+            object.__setattr__(self, "weight", _finite(self.weight, "weight"))
 
     @property
     def is_two_phase(self) -> bool:
@@ -137,7 +135,7 @@ class EstimatorKind:
             return self.family.value
         if self.weight is None:
             return f"{self.family.value}:opt"
-        return f"{self.family.value}:{self.weight:g}"
+        return f"{self.family.value}:{_exact(self.weight)}"
 
     @classmethod
     def parse(cls, text: str) -> "EstimatorKind":
@@ -197,12 +195,7 @@ class AuxKnowledge:
             value = getattr(self, name)
             if value is None:
                 continue
-            value = float(value)
-            if not math.isfinite(value) or value <= 0.0:
-                raise InvalidInputError(
-                    f"aux knowledge {name} must be a finite positive number, got {value!r}"
-                )
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite(float(value), f"aux knowledge {name}", positive=True))
 
     def require(self, name: str) -> float:
         value = getattr(self, name)
@@ -426,10 +419,7 @@ def _resolve_weight(
     if not kind.is_combined:
         return None, "none"
     if weight is not None:
-        weight = float(weight)
-        if not math.isfinite(weight):
-            raise InvalidInputError(f"weight must be finite, got {weight!r}")
-        return weight, "fixed"
+        return _finite(float(weight), "weight"), "fixed"
     if kind.weight is not None:
         return kind.weight, "fixed"
     if deltas is not None:
@@ -447,11 +437,7 @@ def _row_label(kind: EstimatorKind, weight: float | None, source: str) -> str:
 def _checked_sample(values, name: str, expected_size: int | None = None) -> np.ndarray:
     if values is None:
         raise InvalidInputError(f"this estimator needs sample values for {name!r}")
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"sample {name!r} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"sample {name!r} contains non-finite values")
+    arr = _finite_vector(values, f"sample {name!r}")
     if expected_size is not None and arr.size != expected_size:
         raise InvalidInputError(
             f"sample {name!r} has length {arr.size}, expected {expected_size}"

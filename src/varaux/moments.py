@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePopulationError, InvalidInputError, PopulationFormatError
+from .errors import DegeneratePopulationError, InvalidInputError, PopulationFormatError, _finite, _integer, _number
 
 #: Largest total order ``p + q + r`` accepted by the moment routines.
 #: Fourth-order theory needs nothing beyond 4; the slack is for
@@ -41,13 +41,30 @@ MAX_MOMENT_ORDER = 8
 
 _VARIATES = ("y", "x", "z")
 
+#: How far past a moment bound :meth:`DeltaTable.violations` lets a
+#: table sit before it reports it.
+_VIOLATION_SLACK = 1e-9
+
+
+def _finite_vector(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, refused unless one-dimensional and
+    finite; ``what`` names it in the message."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise InvalidInputError(f"{what} must be one-dimensional")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{what} contains non-finite values")
+    return arr
+
+
+def _exact(value: float) -> str:
+    """``value`` as ``:g`` prints it where that is exact, else at ``repr`` precision."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
 
 def _as_readonly_float_vector(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"variate {name!r} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"variate {name!r} contains non-finite values")
+    arr = _finite_vector(np.array(values, dtype=np.float64, copy=True), f"variate {name!r}")
     arr.setflags(write=False)
     # A view of a read-only array cannot be made writeable again.
     return arr.view()
@@ -113,9 +130,7 @@ class Population:
 
 def _check_order(p: int, q: int, r: int) -> None:
     for label, value in (("p", p), ("q", q), ("r", r)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise InvalidInputError(f"moment order {label} must be an integer, got {value!r}")
-        if value < 0:
+        if _integer(value, f"moment order {label}") < 0:
             raise InvalidInputError(f"moment order {label} must be non-negative, got {value}")
     total = p + q + r
     if total > MAX_MOMENT_ORDER:
@@ -219,9 +234,7 @@ def _checked_delta(order, variances, value) -> float:
     for name, exponent, variance in zip(_VARIATES, order, variances):
         if exponent and variance <= 0.0:
             raise DegeneratePopulationError(f"variate {name!r} has zero variance, delta_{label} is undefined")
-    if not math.isfinite(value):
-        raise InvalidInputError(f"moment d{label} must be finite, got {float(value)!r}")
-    return float(value)
+    return _finite(float(value), f"moment d{label}")
 
 
 @dataclass(frozen=True)
@@ -246,28 +259,25 @@ class DeltaTable:
 
     def __post_init__(self) -> None:
         for name in self.field_names():
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidInputError(f"moment {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite(float(getattr(self, name)), f"moment {name}"))
 
     @staticmethod
     def field_names() -> tuple[str, ...]:
         return ("d400", "d040", "d004", "d220", "d202", "d022")
 
-    def violations(self, tol: float = 1e-9) -> list[str]:
+    def violations(self) -> list[str]:
         """Describe every way this table fails to be realizable.
 
         A table computed from an actual population always passes: the
         kurtoses satisfy ``d >= 1`` (Jensen) and each cross moment
         satisfies ``|d_cross - 1| <= sqrt((d_a - 1)(d_b - 1))``
-        (Cauchy-Schwarz on squared deviations).  The ``tol`` slack
-        absorbs floating-point noise on populations that sit exactly on
-        a bound.
+        (Cauchy-Schwarz on squared deviations).  The
+        :data:`_VIOLATION_SLACK` absorbs floating-point noise on
+        populations that sit exactly on a bound.
         """
         problems: list[str] = []
         for name in ("d400", "d040", "d004"):
-            if getattr(self, name) < 1.0 - tol:
+            if getattr(self, name) < 1.0 - _VIOLATION_SLACK:
                 problems.append(f"{name} = {getattr(self, name)!r} is below 1")
         for cross, left, right in (
             ("d220", "d400", "d040"),
@@ -278,7 +288,7 @@ class DeltaTable:
             spread_right = max(getattr(self, right) - 1.0, 0.0)
             bound = math.sqrt(spread_left * spread_right)
             excess = abs(getattr(self, cross) - 1.0) - bound
-            if excess > tol:
+            if excess > _VIOLATION_SLACK:
                 problems.append(
                     f"|{cross} - 1| = {abs(getattr(self, cross) - 1.0)!r} exceeds "
                     f"sqrt(({left} - 1)({right} - 1)) = {bound!r}"
@@ -313,12 +323,8 @@ class DeltaTable:
             raise PopulationFormatError(f"moment table is missing keys: {', '.join(missing)}")
         values = {}
         for name in cls.field_names():
-            raw = data[name]
-            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                raise PopulationFormatError(f"moment table key {name!r} must be a number, got {raw!r}")
-            if not math.isfinite(float(raw)):
-                raise PopulationFormatError(f"moment table key {name!r} must be finite, got {raw!r}")
-            values[name] = float(raw)
+            _number(data[name], f"moment table key {name!r}", PopulationFormatError)
+            values[name] = _finite(data[name], f"moment table key {name!r}", error=PopulationFormatError)
         return cls(**values)
 
 
@@ -547,10 +553,6 @@ def sample_variance(values) -> float:
         One-dimensional, finite, length at least 2.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidInputError("sample must be one-dimensional")
-    if arr.size < 2:
+    if arr.ndim == 1 and arr.size < 2:
         raise InvalidInputError(f"sample variance needs at least two values, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("sample contains non-finite values")
-    return float(np.var(arr, ddof=1))
+    return float(np.var(_finite_vector(arr, "sample"), ddof=1))

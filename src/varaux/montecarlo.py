@@ -54,11 +54,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import (
-    InvalidDesignError,
-    InvalidInputError,
-    SimulationError,
-)
+from .errors import InvalidDesignError, InvalidInputError, SimulationError, _integer
 from .estimators import (
     UNBIASED,
     EstimatorKind,
@@ -110,12 +106,9 @@ class SimulationConfig:
     weight_policy: WeightPolicy = WeightPolicy.POPULATION_OPTIMAL
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise InvalidInputError(f"sample size n must be an integer >= 2, got {self.n!r}")
-        if not isinstance(self.reps, int) or isinstance(self.reps, bool) or self.reps < 1:
-            raise InvalidInputError(f"reps must be a positive integer, got {self.reps!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
-            raise InvalidInputError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        object.__setattr__(self, "n", _integer(self.n, "sample size n", 2))
+        object.__setattr__(self, "reps", _integer(self.reps, "reps", 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, 2**64))
         kinds = tuple(self.estimators)
         if not kinds:
             raise InvalidInputError("at least one estimator kind is required")
@@ -124,8 +117,7 @@ class SimulationConfig:
                 raise InvalidInputError(f"estimators must be EstimatorKind instances, got {kind!r}")
         object.__setattr__(self, "estimators", kinds)
         if self.nprime is not None:
-            if not isinstance(self.nprime, int) or isinstance(self.nprime, bool):
-                raise InvalidInputError(f"nprime must be an integer, got {self.nprime!r}")
+            object.__setattr__(self, "nprime", _integer(self.nprime, "nprime"))
             if self.nprime <= self.n:
                 raise InvalidDesignError(f"first-phase size nprime={self.nprime} must exceed n={self.n}")
         else:
@@ -144,10 +136,8 @@ def draw_srswor(stream: np.random.Generator, n_pop: int, n_sample: int) -> np.nd
     does for each replication, so every subset is exactly equally
     probable and the cost does not grow with the population size.
     """
-    if not isinstance(n_pop, int) or isinstance(n_pop, bool) or n_pop < 1:
-        raise InvalidInputError(f"population size must be a positive integer, got {n_pop!r}")
-    if not isinstance(n_sample, int) or isinstance(n_sample, bool) or n_sample < 1:
-        raise InvalidInputError(f"sample size must be a positive integer, got {n_sample!r}")
+    n_pop = _integer(n_pop, "population size", 1)
+    n_sample = _integer(n_sample, "sample size", 1)
     if n_sample > n_pop:
         raise InvalidInputError(f"cannot draw {n_sample} units from a population of {n_pop}")
     positions = stream.integers(np.arange(n_sample), n_pop)
@@ -161,10 +151,8 @@ def draw_two_phase(
     population, then SRSWOR of ``n`` from that first-phase sample.
     Returns ``(first_phase, second_phase)`` as int64 index arrays.
     """
-    if not isinstance(nprime, int) or isinstance(nprime, bool):
-        raise InvalidDesignError(f"nprime must be an integer, got {nprime!r}")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InvalidDesignError(f"n must be an integer, got {n!r}")
+    nprime = _integer(nprime, "nprime", error=InvalidDesignError)
+    n = _integer(n, "n", error=InvalidDesignError)
     if not 2 <= n < nprime <= n_pop:
         raise InvalidDesignError(
             f"two-phase sizes must satisfy 2 <= n < nprime <= N, got n={n}, "
@@ -607,8 +595,7 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
     SimulationError
         If too many replications fail.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise InvalidInputError(f"workers must be a positive integer, got {workers!r}")
+    workers = _integer(workers, "workers", 1)
     n_pop = pop.size
     if config.n >= n_pop:
         raise InvalidDesignError(

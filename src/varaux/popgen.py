@@ -20,23 +20,14 @@ from reflecting a variate after the fact.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidSpecError
-from .moments import Population, load_json
+from .errors import InvalidSpecError, _finite, _integer, _number
+from .moments import Population, _exact, load_json
 
 _MARGINAL_FAMILIES = ("normal", "lognormal")
-
-
-def _number(value, name: str) -> float:
-    # Booleans are integers to Python but never a meaningful spec value.
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidSpecError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -57,14 +48,10 @@ class Marginal:
             raise InvalidSpecError(
                 f"unknown marginal family {self.family!r}; expected one of {_MARGINAL_FAMILIES}"
             )
-        loc = _number(self.loc, "marginal loc")
-        scale = _number(self.scale, "marginal scale")
-        if not math.isfinite(loc):
-            raise InvalidSpecError(f"marginal loc must be finite, got {self.loc!r}")
-        if not math.isfinite(scale) or scale <= 0.0:
-            raise InvalidSpecError(f"marginal scale must be a finite positive number, got {self.scale!r}")
-        object.__setattr__(self, "loc", loc)
-        object.__setattr__(self, "scale", scale)
+        _number(self.loc, "marginal loc", InvalidSpecError)
+        _number(self.scale, "marginal scale", InvalidSpecError)
+        object.__setattr__(self, "loc", _finite(self.loc, "marginal loc", error=InvalidSpecError))
+        object.__setattr__(self, "scale", _finite(self.scale, "marginal scale", positive=True, error=InvalidSpecError))
 
     def transform(self, latent: np.ndarray) -> np.ndarray:
         shifted = self.loc + self.scale * latent
@@ -97,12 +84,6 @@ class Marginal:
                 f"cannot parse marginal {text!r}; loc and scale must be numbers"
             ) from None
         return cls(family, loc, scale)
-
-
-def _exact(value: float) -> str:
-    """``value`` as ``:g`` prints it where that is exact, else at ``repr`` precision."""
-    short = f"{value:g}"
-    return short if float(short) == value else repr(value)
 
 
 def _coerce_marginal(value) -> Marginal:
@@ -139,17 +120,15 @@ class PopulationSpec:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 2:
-            raise InvalidSpecError(f"population size must be an integer >= 2, got {self.size!r}")
+        object.__setattr__(self, "size", _integer(self.size, "population size", 2, error=InvalidSpecError))
         for name in ("rho_yx", "rho_yz", "rho_xz"):
-            value = _number(getattr(self, name), name)
+            value = _number(getattr(self, name), name, InvalidSpecError)
             if not (-1.0 < value < 1.0):
                 raise InvalidSpecError(f"{name} must lie strictly inside (-1, 1), got {value!r}")
             object.__setattr__(self, name, value)
         for name in ("marginal_y", "marginal_x", "marginal_z"):
             object.__setattr__(self, name, _coerce_marginal(getattr(self, name)))
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
-            raise InvalidSpecError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, 2**64, error=InvalidSpecError))
 
     def latent_correlation(self) -> np.ndarray:
         return np.array(

@@ -36,11 +36,10 @@ minimum.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import DegeneratePopulationError, InvalidDesignError, InvalidInputError
+from .errors import DegeneratePopulationError, InvalidDesignError, InvalidInputError, _finite, _integer
 from .estimators import (
     COMBINED,
     COMBINED_TWO_PHASE,
@@ -68,15 +67,11 @@ class DesignSizes:
     nprime: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise InvalidInputError(f"sample size n must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", _integer(self.n, "sample size n"))
         if self.n < 2:
             raise InvalidInputError(f"sample size n must be at least 2, got {self.n}")
         if self.nprime is not None:
-            if not isinstance(self.nprime, int) or isinstance(self.nprime, bool):
-                raise InvalidInputError(
-                    f"first-phase size nprime must be an integer, got {self.nprime!r}"
-                )
+            object.__setattr__(self, "nprime", _integer(self.nprime, "first-phase size nprime"))
             if self.nprime < self.n:
                 raise InvalidDesignError(
                     f"first-phase size nprime={self.nprime} must be at least n={self.n}"
@@ -108,13 +103,6 @@ class TheoryResult:
     valid: bool
 
 
-def _check_sy2(sy2: float) -> float:
-    value = float(sy2)
-    if not math.isfinite(value) or value <= 0.0:
-        raise InvalidInputError(f"S_y^2 must be a finite positive number, got {sy2!r}")
-    return value
-
-
 #: The weights ``(p, q)`` that each form's first-order expansion gives
 #: the relative errors of ``s_x^2`` and ``s_z^2`` (its ratio and product
 #: sides), doubled; the combined forms take ``(w, 1 - w)``.
@@ -140,8 +128,8 @@ def _mse_bracket(d: DeltaTable, p: float, q: float) -> float:
 
 
 def _bias_bracket(d: DeltaTable, p: float, q: float) -> float:
-    """The bias bracket of sides ``(p, q)`` (multiply by ``S_y^2/n``).  The
-    published print transposes the 1/8 and 3/8 factors of each side."""
+    """The bias bracket of sides ``(p, q)`` (multiply by ``S_y^2/n``); its
+    provenance is in :data:`CORRECTIONS` (``varaux theory --corrections``)."""
     ratio = (3.0 / 8.0) * (d.d040 - 1.0) - 0.5 * (d.d220 - 1.0)
     product = -(1.0 / 8.0) * (d.d004 - 1.0) + 0.5 * (d.d202 - 1.0)
     return p * ratio + q * product
@@ -180,23 +168,20 @@ def theory_for_kind(
     A two-phase kind takes its form's sides.  The single-phase
     exponential forms have bias ``(S_y^2/n) (p * ratio + q * product)``
     with ``ratio = (3/8)(d040 - 1) - (d220 - 1)/2`` and ``product =
-    (d202 - 1)/2 - (d004 - 1)/8`` (corrected), the unbiased kind 0, and
-    the others none.  The shared bracket is what makes the reductions
-    exact: weight 1 gives the ratio MSE, weight 0 the product MSE, and
-    ``1/n' -> 0`` recovers the single-phase values.  The two designs
-    keep separate final expressions because folding them into one
-    factor form would round differently in the last bit.  A
-    single-phase kind ignores ``sizes.nprime``.
+    (d202 - 1)/2 - (d004 - 1)/8``, the unbiased kind 0, and the others
+    none.  The shared bracket is what makes the reductions exact:
+    weight 1 gives the ratio MSE, weight 0 the product MSE, and ``1/n'
+    -> 0`` recovers the single-phase values.  The two designs keep
+    separate final expressions because folding them into one factor
+    form would round differently in the last bit.  A single-phase kind
+    ignores ``sizes.nprime``.
 
-    The exp-ratio correction replaces a printed ``+1/4`` constant by
-    ``-1/4``; the combined correction replaces a printed
-    ``(1 - a^2)/4`` coefficient by ``((1 - a)^2)/4``.  The published
-    print of the combined two-phase MSE fails the reductions (a flipped
-    cross-term sign and a ``(k^2 - 1)/4`` coefficient).  A
-    ``formula_id`` ends in ``:corrected`` exactly when
-    :data:`CORRECTIONS` lists it, and in ``:as-published`` otherwise.
+    Where these forms differ from the published print is recorded only
+    in :data:`CORRECTIONS` (``varaux theory --corrections``).  A
+    ``formula_id`` ends in ``:corrected`` exactly when it lists it, and
+    in ``:as-published`` otherwise.
     """
-    sy2 = _check_sy2(sy2)
+    sy2 = _finite(sy2, "S_y^2", positive=True)
     if kind.is_two_phase and sizes.nprime is None:
         raise InvalidDesignError("two-phase theory needs sizes.nprime")
     if weight is not None and not kind.is_combined:
@@ -232,8 +217,7 @@ def pre(mse_candidate: float, mse_baseline: float) -> float:
     inputs must be strictly positive.
     """
     for label, value in (("mse_candidate", mse_candidate), ("mse_baseline", mse_baseline)):
-        if not math.isfinite(float(value)) or float(value) <= 0.0:
-            raise InvalidInputError(f"{label} must be a finite positive number, got {value!r}")
+        _finite(value, label, positive=True)
     return 100.0 * mse_baseline / mse_candidate
 
 

@@ -75,9 +75,11 @@ class TestKindParsing:
         assert kind.label == "combined:opt"
 
     def test_parse_round_trips_label(self):
-        for text in ["unbiased", "exp-ratio-2p", "combined:0.25", "combined-2p:opt"]:
+        for text in ["unbiased", "exp-ratio-2p", "combined:0.25", "combined-2p:opt", "combined:0.123456789"]:
             kind = EstimatorKind.parse(text)
             assert EstimatorKind.parse(kind.label) == kind
+        third = EstimatorKind(Family.COMBINED_2P, 1 / 3)
+        assert EstimatorKind.parse(third.label) == third
 
     def test_parse_rejects_unknown(self):
         with pytest.raises(InvalidInputError):

@@ -3,6 +3,7 @@ names ``varaux/__init__.py`` imports, and this pins the result."""
 
 from __future__ import annotations
 
+import ast
 import types
 from pathlib import Path
 
@@ -55,3 +56,21 @@ def test_source_stays_within_the_line_budget():
         f"src/varaux/*.py has {lines} lines, at or above the budget of {LINE_BUDGET} "
         "that ROADMAP Direction 7 holds"
     )
+
+
+def test_bool_is_refused_only_by_the_shared_checks():
+    """An integer or number argument is checked by ``errors._integer`` or
+    ``errors._number``; no other module spells the not-a-bool rule out."""
+    spelled = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and any(isinstance(name, ast.Name) and name.id == "bool" for name in ast.walk(node))
+            ):
+                spelled.append(f"{path.name}:{node.lineno}")
+    assert spelled == [], f"isinstance(..., bool) outside errors.py's shared checks: {spelled}"
