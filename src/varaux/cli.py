@@ -25,14 +25,7 @@ from dataclasses import asdict, replace
 import click
 
 from . import __version__
-from .errors import (
-    DegeneratePopulationError,
-    DegenerateSampleError,
-    InvalidDesignError,
-    InvalidInputError,
-    NoUniqueOptimumError,
-    SimulationError,
-)
+from .errors import InvalidInputError, VarauxError
 from .estimators import (
     COMBINED,
     EXP_PRODUCT,
@@ -88,21 +81,18 @@ def _fail(message: str, code: int) -> None:
 
 
 def _with_error_codes(func):
-    """Map package exceptions onto the documented exit codes."""
+    """Map package errors onto their exit codes, and a file that cannot be opened onto 2."""
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
-        except (InvalidInputError, InvalidDesignError) as exc:
-            _fail(str(exc), 2)
-        except (
-            DegeneratePopulationError,
-            DegenerateSampleError,
-            NoUniqueOptimumError,
-            SimulationError,
-        ) as exc:
-            _fail(str(exc), 3)
+        except VarauxError as exc:
+            _fail(str(exc), exc.exit_code)
+        except OSError as exc:
+            if exc.filename is None:
+                raise
+            _fail(f"{exc.filename}: {exc.strerror}", 2)
 
     return wrapper
 
@@ -180,8 +170,6 @@ def _parse_orders(text: str) -> list[tuple[int, int, int]]:
                 f"bad moment order {token!r}; expected three digits like '220'"
             )
         orders.append((int(token[0]), int(token[1]), int(token[2])))
-    if not orders:
-        raise InvalidInputError("no moment orders requested")
     return orders
 
 

@@ -2,8 +2,8 @@
 
 Every error this package raises deliberately derives from
 :class:`VarauxError`, so callers can catch one type at the boundary.
-The CLI maps these onto exit codes: bad input or malformed files exit
-with 2, degenerate data and failed runs exit with 3.
+Each class carries its CLI exit code as ``exit_code``: 2 for bad input,
+malformed files and invalid designs, 3 for degenerate data and failed runs.
 
 The private checks at the end hold the argument rules every module
 shares: an integer (numpy's too, never a bool) within bounds, a real
@@ -18,9 +18,13 @@ import numbers
 class VarauxError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 3
+
 
 class InvalidInputError(VarauxError, ValueError):
     """An argument violates a documented precondition."""
+
+    exit_code = 2
 
 
 class PopulationFormatError(InvalidInputError):
@@ -33,6 +37,8 @@ class InvalidSpecError(InvalidInputError):
 
 class InvalidDesignError(VarauxError):
     """A sampling design violates its structural constraints (sizes, nesting)."""
+
+    exit_code = 2
 
 
 class DegeneratePopulationError(VarauxError):

@@ -128,6 +128,14 @@ class SimulationConfig:
             raise InvalidInputError(f"weight_policy must be a WeightPolicy, got {self.weight_policy!r}")
 
 
+def _population_size(n_pop) -> int:
+    """``n_pop`` as an ``int`` from 1 to 2**32: numpy draws its positions from 32-bit words, and its keys fit 64 bits."""
+    n_pop = _integer(n_pop, "population size", 1)
+    if n_pop > 2**32:
+        raise InvalidInputError(f"population size {n_pop} exceeds 2**32, the range of the engine's 32-bit draws")
+    return n_pop
+
+
 def draw_srswor(stream: np.random.Generator, n_pop: int, n_sample: int) -> np.ndarray:
     """Draw a uniform random ``n_sample``-subset of ``{0..n_pop-1}``.
 
@@ -136,7 +144,7 @@ def draw_srswor(stream: np.random.Generator, n_pop: int, n_sample: int) -> np.nd
     does for each replication, so every subset is exactly equally
     probable and the cost does not grow with the population size.
     """
-    n_pop = _integer(n_pop, "population size", 1)
+    n_pop = _population_size(n_pop)
     n_sample = _integer(n_sample, "sample size", 1)
     if n_sample > n_pop:
         raise InvalidInputError(f"cannot draw {n_sample} units from a population of {n_pop}")
@@ -151,6 +159,7 @@ def draw_two_phase(
     population, then SRSWOR of ``n`` from that first-phase sample.
     Returns ``(first_phase, second_phase)`` as int64 index arrays.
     """
+    n_pop = _population_size(n_pop)
     nprime = _integer(nprime, "nprime", error=InvalidDesignError)
     n = _integer(n, "n", error=InvalidDesignError)
     if not 2 <= n < nprime <= n_pop:
@@ -184,37 +193,34 @@ class _Plan:
     need_x_first: bool = field(init=False, repr=False)
     need_z_first: bool = field(init=False, repr=False)
     # The position draw's constants, per draw: numpy's ``integers(low,
-    # high)`` bounds, the range ``span = high - low``, Lemire's rejection
-    # ``threshold`` and the 32-bit half of the row's words that feeds
-    # each draw (``column``; None if draw i takes half-word i), for
-    # ``words`` raw Philox words per row.
+    # high)`` bounds, the range ``span = high - low`` and Lemire's
+    # rejection ``threshold``.  Draw i reads half-word i of the row's
+    # ``words`` Philox words; numpy draws a one-value range without one,
+    # but only a single-phase n = N ends in one, where any gives its value.
     low: np.ndarray = field(init=False, repr=False)
     high: np.ndarray = field(init=False, repr=False)
     span: np.ndarray = field(init=False, repr=False)
     threshold: np.ndarray = field(init=False, repr=False)
-    column: np.ndarray | None = field(init=False, repr=False)
     words: int = field(init=False, repr=False)
     # Per phase, its draws' columns ``begin:end`` and the number of units
     # it draws from.
     phases: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n_pop = self.y.size
+        n_pop = _population_size(self.y.size)
         if self.nprime is None:
             low, high = np.arange(self.n), np.full(self.n, n_pop)
             phases = ((0, self.n, n_pop),)
         else:
+            if self.nprime >= n_pop:
+                raise InvalidDesignError(
+                    f"first-phase size nprime={self.nprime} must be smaller than the population "
+                    f"size {n_pop}; a census first phase makes each two-phase kind its single-phase twin"
+                )
             phases = ((0, self.nprime, n_pop), (self.nprime, self.nprime + self.n, self.nprime))
             low = np.concatenate((np.arange(self.nprime), np.arange(self.n)))
             high = np.concatenate((np.full(self.nprime, n_pop), np.full(self.n, self.nprime)))
         span = (high - low).astype(np.uint64)
-        if span.max() > 2**32:
-            raise InvalidInputError(f"population size {n_pop} exceeds 2**32, the range of the engine's 32-bit draws")
-        # A one-value range returns ``low`` without consuming a half-word;
-        # its column repeats the previous draw's, which a span of 1 maps
-        # to offset 0 and never rejects.
-        consumes = span > 1
-        column = np.maximum(np.cumsum(consumes) - 1, 0)
         plug_in = any(kind.is_combined and w is None for kind, w in zip(self.kinds, self.weights))
         constants = {
             "need_x_second": plug_in or any(kind.uses_x for kind in self.kinds),
@@ -225,8 +231,7 @@ class _Plan:
             "high": high,
             "span": span,
             "threshold": ((2**32 - span) % span).astype(np.uint32),
-            "column": None if consumes.all() else column,
-            "words": max(1, (int(consumes.sum()) + 1) // 2),
+            "words": (span.size + 1) // 2,
             "phases": phases,
         }
         for name, value in constants.items():
@@ -269,7 +274,7 @@ class _Workspace:
         specs = [(np.intp, k), *kept]
         size = sum(-(-rows * cols * np.dtype(dtype).itemsize // 64) * 64 for dtype, cols in specs)
         # No step asks for more than 32 bytes per position, plus padding:
-        # the draw asks for 9, Fisher-Yates for 9 with 32-bit keys and 17
+        # the draw asks for 5, Fisher-Yates for 9 with 32-bit keys and 17
         # with 64-bit ones, and the most is 32 per second-phase position,
         # for its deviations and its y, x and z values.
         self.scratch = np.empty(max(size + 32 * rows * width + 512, reserve), dtype=np.uint8)
@@ -328,18 +333,14 @@ def _draw_positions(plan: _Plan, start: int, stop: int, work: _Workspace) -> lis
     bit_generator, state = work.stream.bit_generator, work.state
     counter = state["state"]["counter"]
     width = plan.span.size
-    raw, halves, rejects = work.arrays(count, (np.uint64, plan.words), (np.uint32, width), (bool, width))
+    raw, rejects = work.arrays(count, (np.uint64, plan.words), (bool, width))
     for row, rep in enumerate(range(start, stop)):
         counter[2] = rep
         bit_generator.state = state
         raw[row] = bit_generator.random_raw(plan.words)
     # Little-endian words, so that each word's low half comes first
     # whatever the host's byte order.
-    words = raw.astype("<u8", copy=False).view("<u4")
-    if plan.column is None:
-        halves = words[:, :width]
-    else:
-        np.take(words, plan.column, axis=1, out=halves, mode="clip")
+    halves = raw.astype("<u8", copy=False).view("<u4")[:, :width]
     positions = []
     for (begin, end, _), kept in zip(plan.phases, work.kept):
         product = kept[:count].view(np.uint64)
@@ -663,8 +664,6 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
         )
     kept = values[~failed]
     reps_used = int(kept.shape[0])
-    if reps_used == 0:
-        raise SimulationError("no replication survived; nothing to aggregate")
 
     emp_mean = kept.mean(axis=0)
     deviations = kept - sy2

@@ -472,6 +472,11 @@ class TestEstimate:
         result = invoke("estimate", "--input", tiny_csv, "--estimators", "bogus")
         assert result.exit_code == 2
 
+    def test_empty_estimator_list_exits_2(self, tiny_csv):
+        result = invoke("estimate", "--input", tiny_csv, "--estimators", ",")
+        assert result.exit_code == 2
+        assert result.stderr == "error: estimator list is empty\n"
+
     def test_bad_first_phase_header_exits_2(self, tiny_csv, tmp_path):
         bad = tmp_path / "first.csv"
         bad.write_text("a,b\n1,2\n3,4\n", encoding="utf-8")
@@ -857,6 +862,16 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "census" in result.stderr
 
+    def test_census_first_phase_exits_2(self):
+        # The default population has 5,000 units.
+        result = invoke("simulate", "--gen", "--n", "100", "--nprime", "5000", "--reps", "10")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: first-phase size nprime=5000 must be smaller than the population size 5000; "
+            "a census first phase makes each two-phase kind its single-phase twin\n"
+        )
+
 
 class TestGenPop:
     def test_writes_loadable_csv(self, tmp_path):
@@ -1009,6 +1024,22 @@ class TestGenPop:
         result = invoke(*args)
         assert result.exit_code == 2
         assert "spec.json: rho_yx must be a number, got 'abc'" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("theory", "--builtin-s5", "--n", "10", "--format", "json", "--out"),
+        ("gen-pop", "--size", "50", "--out"),
+        ("simulate", "--gen", "--n", "10", "--reps", "10", "--format", "json", "--out"),
+    ],
+    ids=["theory", "gen-pop", "simulate"],
+)
+def test_unwritable_output_exits_2(args, tmp_path):
+    out = tmp_path / "missing" / "out.file"
+    result = invoke(*args, str(out))
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {out}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("kind", ["population", "first-phase", "deltas", "spec"])

@@ -28,6 +28,7 @@ from varaux import (
     UNBIASED,
     EstimatorKind,
     Family,
+    InvalidDesignError,
     InvalidInputError,
     Population,
     PopulationSpec,
@@ -303,10 +304,12 @@ def bare_plan(n_pop, n, nprime, seed):
 
 
 @st.composite
-def designs(draw, populations):
+def designs(draw, populations, census=False):
+    """``(N, n, n')``; n' = N only with ``census``, which the engine refuses."""
     n_pop = draw(populations)
-    if n_pop >= 3 and draw(st.booleans()):
-        nprime = draw(st.integers(3, min(n_pop, 600)))
+    top = n_pop if census else n_pop - 1
+    if top >= 3 and draw(st.booleans()):
+        nprime = draw(st.integers(3, min(top, 600)))
         n = draw(st.integers(2, nprime - 1))
     else:
         nprime = None
@@ -319,7 +322,8 @@ def designs(draw, populations):
     # Small populations, large ones, and the largest the engine admits,
     # whose positions fill the 32 high bits of the packed sort keys.
     design=designs(
-        st.one_of(st.integers(1, 2000), st.integers(65_000, 200_000), st.integers(2**31, 2**32))
+        st.one_of(st.integers(1, 2000), st.integers(65_000, 200_000), st.integers(2**31, 2**32)),
+        census=True,
     ),
     seed=st.integers(0, 2**64 - 1),
     start=st.integers(0, 2**64 - 8),
@@ -327,9 +331,12 @@ def designs(draw, populations):
 )
 def test_block_draws_equal_scalar_draws(design, seed, start, count):
     n_pop, n, nprime = design
-    plan = bare_plan(n_pop, n, nprime, seed)
-    first, second = _draw_block(plan, start, start + count, _chunk_workspace(plan, count))
-    assert second.flags.c_contiguous
+    # The public draws take a census first phase; the engine refuses it.
+    census = nprime == n_pop
+    if not census:
+        plan = bare_plan(n_pop, n, nprime, seed)
+        first, second = _draw_block(plan, start, start + count, _chunk_workspace(plan, count))
+        assert second.flags.c_contiguous
     for row, rep in enumerate(range(start, start + count)):
         reference, public = (
             np.random.Generator(np.random.Philox(key=seed).jumped(rep)) for _ in range(2)
@@ -341,11 +348,11 @@ def test_block_draws_equal_scalar_draws(design, seed, start, count):
         else:
             want_first = reference_engine._srswor(reference, n_pop, nprime)
             want = want_first[reference_engine._srswor(reference, nprime, n)]
-            assert np.array_equal(first[row], want_first)
+            assert census or np.array_equal(first[row], want_first)
             draw_first, draw_second = draw_two_phase(public, n_pop, nprime, n)
             assert np.array_equal(draw_first, want_first)
             assert np.array_equal(draw_second, want)
-        assert np.array_equal(second[row], want)
+        assert census or np.array_equal(second[row], want)
 
 
 def numpy_positions(seed, rep, n_pop, n, nprime):
@@ -389,18 +396,45 @@ def test_positions_when_most_rows_reject(n, nprime):
     assert_positions_are_numpys(3 * 2**30, n, nprime, seed=2**64 - 1, start=2**64 - 41, count=40)
 
 
-@pytest.mark.parametrize(
-    "n_pop, n, nprime", [(50, 10, 50), (3, 2, 3), (50, 50, None), (1, 1, None)]
-)
+@pytest.mark.parametrize("n_pop, n, nprime", [(50, 50, None), (1, 1, None)])
 def test_one_value_range_consumes_no_word(n_pop, n, nprime):
-    # The last first-phase range of n' = N (or of n = N) holds one value,
-    # which numpy returns without reading the stream.
+    # The last range of n = N holds one value, which numpy returns without
+    # reading the stream.
     assert_positions_are_numpys(n_pop, n, nprime, seed=11, start=2**40, count=30)
+
+
+@pytest.mark.parametrize("n_pop, n, nprime", [(50, 10, 50), (3, 2, 3), (50, 10, 51)])
+def test_census_first_phase_is_refused(n_pop, n, nprime):
+    with pytest.raises(InvalidDesignError, match=f"nprime={nprime} must be smaller than the population size {n_pop}; a census"):
+        bare_plan(n_pop, n, nprime, 0)
 
 
 def test_population_beyond_32_bit_draws_is_rejected():
     with pytest.raises(InvalidInputError, match="exceeds 2\\*\\*32"):
         bare_plan(2**32 + 1, 2, None, 0)
+
+
+# Positions whose 64-bit keys alias at N = 2**62, where Fisher-Yates once
+# gave [2**61+2, 1, 0, ...] and [2, 0, 1, ...] for the sequential draws
+# [2**61+2, 1, 2, ...] and [2, 2**61+2, 0, ...].
+CRAFTED = [[2**61 + 2, 1, 2, 3, 4, 5, 6, 7], [2, 2**61 + 2, 2, 3, 4, 5, 6, 7]]
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        *(lambda rng, p=p: draw_srswor(FixedPositions(np.array(p)), 2**62, 8) for p in CRAFTED),
+        lambda rng: draw_srswor(rng, 2**64, 2),
+        lambda rng: draw_srswor(rng, 2**32 + 1, 2),
+        lambda rng: draw_two_phase(rng, True, 3, 2),
+        lambda rng: draw_two_phase(rng, "3", 3, 2),
+        lambda rng: draw_two_phase(rng, 2**33, 3, 2),
+    ],
+    ids=["crafted-a", "crafted-b", "srswor-2**64", "srswor-2**32+1", "two-phase-True", "two-phase-str", "two-phase-2**33"],
+)
+def test_public_draws_refuse_sizes_beyond_the_key_bound(draw):
+    with pytest.raises(InvalidInputError, match="population size"):
+        draw(np.random.default_rng(0))
 
 
 @pytest.fixture

@@ -58,6 +58,7 @@ CASES = [
     ("PopulationSpec.seed", 3, lambda v: PopulationSpec(seed=v), lambda s: s.seed, InvalidSpecError),
     ("draw_srswor.n_pop", 200, lambda v: draw_srswor(_stream(), v, 5), None, InvalidInputError),
     ("draw_srswor.n_sample", 5, lambda v: draw_srswor(_stream(), 200, v), None, InvalidInputError),
+    ("draw_two_phase.n_pop", 200, lambda v: draw_two_phase(_stream(), v, 40, 5), None, InvalidInputError),
     ("draw_two_phase.nprime", 40, lambda v: draw_two_phase(_stream(), 200, v, 5), None, InvalidDesignError),
     ("draw_two_phase.n", 5, lambda v: draw_two_phase(_stream(), 200, 40, v), None, InvalidDesignError),
     ("run_simulation.workers", 1, lambda v: run_simulation(POP, _config(), workers=v).to_json(), None, InvalidInputError),

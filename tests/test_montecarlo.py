@@ -393,6 +393,16 @@ class TestRunSimulation:
         with pytest.raises(InvalidDesignError, match="census"):
             quiet_run(small_pop, config)
 
+    def test_census_first_phase_rejected_before_any_chunk(self, small_pop, monkeypatch):
+        # n' = N makes each two-phase kind its single-phase twin.
+        def no_chunk(*args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(montecarlo, "_simulate_chunk", no_chunk)
+        config = SimulationConfig(n=12, nprime=600, reps=10, seed=0, estimators=(EXP_RATIO_TWO_PHASE,))
+        with pytest.raises(InvalidDesignError, match="nprime=600 must be smaller than the population size 600; a census"):
+            quiet_run(small_pop, config)
+
 
 @pytest.fixture(scope="module")
 def report(small_pop):
