@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 
@@ -511,11 +512,6 @@ def cmd_simulate(
         raise InvalidInputError(
             "exactly one population source is required: --input PATH, --gen, or --gen-spec PATH"
         )
-    if input_path:
-        pop = load_population_csv(input_path)
-    else:
-        spec = load_population_spec(gen_spec_path) if gen_spec_path else PopulationSpec()
-        pop = generate_population(spec)
     kinds = _parse_estimator_list(estimators, two_phase_available=nprime is not None)
     config = SimulationConfig(
         n=n,
@@ -525,6 +521,16 @@ def cmd_simulate(
         nprime=nprime,
         weight_policy=WeightPolicy(weight_policy),
     )
+    if out is not None:  # refuse an unwritable path before the run, and leave no new file
+        existed = os.path.exists(out)
+        open(out, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(out)
+    if input_path:
+        pop = load_population_csv(input_path)
+    else:
+        spec = load_population_spec(gen_spec_path) if gen_spec_path else PopulationSpec()
+        pop = generate_population(spec)
     report = run_simulation(pop, config, workers=workers)
     summary = _summary(report)
     # With --out the file gets the report (JSON in place of text) and

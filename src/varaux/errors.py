@@ -5,10 +5,10 @@ Every error this package raises deliberately derives from
 Each class carries its CLI exit code as ``exit_code``: 2 for bad input,
 malformed files and invalid designs, 3 for degenerate data and failed runs.
 
-The private checks at the end hold the argument rules every module
-shares: an integer (numpy's too, never a bool) within bounds, a real
-number, a finite or finite positive number.  Each keeps the calling
-site's exception class and names the argument in its message.
+The private checks at the end state once each argument rule every
+module shares: an integer within bounds, and a finite real number,
+above zero where it must be positive; numpy's count, a bool never does.
+Each keeps the calling site's exception class and names the argument.
 """
 
 import math
@@ -79,20 +79,14 @@ def _integer(value, what: str, low: int | None = None, high: int | None = None, 
     raise error(f"{what} must be {phrase}, got {value!r}")
 
 
-def _number(value, what: str, error=InvalidInputError) -> float:
-    """``value`` as a float if it is a real number other than a bool;
-    else ``error``: "<what> must be a number, got <value!r>"."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 def _finite(value, what: str, positive: bool = False, error=InvalidInputError) -> float:
-    """``float(value)`` if it is finite, and above zero when ``positive``;
-    else ``error``: "<what> must be finite" (or "a finite positive
-    number"), ", got <value!r>".  A caller whose message shows the
-    converted number passes ``float(value)``."""
+    """``value`` as a ``float``: any real number but a bool, numpy's
+    included, finite and, when ``positive``, above zero.  Else ``error``:
+    "<what> must be a number, got <value!r>" for a non-number, and "<what>
+    must be finite" (or "a finite positive number"), ", got <float(value)!r>"."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise error(f"{what} must be a number, got {value!r}")
     number = float(value)
     if not math.isfinite(number) or (positive and number <= 0.0):
-        raise error(f"{what} must be {'a finite positive number' if positive else 'finite'}, got {value!r}")
+        raise error(f"{what} must be {'a finite positive number' if positive else 'finite'}, got {number!r}")
     return number

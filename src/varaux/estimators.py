@@ -195,7 +195,7 @@ class AuxKnowledge:
             value = getattr(self, name)
             if value is None:
                 continue
-            object.__setattr__(self, name, _finite(float(value), f"aux knowledge {name}", positive=True))
+            object.__setattr__(self, name, _finite(value, f"aux knowledge {name}", positive=True))
 
     def require(self, name: str) -> float:
         value = getattr(self, name)
@@ -258,7 +258,8 @@ def single_phase_value(
     :func:`estimate_single_phase`.  ``weight`` must already be resolved
     for combined kinds.
     """
-    return _checked_value(kind, False, sy2, {"sx2": sx2, "sz2": sz2}, aux, weight)
+    variances = {name: _given(value, f"sample variance {name!r}") for name, value in (("sx2", sx2), ("sz2", sz2))}
+    return _checked_value(kind, False, _given(sy2, "sample variance 'sy2'"), variances, aux, _given(weight, "weight"))
 
 
 def two_phase_value(
@@ -277,8 +278,14 @@ def two_phase_value(
     the adjustment factors have the same shape as their single-phase
     counterparts with the reference replaced.
     """
-    variances = {"sx2": sx2, "sz2": sz2, "sx2_first": sx2_first, "sz2_first": sz2_first}
-    return _checked_value(kind, True, sy2, variances, None, weight)
+    given = {"sx2": sx2, "sz2": sz2, "sx2_first": sx2_first, "sz2_first": sz2_first}
+    variances = {name: _given(value, f"sample variance {name!r}") for name, value in given.items()}
+    return _checked_value(kind, True, _given(sy2, "sample variance 'sy2'"), variances, None, _given(weight, "weight"))
+
+
+def _given(value, what: str) -> float | None:
+    """A ``*_value`` argument: None if not given, else checked by :func:`_finite`."""
+    return None if value is None else _finite(value, what)
 
 
 def _check_design(kind: EstimatorKind, two_phase: bool, entry: str) -> None:
@@ -304,7 +311,7 @@ def _checked_value(kind, two_phase, sy2, variances, aux, weight, samples=None) -
     if sy2 is None:
         raise InvalidInputError(f"estimator {kind.label!r} needs the sample variance 'sy2'")
     if kind.family.form == "unbiased":
-        return float(sy2)
+        return sy2
     if not two_phase and aux is None:
         raise InvalidInputError(f"estimator {kind.label!r} needs known auxiliary variances")
     if weight is None and kind.is_combined and samples is None:
@@ -419,7 +426,7 @@ def _resolve_weight(
     if not kind.is_combined:
         return None, "none"
     if weight is not None:
-        return _finite(float(weight), "weight"), "fixed"
+        return _finite(weight, "weight"), "fixed"
     if kind.weight is not None:
         return kind.weight, "fixed"
     if deltas is not None:

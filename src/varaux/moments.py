@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePopulationError, InvalidInputError, PopulationFormatError, _finite, _integer, _number
+from .errors import DegeneratePopulationError, InvalidInputError, PopulationFormatError, _finite, _integer
 
 #: Largest total order ``p + q + r`` accepted by the moment routines.
 #: Fourth-order theory needs nothing beyond 4; the slack is for
@@ -259,7 +259,7 @@ class DeltaTable:
 
     def __post_init__(self) -> None:
         for name in self.field_names():
-            object.__setattr__(self, name, _finite(float(getattr(self, name)), f"moment {name}"))
+            object.__setattr__(self, name, _finite(getattr(self, name), f"moment {name}"))
 
     @staticmethod
     def field_names() -> tuple[str, ...]:
@@ -323,7 +323,6 @@ class DeltaTable:
             raise PopulationFormatError(f"moment table is missing keys: {', '.join(missing)}")
         values = {}
         for name in cls.field_names():
-            _number(data[name], f"moment table key {name!r}", PopulationFormatError)
             values[name] = _finite(data[name], f"moment table key {name!r}", error=PopulationFormatError)
         return cls(**values)
 

@@ -603,18 +603,9 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
             f"sample size n={config.n} must be smaller than the population "
             f"size {n_pop}; a census admits no sampling variation"
         )
-    if config.nprime is not None and config.nprime > n_pop:
-        raise InvalidDesignError(f"first-phase size nprime={config.nprime} exceeds the population size {n_pop}")
     kinds = tuple(dict.fromkeys((UNBIASED,) + config.estimators))
     sy2 = pop.sy2
     pop_deltas = delta_table(pop)
-    if config.n / n_pop > 0.05:
-        warnings.warn(
-            f"sampling fraction n/N = {config.n / n_pop:.3f} exceeds 5%; the "
-            "theory columns ignore the finite population correction and will "
-            "overstate the MSE",
-            stacklevel=2,
-        )
 
     # Resolve weights once.  A None slot survives only under PLUG_IN,
     # where it means "re-estimate from every sample"; theory columns
@@ -643,6 +634,13 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
         aux_sx2=pop.sx2,
         aux_sz2=pop.sz2,
     )
+    if config.n / n_pop > 0.05:
+        warnings.warn(
+            f"sampling fraction n/N = {config.n / n_pop:.3f} exceeds 5%; the "
+            "theory columns ignore the finite population correction and will "
+            "overstate the MSE",
+            stacklevel=2,
+        )
 
     starts = range(0, config.reps, CHUNK_SIZE)
     stops = [min(start + CHUNK_SIZE, config.reps) for start in starts]

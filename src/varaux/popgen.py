@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidSpecError, _finite, _integer, _number
+from .errors import InvalidSpecError, _finite, _integer
 from .moments import Population, _exact, load_json
 
 _MARGINAL_FAMILIES = ("normal", "lognormal")
@@ -48,8 +48,6 @@ class Marginal:
             raise InvalidSpecError(
                 f"unknown marginal family {self.family!r}; expected one of {_MARGINAL_FAMILIES}"
             )
-        _number(self.loc, "marginal loc", InvalidSpecError)
-        _number(self.scale, "marginal scale", InvalidSpecError)
         object.__setattr__(self, "loc", _finite(self.loc, "marginal loc", error=InvalidSpecError))
         object.__setattr__(self, "scale", _finite(self.scale, "marginal scale", positive=True, error=InvalidSpecError))
 
@@ -122,7 +120,7 @@ class PopulationSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "size", _integer(self.size, "population size", 2, error=InvalidSpecError))
         for name in ("rho_yx", "rho_yz", "rho_xz"):
-            value = _number(getattr(self, name), name, InvalidSpecError)
+            value = _finite(getattr(self, name), name, error=InvalidSpecError)
             if not (-1.0 < value < 1.0):
                 raise InvalidSpecError(f"{name} must lie strictly inside (-1, 1), got {value!r}")
             object.__setattr__(self, name, value)

@@ -67,9 +67,7 @@ class DesignSizes:
     nprime: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _integer(self.n, "sample size n"))
-        if self.n < 2:
-            raise InvalidInputError(f"sample size n must be at least 2, got {self.n}")
+        object.__setattr__(self, "n", _integer(self.n, "sample size n", 2))
         if self.nprime is not None:
             object.__setattr__(self, "nprime", _integer(self.nprime, "first-phase size nprime"))
             if self.nprime < self.n:
@@ -216,9 +214,8 @@ def pre(mse_candidate: float, mse_baseline: float) -> float:
     Values above 100 mean the candidate beats the baseline.  Both
     inputs must be strictly positive.
     """
-    for label, value in (("mse_candidate", mse_candidate), ("mse_baseline", mse_baseline)):
-        _finite(value, label, positive=True)
-    return 100.0 * mse_baseline / mse_candidate
+    candidate = _finite(mse_candidate, "mse_candidate", positive=True)
+    return 100.0 * _finite(mse_baseline, "mse_baseline", positive=True) / candidate
 
 
 def theory_table(

@@ -1035,11 +1035,45 @@ class TestGenPop:
     ],
     ids=["theory", "gen-pop", "simulate"],
 )
-def test_unwritable_output_exits_2(args, tmp_path):
+def test_unwritable_output_exits_2(args, tmp_path, monkeypatch):
+    # simulate refuses the path before the run, so it never starts one.
+    monkeypatch.setattr(cli_module, "run_simulation", _must_not_run)
     out = tmp_path / "missing" / "out.file"
     result = invoke(*args, str(out))
     assert result.exit_code == 2
     assert result.stderr == f"error: {out}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("existing", [None, "old report\n"], ids=["new", "existing"])
+def test_a_refused_run_leaves_its_output_path_as_it_was(existing, tiny_csv, tmp_path):
+    out = tmp_path / "r.json"
+    if existing is not None:
+        out.write_text(existing)
+    result = invoke("simulate", "--input", tiny_csv, "--n", "1000000", "--reps", "10", "--out", str(out))
+    assert result.exit_code == 2
+    assert (out.read_text() if out.exists() else None) == existing
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--n", "1"), "sample size n must be an integer >= 2, got 1"),
+        (("--n", "10", "--estimators", "bogus"), "unknown estimator kind 'bogus'"),
+    ],
+    ids=["n-1", "bogus-estimator"],
+)
+def test_simulate_refuses_arguments_before_reading_the_population(args, message, tiny_csv, monkeypatch):
+    monkeypatch.setattr(cli_module, "load_population_csv", _must_not_run)
+    monkeypatch.setattr(cli_module, "generate_population", _must_not_run)
+    for source in (("--input", tiny_csv), ("--gen",)):
+        result = invoke("simulate", *source, *args, "--reps", "10")
+        assert result.exit_code == 2
+        assert message in result.stderr
 
 
 @pytest.mark.parametrize("kind", ["population", "first-phase", "deltas", "spec"])

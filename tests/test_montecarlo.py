@@ -403,6 +403,18 @@ class TestRunSimulation:
         with pytest.raises(InvalidDesignError, match="nprime=600 must be smaller than the population size 600; a census"):
             quiet_run(small_pop, config)
 
+    def test_census_first_phase_refused_without_a_warning(self, small_pop):
+        # n/N = 40/600 would warn about the finite population correction,
+        # but every refusal comes first.
+        import warnings
+
+        config = SimulationConfig(n=40, nprime=600, reps=10, seed=0, estimators=(EXP_RATIO_TWO_PHASE,))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidDesignError, match="a census first phase"):
+                run_simulation(small_pop, config)
+        assert [str(w.message) for w in caught] == []
+
 
 @pytest.fixture(scope="module")
 def report(small_pop):

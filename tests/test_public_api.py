@@ -60,7 +60,7 @@ def test_source_stays_within_the_line_budget():
 
 def test_bool_is_refused_only_by_the_shared_checks():
     """An integer or number argument is checked by ``errors._integer`` or
-    ``errors._number``; no other module spells the not-a-bool rule out."""
+    ``errors._finite``; no other module spells the not-a-bool rule out."""
     spelled = []
     for path in sorted(SOURCE_DIR.glob("*.py")):
         if path.name == "errors.py":
