@@ -71,7 +71,7 @@ def _integer(value, what: str, low: int | None = None, high: int | None = None, 
     with ``low <= value < high`` where a bound is given.  Anything else
     raises ``error``: "<what> must be <phrase>, got <value!r>", the
     phrase read from the bounds."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    if type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
         number = int(value)
         if (low is None or number >= low) and (high is None or number < high):
             return number

@@ -324,7 +324,8 @@ def _checked_value(kind, two_phase, sy2, variances, aux, weight, samples=None) -
             raise InvalidInputError(f"estimator {kind.label!r} needs the sample variance {name!r}")
     refs = (None, None) if two_phase else (aux.sx2, aux.sz2)
     numbers = {k: None if v is None else np.float64(v) for k, v in variances.items()}
-    (value,), checks = evaluate((kind,), (weight,), sy2, numbers, refs, samples)
+    table = fourth_moments(*samples) if weight is None and kind.is_combined else None
+    (value,), checks = evaluate((kind,), (weight,), sy2, numbers, refs, table)
     for failed, error, message in checks:
         if failed:
             raise error(message)
@@ -367,25 +368,26 @@ def alpha_opt(deltas: DeltaTable) -> float:
     return numerator / denominator
 
 
-def evaluate(kinds, weights, sy2, variances, refs, samples=None):
+def evaluate(kinds, weights, sy2, variances, refs, table=None):
     """Values and checks of ``kinds``, on floats or elementwise on arrays.
 
     The one evaluation of the estimators, for the scalar entry points
-    and for the engine's blocks (one sample per row).  ``weights`` are
-    resolved, or None where a combined kind takes the plug-in weight of
-    the ``(y, x, z)`` ``samples``; ``variances`` maps the names of the
+    and for the engine's chunks (one replication per element).
+    ``weights`` are resolved, or None where a combined kind takes the
+    plug-in weight of ``table``, the :func:`fourth_moments` output of
+    the ``(y, x, z)`` samples; ``variances`` maps the names of the
     families' ``divisors``; ``refs`` are the known ``(S_x^2, S_z^2)``.
 
     Returns a value per kind, undefined where a check fails, and
     ``(failed, error class, message)`` per check in the order they
-    apply: for a plug-in weight, each variate's zero variance, then a
-    flat objective; then each kind's divisors.  A plug-in table that is
-    not finite, where no variance is zero, raises DeltaTable's error.
+    apply: given a ``table``, each variate's zero variance, then a flat
+    objective; then each kind's divisors.  A plug-in table that is not
+    finite, where no variance is zero, raises DeltaTable's error.
     """
     checks, plug_weight = [], None
     with np.errstate(all="ignore"):
-        if samples is not None and any(kind.is_combined and weight is None for kind, weight in zip(kinds, weights)):
-            moment_variances, deltas = fourth_moments(*samples)
+        if table is not None:
+            moment_variances, deltas = table
             for name, variance in zip("yxz", moment_variances):
                 message = f"sample variate {name!r} has zero variance; cannot estimate moments"
                 checks.append((variance <= 0.0, DegenerateSampleError, message))

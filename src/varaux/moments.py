@@ -48,10 +48,18 @@ _VIOLATION_SLACK = 1e-9
 
 def _finite_vector(values, what: str) -> np.ndarray:
     """``values`` as a float64 array, refused unless one-dimensional and
-    finite; ``what`` names it in the message."""
-    arr = np.asarray(values, dtype=np.float64)
+    finite; ``what`` names it in the message.  As :func:`errors._finite`
+    rules for one number, only integer and floating values are real: bools,
+    strings and objects are refused, not converted."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise InvalidInputError(f"{what} must be one-dimensional") from None
+    if arr.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{what} must hold real numbers, got {arr.dtype.name} values")
     if arr.ndim != 1:
         raise InvalidInputError(f"{what} must be one-dimensional")
+    arr = arr.astype(np.float64, copy=False)
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{what} contains non-finite values")
     return arr
@@ -64,7 +72,7 @@ def _exact(value: float) -> str:
 
 
 def _as_readonly_float_vector(values, name: str) -> np.ndarray:
-    arr = _finite_vector(np.array(values, dtype=np.float64, copy=True), f"variate {name!r}")
+    arr = np.array(_finite_vector(values, f"variate {name!r}"), copy=True)
     arr.setflags(write=False)
     # A view of a read-only array cannot be made writeable again.
     return arr.view()
@@ -336,8 +344,8 @@ def fourth_moments(y, x, z) -> tuple[list, list]:
     """Divisor-``n`` variances and standardized fourth moments along the last axis.
 
     :func:`delta_table` applies it to a population, and the plug-in
-    weights of :func:`varaux.estimators.evaluate` to a sample or to a
-    block of samples, one per row.
+    weights to a sample or to the engine's block of samples, one per
+    row, whose tables :func:`varaux.estimators.evaluate` reads.
 
     Returns
     -------
@@ -551,7 +559,7 @@ def sample_variance(values) -> float:
     values : array_like
         One-dimensional, finite, length at least 2.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 1 and arr.size < 2:
+    arr = _finite_vector(values, "sample")
+    if arr.size < 2:
         raise InvalidInputError(f"sample variance needs at least two values, got {arr.size}")
-    return float(np.var(_finite_vector(arr, "sample"), ddof=1))
+    return float(np.var(arr, ddof=1))

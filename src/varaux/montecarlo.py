@@ -20,13 +20,18 @@ reports.
 
 Blocks
 ------
-A chunk is evaluated in blocks of replications, one row per
-replication, with numpy: the draws of a block, the gathers and sample
-variances, the plug-in moment tables and the estimator arithmetic each
-run once per block, into arrays that the chunk allocates once.  Every
-row still has its own substream and its own draw, and every reduction
-runs along a row, so each replication's values are bit for bit those of
-evaluating it alone, whatever the block size.
+A chunk is evaluated in two levels.  Per block of replications, one row
+per replication, numpy runs the work that needs a row's whole sample:
+the draws, the gathers of each phase's variates into one stacked buffer,
+one sample-variance pass over it and, under plug-in weights, the moment
+tables.  Blocks keep their rows in arrays that the chunk allocates once,
+and write each row's variances and moments into arrays of one number
+per replication.  Per chunk, the estimator arithmetic, the fill of the
+values and the failure scan then run once on those arrays.  Every row
+still has its own substream and its own draw, every reduction runs
+along a row and the arithmetic runs elementwise, so each replication's
+values are bit for bit those of evaluating it alone, whatever the block
+size.
 
 The Fisher-Yates positions are numpy's ``Generator.integers`` draws.
 Per replication the engine only reads raw Philox words; it then applies
@@ -37,7 +42,7 @@ row depends on a copy of numpy's rejection loop.
 
 Failed replications (a sample with zero auxiliary variance, or a
 plug-in weight with no unique optimum) fail the scalar estimators'
-checks, which :func:`varaux.estimators.evaluate` runs once per block.
+checks, which :func:`varaux.estimators.evaluate` runs once per chunk.
 They are counted, and their draws are dropped for every estimator
 alike to preserve pairing.  More than 0.1 percent failures aborts the
 run: at that point the population is unsuited to the estimators and
@@ -61,7 +66,7 @@ from .estimators import (
     _resolve_weight,
     evaluate,
 )
-from .moments import DeltaTable, Population, delta_table, format_csv
+from .moments import DeltaTable, Population, delta_table, format_csv, fourth_moments
 from .theory import DesignSizes, pre, theory_table
 
 #: Replications per work unit.  Fixed (never derived from the worker
@@ -148,6 +153,11 @@ def draw_srswor(stream: np.random.Generator, n_pop: int, n_sample: int) -> np.nd
     n_sample = _integer(n_sample, "sample size", 1)
     if n_sample > n_pop:
         raise InvalidInputError(f"cannot draw {n_sample} units from a population of {n_pop}")
+    return _srswor(stream, n_pop, n_sample)
+
+
+def _srswor(stream: np.random.Generator, n_pop: int, n_sample: int) -> np.ndarray:
+    """:func:`draw_srswor` of checked sizes."""
     positions = stream.integers(np.arange(n_sample), n_pop)
     return _fisher_yates(positions[np.newaxis], n_pop, _Workspace(1, n_sample, n_sample))[0]
 
@@ -167,8 +177,8 @@ def draw_two_phase(
             f"two-phase sizes must satisfy 2 <= n < nprime <= N, got n={n}, "
             f"nprime={nprime}, N={n_pop}"
         )
-    first = draw_srswor(stream, n_pop, nprime)
-    second = first[draw_srswor(stream, nprime, n)]
+    first = _srswor(stream, n_pop, nprime)
+    second = first[_srswor(stream, nprime, n)]
     return first, second
 
 
@@ -186,12 +196,11 @@ class _Plan:
     weights: tuple[float | None, ...]  # None = plug-in, re-estimated per draw
     aux_sx2: float | None
     aux_sz2: float | None
-    # The variates to gather, for each phase.  The second phase's
-    # auxiliaries also feed the plug-in moment table.
-    need_x_second: bool = field(init=False, repr=False)
-    need_z_second: bool = field(init=False, repr=False)
-    need_x_first: bool = field(init=False, repr=False)
-    need_z_first: bool = field(init=False, repr=False)
+    # The variates each phase gathers: the first phase's auxiliaries, then
+    # y and the second phase's; and whether a combined kind takes the
+    # plug-in weight of the second phase's moment table, which reads all three.
+    variates: tuple[str, str] = field(init=False, repr=False)
+    plug_in: bool = field(init=False, repr=False)
     # The position draw's constants, per draw: numpy's ``integers(low,
     # high)`` bounds, the range ``span = high - low`` and Lemire's
     # rejection ``threshold``.  Draw i reads half-word i of the row's
@@ -222,11 +231,13 @@ class _Plan:
             high = np.concatenate((np.full(self.nprime, n_pop), np.full(self.n, self.nprime)))
         span = (high - low).astype(np.uint64)
         plug_in = any(kind.is_combined and w is None for kind, w in zip(self.kinds, self.weights))
+        two_phase = [kind for kind in self.kinds if kind.is_two_phase]
+        first = "x" * any(kind.uses_x for kind in two_phase) + "z" * any(kind.uses_z for kind in two_phase)
+        second = "y" + "x" * (plug_in or any(kind.uses_x for kind in self.kinds))
+        second += "z" * (plug_in or any(kind.uses_z for kind in self.kinds))
         constants = {
-            "need_x_second": plug_in or any(kind.uses_x for kind in self.kinds),
-            "need_z_second": plug_in or any(kind.uses_z for kind in self.kinds),
-            "need_x_first": any(kind.is_two_phase and kind.uses_x for kind in self.kinds),
-            "need_z_first": any(kind.is_two_phase and kind.uses_z for kind in self.kinds),
+            "variates": (first, second),
+            "plug_in": plug_in,
             "low": low,
             "high": high,
             "span": span,
@@ -259,31 +270,28 @@ def _block_rows(plan: _Plan) -> int:
 
 class _Workspace:
     """Memory for blocks of up to ``rows`` rows of ``width`` positions, in
-    phases of up to ``k`` draws: one buffer of ``reserve`` bytes or more.
+    phases of up to ``k`` draws.
 
-    It holds the ``link`` table of :func:`_fisher_yates`, an array per
-    ``(dtype, cols)`` of ``kept``, and scratch that each step borrows with
-    :meth:`arrays`.  Given a ``seed``, it also holds the substreams of
-    :func:`_draw_positions`: one Philox bit generator with that key and a
-    state dict to reset it to.  A chunk allocates one, so that no block
-    returns memory to malloc only to fault it back in the next, nor builds
-    a bit generator again.
+    It holds the ``link`` table of :func:`_fisher_yates` and one buffer of
+    ``reserve`` bytes or more: an array per ``(dtype, cols)`` of ``kept``,
+    then scratch that each step borrows with :meth:`arrays`.  Given a
+    ``seed``, it also holds the substreams of :func:`_draw_positions`: one
+    Philox bit generator with that key and a state dict to reset it to.  A
+    chunk allocates one, so that no block returns memory to malloc only to
+    fault it back in the next, nor builds a bit generator again.
     """
 
     def __init__(self, rows: int, k: int, width: int, kept=(), reserve: int = 0, seed: int | None = None) -> None:
-        specs = [(np.intp, k), *kept]
-        size = sum(-(-rows * cols * np.dtype(dtype).itemsize // 64) * 64 for dtype, cols in specs)
-        # No step asks for more than 32 bytes per position, plus padding:
+        size = sum(-(-rows * cols * np.dtype(dtype).itemsize // 64) * 64 for dtype, cols in kept)
+        # No step asks for more than 24 bytes per position, plus padding:
         # the draw asks for 5, Fisher-Yates for 9 with 32-bit keys and 17
-        # with 64-bit ones, and the most is 32 per second-phase position,
-        # for its deviations and its y, x and z values.
-        self.scratch = np.empty(max(size + 32 * rows * width + 512, reserve), dtype=np.uint8)
-        link, *self.kept = self.arrays(rows, *specs)
+        # with 64-bit ones, and the most is 24 per second-phase position,
+        # for its y, x and z values.
+        self.scratch = np.empty(max(size + 24 * rows * width + 512, reserve), dtype=np.uint8)
+        self.kept = self.arrays(rows, *kept)
         self.scratch = self.scratch[size:]
-        self.link = link.reshape(-1)
-        self.link[:] = -1  # between Fisher-Yates calls
+        self.link = np.full(rows * k, -1, dtype=np.intp)  # between Fisher-Yates calls
         self.draws = np.arange(k, dtype=np.uint32)  # the low bits of Fisher-Yates keys
-        self.starts = np.arange(rows, dtype=np.intp)[:, np.newaxis]
         if seed is not None:
             # The state setter reads Python lists item by item far faster
             # than numpy arrays.  Only the counter's replication word ever
@@ -297,7 +305,7 @@ class _Workspace:
         """A ``(rows, cols)`` array per ``(dtype, cols)``, valid until the next call."""
         arrays, offset = [], 0
         for dtype, cols in specs:
-            arrays.append(self.scratch[offset:].view(dtype)[: rows * cols].reshape(rows, cols))
+            arrays.append(np.ndarray((rows, cols), dtype, self.scratch, offset))
             offset += -(-arrays[-1].nbytes // 64) * 64
         return arrays
 
@@ -427,7 +435,7 @@ def _draw_block(plan: _Plan, start: int, stop: int, work: _Workspace) -> tuple[n
     first, second = picks
     # second[r, i] = first[r, second[r, i]]
     (flat,) = work.arrays(stop - start, (np.intp, plan.n))
-    np.add(second, work.starts[: stop - start] * plan.nprime, out=flat)
+    np.add(second, np.arange(0, (stop - start) * plan.nprime, plan.nprime)[:, np.newaxis], out=flat)
     return first, np.take(first.reshape(-1), flat, out=second, mode="clip")
 
 
@@ -442,55 +450,63 @@ def _variance(block: np.ndarray, deviations: np.ndarray) -> np.ndarray:
     return np.true_divide(variance, block.shape[1] - 1, out=variance)
 
 
-def _simulate_block(plan: _Plan, start: int, stop: int, values: np.ndarray, failed: np.ndarray, work: _Workspace) -> str | None:
-    """Fill ``values``/``failed`` for replications ``start..stop-1``.
+def _simulate_block(plan: _Plan, start: int, stop: int, stats: np.ndarray, work: _Workspace) -> None:
+    """Write the statistics of replications ``start..stop-1`` into the
+    columns of ``stats``, one per replication: the sample variance of each
+    of ``plan.variates`` in order, then under plug-in weights the second
+    phase's :func:`fourth_moments`, three variances and six deltas.
 
-    One call of :func:`evaluate` gives every row's values and checks.
-    Returns the message of the first failed replication's first failed
-    check, or None.
+    Each phase's variates are gathered into one stacked buffer, one row
+    per variate and replication, and reduced by one :func:`_variance`
+    call in place; the moment table reads the second phase's before then.
     """
     first, second = _draw_block(plan, start, stop, work)
-    variances = dict.fromkeys(("sy2", "sx2", "sz2", "sx2_first", "sz2_first"))
-    (first_values,) = work.arrays(len(second), (np.float64, plan.nprime or 0))
-    for name, needed in (("x", plan.need_x_first), ("z", plan.need_z_first)):
-        if needed:
-            np.take(getattr(plan, name), first, out=first_values, mode="clip")
-            variances[f"s{name}2_first"] = _variance(first_values, first_values)
-    # The second phase's values, kept for the plug-in moment table.
-    gathered = "y" + "x" * plan.need_x_second + "z" * plan.need_z_second
-    deviations, *kept = work.arrays(len(second), *[(np.float64, plan.n)] * (1 + len(gathered)))
-    samples = dict.fromkeys("yxz")
-    for name, buffer in zip(gathered, kept):
-        samples[name] = np.take(getattr(plan, name), second, out=buffer, mode="clip")
-        variances[f"s{name}2"] = _variance(samples[name], deviations)
-    refs = (plan.aux_sx2, plan.aux_sz2)
-    own, checks = evaluate(plan.kinds, plan.weights, variances["sy2"], variances, refs, tuple(samples.values()))
-    for idx, value in enumerate(own):
-        values[:, idx] = value
-    failed[:] = np.logical_or.reduce([mask for mask, _, _ in checks])
-    if not failed.any():
-        return None
-    values[failed] = np.nan
-    row = int(np.flatnonzero(failed)[0])
-    message = next(message for mask, _, message in checks if mask[row])
-    return f"replication {start + row}: {message}"
+    row = 0
+    for indices, variates in zip((first, second), plan.variates):
+        if not variates:
+            continue
+        count, width = indices.shape
+        (stacked,) = work.arrays(len(variates) * count, (np.float64, width))
+        samples = stacked.reshape(len(variates), count, width)
+        for name, sample in zip(variates, samples):
+            np.take(getattr(plan, name), indices, out=sample, mode="clip")
+        if indices is second and plan.plug_in:
+            stats[-9:-6], stats[-6:] = fourth_moments(*samples)
+        stats[row : row + len(variates)] = _variance(stacked, stacked).reshape(len(variates), count)
+        row += len(variates)
 
 
 def _simulate_chunk(plan: _Plan, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """Evaluate replications ``start..stop-1``; pure in (plan, range)."""
+    """Evaluate replications ``start..stop-1``; pure in (plan, range).
+
+    The blocks write each replication's statistics, then one call of
+    :func:`evaluate` gives every replication's values and checks.  The
+    third item is the message of the first failed replication's first
+    failed check, or None.
+    """
     count = stop - start
-    values = np.full((count, len(plan.kinds)), np.nan)
-    failed = np.zeros(count, dtype=bool)
-    first_failure: str | None = None
+    first, second = plan.variates
+    names = [f"s{name}2_first" for name in first] + [f"s{name}2" for name in second]
+    stats = np.empty((len(names) + 9 * plan.plug_in, count))
     rows = min(_block_rows(plan), count)
     work = _chunk_workspace(plan, rows)
     for block_start in range(start, stop, rows):
         block_stop = min(block_start + rows, stop)
-        block = slice(block_start - start, block_stop - start)
-        message = _simulate_block(plan, block_start, block_stop, values[block], failed[block], work)
-        if first_failure is None:
-            first_failure = message
-    return values, failed, first_failure
+        _simulate_block(plan, block_start, block_stop, stats[:, block_start - start : block_stop - start], work)
+    variances = dict.fromkeys(("sx2", "sz2", "sx2_first", "sz2_first"))
+    variances.update(zip(names, stats))
+    table = (stats[-9:-6], stats[-6:]) if plan.plug_in else None
+    own, checks = evaluate(plan.kinds, plan.weights, variances["sy2"], variances, (plan.aux_sx2, plan.aux_sz2), table)
+    values = np.stack(own, axis=1)
+    failed = np.zeros(count, dtype=bool)
+    for mask, _, _ in checks:
+        failed |= mask
+    if not failed.any():
+        return values, failed, None
+    values[failed] = np.nan
+    row = int(np.argmax(failed))
+    message = next(message for mask, _, message in checks if mask[row])
+    return values, failed, f"replication {start + row}: {message}"
 
 
 #: The plan of the run a pool worker serves, set once per worker by

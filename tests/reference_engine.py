@@ -84,15 +84,15 @@ def _simulate_chunk(plan, start: int, stop: int) -> tuple[np.ndarray, np.ndarray
         try:
             xs = zs = None
             sx2 = sz2 = sx2_first = sz2_first = None
-            if plan.need_x_second:
+            if "x" in plan.variates[1]:
                 xs = plan.x[second]
                 sx2 = float(np.var(xs, ddof=1))
-            if plan.need_z_second:
+            if "z" in plan.variates[1]:
                 zs = plan.z[second]
                 sz2 = float(np.var(zs, ddof=1))
-            if plan.need_x_first:
+            if "x" in plan.variates[0]:
                 sx2_first = float(np.var(plan.x[first], ddof=1))
-            if plan.need_z_first:
+            if "z" in plan.variates[0]:
                 sz2_first = float(np.var(plan.z[first], ddof=1))
             plug_weight: float | None = None
             if plug_in_needed:

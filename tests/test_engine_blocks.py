@@ -179,6 +179,58 @@ class TestMatchesReferenceEngine:
         assert str(got.value) == str(expected.value)
 
 
+def test_estimators_run_once_per_chunk(pop, monkeypatch):
+    # Blocks of 7 rows, so that each chunk holds many blocks; evaluate
+    # runs on one number per replication of the whole chunk.
+    calls = []
+
+    def counted(kinds, weights, sy2, *args):
+        calls.append(len(sy2))
+        return montecarlo_evaluate(kinds, weights, sy2, *args)
+
+    montecarlo_evaluate = montecarlo.evaluate
+    monkeypatch.setattr(montecarlo, "_block_rows", lambda plan: 7)
+    monkeypatch.setattr(montecarlo, "evaluate", counted)
+    config = SimulationConfig(n=5, nprime=20, reps=CHUNK_SIZE + 100, seed=3, estimators=ALL_KINDS)
+    run_simulation(pop, config)
+    assert calls == [CHUNK_SIZE, 100]
+
+
+def test_first_failure_in_the_last_block(monkeypatch):
+    # Units 0 and 1 share their x value, so at seed 5 only replication 594
+    # of the first 1,000 draws a sample constant in x (see
+    # test_failure_threshold_at_999_and_1000_reps).  In blocks of 8 from
+    # 560 it lies in the chunk's last block, after clean ones.
+    rng = np.random.default_rng(20)
+    y, x, z = (rng.lognormal(size=45) for _ in range(3))
+    x[1] = x[0]
+    plan = make_plan(Population(y=y, x=x, z=z), n=2, seed=5, kinds=(UNBIASED, EXP_RATIO), weights=(None, None))
+    monkeypatch.setattr(montecarlo, "_block_rows", lambda plan: 8)
+    failed, first_failure = assert_same_as_reference(plan, 560, 600)
+    assert np.flatnonzero(failed).tolist() == [594 - 560]
+    assert first_failure.startswith("replication 594: ")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_unbounded_plug_in_table_after_degenerate_blocks(two_valued_x, monkeypatch):
+    # y near 1e100 overflows every sample's fourth moments, and x is 1 but
+    # on units 0 and 1, so a sample without them has zero x variance and
+    # fails before its table is read.  The first sample holding one raises
+    # DeltaTable's error, for the same replication as the reference: the
+    # range that stops before it matches the reference, failures only.
+    big = Population(y=1e100 * two_valued_x.y, x=two_valued_x.x, z=two_valued_x.z)
+    plan = make_plan(big, n=3, seed=5, kinds=(UNBIASED, COMBINED), weights=(None, None))
+    monkeypatch.setattr(montecarlo, "_block_rows", lambda plan: 4)
+    raising = 13  # in the fourth block
+    failed, _ = assert_same_as_reference(plan, 0, raising)
+    assert failed.all()
+    with pytest.raises(InvalidInputError) as expected:
+        reference_engine._simulate_chunk(plan, 0, raising + 1)
+    with pytest.raises(InvalidInputError) as got:
+        _simulate_chunk(plan, 0, raising + 1)
+    assert str(got.value) == str(expected.value)
+
+
 @pytest.mark.parametrize("design", ["two-phase", "plug-in"])
 def test_block_size_never_moves_a_bit(design, monkeypatch):
     # x is 1 but on three units, so samples without them fail, from the
@@ -500,11 +552,13 @@ def test_chunk_substream_state_reused_across_blocks(monkeypatch):
     # drawn again with ``integers``, which moves the chunk's bit generator.
     # Blocks of 5 rows reuse the chunk's state dict; none may carry what a
     # redraw left in the bit generator into the next row or block.  The
-    # blocks only draw: the variates of a plan this size are not gathered.
+    # blocks only draw: the variates of a plan this size are not gathered,
+    # and the statistics they leave unwritten are not read here.
     n_pop, n, nprime, seed, start, count = 3 * 2**30, 20, 60, 2**64 - 3, 2**50 + 3, 17
     drawn = []
 
-    def draw_only(plan, start, stop, values, failed, work):
+    def draw_only(plan, start, stop, stats, work):
+        assert stats.shape[1] == stop - start
         drawn.append(np.hstack(_draw_positions(plan, start, stop, work)))
 
     monkeypatch.setattr(montecarlo, "_block_rows", lambda plan: 5)

@@ -479,7 +479,7 @@ def count_exp(monkeypatch) -> list:
 
 class TestSharedExpFactors:
     """One :func:`evaluate` call computes each design's ratio and product
-    factor once, for all of its kinds, as the engine's blocks run it."""
+    factor once, for all of its kinds, as the engine's chunks run it."""
 
     ROWS = 64
     REFS = (1.3, 0.8)  # the known S_x^2 and S_z^2

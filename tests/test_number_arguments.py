@@ -1,7 +1,8 @@
 """The one number rule of every argument that takes a real: any real
 number but a bool, numpy's included, finite, and above zero where the
 site needs a positive one, stored as a Python ``float``; each site keeps
-its exception class for anything else."""
+its exception class for anything else.  Sample and variate vectors hold
+numbers by the same rule."""
 
 from __future__ import annotations
 
@@ -11,6 +12,9 @@ import pytest
 from varaux import (
     COMBINED,
     COMBINED_TWO_PHASE,
+    EXP_RATIO,
+    EXP_RATIO_TWO_PHASE,
+    UNBIASED,
     AuxKnowledge,
     DeltaTable,
     DesignSizes,
@@ -19,11 +23,13 @@ from varaux import (
     InvalidInputError,
     InvalidSpecError,
     Marginal,
+    Population,
     PopulationFormatError,
     PopulationSpec,
     estimate_single_phase,
     estimate_two_phase,
     pre,
+    sample_variance,
     single_phase_value,
     theory_for_kind,
     theory_table,
@@ -148,3 +154,44 @@ def test_every_real_argument_follows_one_rule(site, call, stored, error, positiv
 def test_a_refused_number_is_shown_as_a_float(value, message):
     with pytest.raises(InvalidInputError, match=f"aux knowledge sx2 {message}$"):
         AuxKnowledge(sx2=value)
+
+
+V = [1.0, 2.0, 4.0]
+
+#: ``(site, call taking a vector of three values)``: every argument that
+#: takes a sample or a variate.
+VECTOR_CASES = [
+    ("estimate_single_phase.y", lambda v: estimate_single_phase(UNBIASED, v)),
+    ("estimate_single_phase.x", lambda v: estimate_single_phase(EXP_RATIO, V, v, aux=AUX)),
+    (
+        "estimate_two_phase.x_first",
+        lambda v: estimate_two_phase(EXP_RATIO_TWO_PHASE, V[:2], x_first=v, x_second=V[:2]),
+    ),
+    ("sample_variance", lambda v: sample_variance(v)),
+    ("Population.y", lambda v: Population(v, V, V[::-1]).sy2),
+]
+
+
+@pytest.mark.parametrize("site, call", VECTOR_CASES, ids=[case[0] for case in VECTOR_CASES])
+def test_every_vector_argument_follows_the_number_rule(site, call):
+    # Integers and floats of any width are real numbers, converted to float64.
+    want = call(V)
+    for values in ([1, 2, 4], np.array(V, dtype=np.float32), np.array([1, 2, 4], dtype=np.int8), np.array(V)):
+        assert call(values) == want, site
+    # Bools, strings, objects and complex numbers are refused, not converted.
+    refused = [
+        ["1", "2", "4"],
+        ["a", "2", "4"],
+        [True, False, True],
+        [1.0, None, 4.0],
+        [1.0, 2.0, 4.0 + 0j],
+        np.array(["1", "2", "4"]),
+    ]
+    for values in refused:
+        with pytest.raises(InvalidInputError, match="must hold real numbers, got (str32|bool|object|complex128) values"):
+            call(values)
+    for values in ([[1.0], [2.0, 4.0]], [[1.0, 2.0, 4.0]]):
+        with pytest.raises(InvalidInputError, match="must be one-dimensional"):
+            call(values)
+    with pytest.raises(InvalidInputError, match="contains non-finite values"):
+        call([1.0, float("nan"), 4.0])
