@@ -251,21 +251,26 @@ class _Plan:
 
 #: Bytes of drawn positions per block of replications.  Rows per block
 #: follow from the draw width ``n' + n``: as many as fit this figure, but
-#: at least 64 while they fit four times it, so that numpy's fixed cost
-#: per call is shared by enough rows.  Blocks reuse their chunk's
+#: at least 128 while they fit eight times it.  A block pays a fixed
+#: numpy cost whatever its rows, about 120 µs at width 500 against some
+#: 10 µs per row, so wide designs share it among 128 rows; a block then
+#: touches about 1.3 MB, inside a 2 MiB L2.  Blocks reuse their chunk's
 #: :class:`_Workspace`, so the figure bounds memory and cache use only.
 _BLOCK_BYTES = 64 * 1024
 
-#: Bytes a chunk's workspace takes at least: its first release raises
-#: glibc's mmap and trim thresholds so far that the per-block temporaries
-#: of the plug-in moment table no longer make malloc trim the heap (139
-#: minor faults per plugin-small-n job at seed 1 with 393 KB, 2 with this).
+#: Bytes a chunk's workspace takes at least, a floor that binds only
+#: narrow designs: its first release raises glibc's mmap and trim
+#: thresholds so far that the per-block temporaries of the plug-in moment
+#: table no longer make malloc trim the heap (a median of 109 minor faults
+#: per plugin-small-n job at seed 1 with the 262 KB it needs, 0 to 1 with this).
 _WORKSPACE_BYTES = 1 << 20
 
 
 def _block_rows(plan: _Plan) -> int:
+    """Rows per block: 1 to ``CHUNK_SIZE``, whose positions take at most
+    ``8 * _BLOCK_BYTES`` once there are two or more."""
     width = plan.span.size
-    return max(1, min(CHUNK_SIZE, max(_BLOCK_BYTES // (8 * width), min(64, _BLOCK_BYTES // (2 * width)))))
+    return max(1, min(CHUNK_SIZE, max(_BLOCK_BYTES // (8 * width), min(128, _BLOCK_BYTES // width))))
 
 
 class _Workspace:

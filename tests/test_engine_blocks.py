@@ -235,11 +235,12 @@ def test_unbounded_plug_in_table_after_degenerate_blocks(two_valued_x, monkeypat
 def test_block_size_never_moves_a_bit(design, monkeypatch):
     # x is 1 but on three units, so samples without them fail, from the
     # first block on.  Blocks of 1, 5 and the default rows, the last
-    # one ragged, must give the reference's bits: no state a block
-    # leaves in the chunk's workspace may reach the next.
+    # one ragged (after two full default blocks of the two-phase design),
+    # must give the reference's bits: no state a block leaves in the
+    # chunk's workspace may reach the next.
     rng = np.random.default_rng(31)
     if design == "two-phase":  # the width of perfbench's twophase-all
-        size, n, nprime, kinds, count = 500, 100, 400, ALL_KINDS, 150
+        size, n, nprime, kinds, count = 500, 100, 400, ALL_KINDS, 300
     else:
         size, n, nprime, kinds, count = 40, 20, None, (UNBIASED, COMBINED), 500
     x = np.ones(size)
@@ -257,6 +258,20 @@ def test_block_size_never_moves_a_bit(design, monkeypatch):
         assert np.array_equal(values.view(np.uint64), expected[0].view(np.uint64)), rows
         assert np.array_equal(failed, expected[1]), rows
         assert first_failure == expected[2], rows
+
+
+@pytest.mark.parametrize(
+    "n, nprime", [(2, None), (20, None), (120, None), (100, 400), (200, 800), (4000, None), (2**16, None)]
+)
+def test_block_rows_bound_the_block(n, nprime):
+    # Two or more rows hold at most 512 KiB of positions; wide designs
+    # such as perfbench's twophase-all get 128 rows, and plugin-small-n's
+    # width of 20 keeps the 409 rows that 64 KiB of positions give.
+    width = n + (nprime or 0)
+    rows = _block_rows(bare_plan(2**32, n, nprime, 0))
+    assert 1 <= rows <= CHUNK_SIZE
+    assert rows == 1 or rows * width * 8 <= 512 * 1024
+    assert rows == {20: 409, 500: 128}.get(width, rows)
 
 
 @settings(max_examples=60, deadline=None)
