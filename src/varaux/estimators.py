@@ -454,11 +454,6 @@ def _checked_sample(values, name: str, expected_size: int | None = None) -> np.n
     return arr
 
 
-def _checked_variance(sample: np.ndarray) -> float:
-    """:func:`sample_variance` of a checked sample, scanned again only to refuse it if too short."""
-    return float(np.var(sample, ddof=1)) if sample.size >= 2 else sample_variance(sample)
-
-
 def _estimate(kind, two_phase, y, x, z, x_first, z_first, aux, weight, deltas) -> float:
     """The body of :func:`estimate_single_phase` and :func:`estimate_two_phase`.
 
@@ -469,7 +464,7 @@ def _estimate(kind, two_phase, y, x, z, x_first, z_first, aux, weight, deltas) -
     _check_design(kind, two_phase, "estimate_{}_phase")
     y_arr = _checked_sample(y, "y")
     n = y_arr.size
-    sy2 = _checked_variance(y_arr)
+    sy2 = sample_variance(y_arr)
     variances = dict.fromkeys(("sx2", "sz2", "sx2_first", "sz2_first"))
     second: dict[str, np.ndarray] = {}
     first_sizes: dict[str, int] = {}
@@ -483,10 +478,10 @@ def _estimate(kind, two_phase, y, x, z, x_first, z_first, aux, weight, deltas) -
             first = _checked_sample(first_values, f"{name}_first")
             first_sizes[f"{name}_first"] = first.size
             second[name] = _checked_sample(values, f"{name}_second", n)
-            variances[f"s{name}2_first"] = _checked_variance(first)
+            variances[f"s{name}2_first"] = sample_variance(first)
         else:
             second[name] = _checked_sample(values, name, n)
-        variances[f"s{name}2"] = _checked_variance(second[name])
+        variances[f"s{name}2"] = sample_variance(second[name])
     if len(set(first_sizes.values())) > 1:
         raise InvalidInputError(
             "first-phase samples must have a common length, got "

@@ -156,7 +156,7 @@ def _power_product(order, squares, roots):
     return product
 
 
-def _moments(variates, orders) -> tuple[list, list, list]:
+def _moments(variates, orders, squared: bool = False) -> tuple[list, list, list]:
     """The one moment kernel: ``mu_pqr`` and ``delta_pqr`` of each order.
 
     ``variates`` are the ``y``, ``x`` and ``z`` values, reduced along
@@ -166,9 +166,11 @@ def _moments(variates, orders) -> tuple[list, list, list]:
     the variances in each denominator likewise, times ``variance **
     0.5``.  That root is C's ``pow`` on one population's variances but
     numpy's ``sqrt`` on a block's, so the row-alone bits hold for even
-    orders only.  Floating-point warnings are off: a moment that over-
-    or underflows, or a zero variance, leaves a value that is not
-    finite, for the caller to refuse.
+    orders only.  With ``squared``, ``variates`` are instead the squared
+    deviations from numpy's row means, which give the same bits; every
+    order must then be even.  Floating-point warnings are off: a moment
+    that over- or underflows, or a zero variance, leaves a value that
+    is not finite, for the caller to refuse.
 
     Returns
     -------
@@ -178,11 +180,10 @@ def _moments(variates, orders) -> tuple[list, list, list]:
     """
     odd = [any(order[i] % 2 for order in orders) for i in range(3)]
     with np.errstate(all="ignore"):
-        deviations, squares = [], []
-        for values, keep in zip(variates, odd):
-            deviation = values - values.mean(axis=-1, keepdims=True)
-            deviations.append(deviation)
-            squares.append(np.multiply(deviation, deviation, out=None if keep else deviation))
+        deviations = squares = variates
+        if not squared:
+            deviations = [values - values.mean(axis=-1, keepdims=True) for values in variates]
+            squares = [np.multiply(d, d, out=None if keep else d) for d, keep in zip(deviations, odd)]
         variances = [square.mean(axis=-1) for square in squares]
         roots = [variance**0.5 if keep else None for variance, keep in zip(variances, odd)]
         moments, deltas = [], []
@@ -340,12 +341,15 @@ class DeltaTable:
 _FOURTH_ORDERS = ((4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 0), (2, 0, 2), (0, 2, 2))
 
 
-def fourth_moments(y, x, z) -> tuple[list, list]:
+def fourth_moments(y, x, z, squared: bool = False) -> tuple[list, list]:
     """Divisor-``n`` variances and standardized fourth moments along the last axis.
 
     :func:`delta_table` applies it to a population, and the plug-in
     weights to a sample or to the engine's block of samples, one per
-    row, whose tables :func:`varaux.estimators.evaluate` reads.
+    row, whose tables :func:`varaux.estimators.evaluate` reads.  Its
+    orders are even, so a block's row gets the bits of its values alone.
+    With ``squared``, ``y``, ``x`` and ``z`` are the squared deviations
+    from the row means that the engine's variance pass leaves instead.
 
     Returns
     -------
@@ -354,7 +358,7 @@ def fourth_moments(y, x, z) -> tuple[list, list]:
         ``delta_pqr`` in :meth:`DeltaTable.field_names` order.  Where a
         variance is zero the deltas are not finite.
     """
-    variances, _, deltas = _moments((y, x, z), _FOURTH_ORDERS)
+    variances, _, deltas = _moments((y, x, z), _FOURTH_ORDERS, squared)
     return variances, deltas
 
 

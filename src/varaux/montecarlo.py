@@ -24,14 +24,15 @@ A chunk is evaluated in two levels.  Per block of replications, one row
 per replication, numpy runs the work that needs a row's whole sample:
 the draws, the gathers of each phase's variates into one stacked buffer,
 one sample-variance pass over it and, under plug-in weights, the moment
-tables.  Blocks keep their rows in arrays that the chunk allocates once,
-and write each row's variances and moments into arrays of one number
-per replication.  Per chunk, the estimator arithmetic, the fill of the
-values and the failure scan then run once on those arrays.  Every row
-still has its own substream and its own draw, every reduction runs
-along a row and the arithmetic runs elementwise, so each replication's
-values are bit for bit those of evaluating it alone, whatever the block
-size.
+tables, built from the squared deviations that pass leaves, so each
+sample is centred once.  Blocks keep their rows in arrays that the chunk
+allocates once, and write each row's variances and moments into arrays
+of one number per replication.  Per chunk, the estimator arithmetic,
+the fill of the values and the failure scan then run once on those
+arrays.  Every row still has its own substream and its own draw, every
+reduction runs along a row and the arithmetic runs elementwise, so each
+replication's values are bit for bit those of evaluating it alone,
+whatever the block size.
 
 The Fisher-Yates positions are numpy's ``Generator.integers`` draws.
 Per replication the engine only reads raw Philox words; it then applies
@@ -255,15 +256,10 @@ class _Plan:
 #: numpy cost whatever its rows, about 120 µs at width 500 against some
 #: 10 µs per row, so wide designs share it among 128 rows; a block then
 #: touches about 1.3 MB, inside a 2 MiB L2.  Blocks reuse their chunk's
-#: :class:`_Workspace`, so the figure bounds memory and cache use only.
+#: :class:`_Workspace`, so the figure bounds memory and cache use only;
+#: a block's largest numpy temporaries are the plug-in table's products,
+#: one ``(rows, n)`` array at a time.
 _BLOCK_BYTES = 64 * 1024
-
-#: Bytes a chunk's workspace takes at least, a floor that binds only
-#: narrow designs: its first release raises glibc's mmap and trim
-#: thresholds so far that the per-block temporaries of the plug-in moment
-#: table no longer make malloc trim the heap (a median of 109 minor faults
-#: per plugin-small-n job at seed 1 with the 262 KB it needs, 0 to 1 with this).
-_WORKSPACE_BYTES = 1 << 20
 
 
 def _block_rows(plan: _Plan) -> int:
@@ -277,22 +273,22 @@ class _Workspace:
     """Memory for blocks of up to ``rows`` rows of ``width`` positions, in
     phases of up to ``k`` draws.
 
-    It holds the ``link`` table of :func:`_fisher_yates` and one buffer of
-    ``reserve`` bytes or more: an array per ``(dtype, cols)`` of ``kept``,
-    then scratch that each step borrows with :meth:`arrays`.  Given a
-    ``seed``, it also holds the substreams of :func:`_draw_positions`: one
-    Philox bit generator with that key and a state dict to reset it to.  A
-    chunk allocates one, so that no block returns memory to malloc only to
-    fault it back in the next, nor builds a bit generator again.
+    It holds the ``link`` table of :func:`_fisher_yates` and one buffer:
+    an array per ``(dtype, cols)`` of ``kept``, then scratch that each
+    step borrows with :meth:`arrays`.  Given a ``seed``, it also holds the
+    substreams of :func:`_draw_positions`: one Philox bit generator with
+    that key and a state dict to reset it to.  A chunk allocates one, so
+    that no block returns memory to malloc only to fault it back in the
+    next, nor builds a bit generator again.
     """
 
-    def __init__(self, rows: int, k: int, width: int, kept=(), reserve: int = 0, seed: int | None = None) -> None:
+    def __init__(self, rows: int, k: int, width: int, kept=(), seed: int | None = None) -> None:
         size = sum(-(-rows * cols * np.dtype(dtype).itemsize // 64) * 64 for dtype, cols in kept)
         # No step asks for more than 24 bytes per position, plus padding:
         # the draw asks for 5, Fisher-Yates for 9 with 32-bit keys and 17
         # with 64-bit ones, and the most is 24 per second-phase position,
         # for its y, x and z values.
-        self.scratch = np.empty(max(size + 24 * rows * width + 512, reserve), dtype=np.uint8)
+        self.scratch = np.empty(size + 24 * rows * width + 512, dtype=np.uint8)
         self.kept = self.arrays(rows, *kept)
         self.scratch = self.scratch[size:]
         self.link = np.full(rows * k, -1, dtype=np.intp)  # between Fisher-Yates calls
@@ -319,7 +315,7 @@ def _chunk_workspace(plan: _Plan, rows: int) -> _Workspace:
     """A workspace that keeps each phase's positions, picks and indices,
     with the substreams of the plan's seed."""
     kept = [(np.int64, end - begin) for begin, end, _ in plan.phases]
-    return _Workspace(rows, plan.nprime or plan.n, plan.span.size, kept, _WORKSPACE_BYTES, plan.seed)
+    return _Workspace(rows, plan.nprime or plan.n, plan.span.size, kept, plan.seed)
 
 
 def _draw_positions(plan: _Plan, start: int, stop: int, work: _Workspace) -> list[np.ndarray]:
@@ -463,7 +459,9 @@ def _simulate_block(plan: _Plan, start: int, stop: int, stats: np.ndarray, work:
 
     Each phase's variates are gathered into one stacked buffer, one row
     per variate and replication, and reduced by one :func:`_variance`
-    call in place; the moment table reads the second phase's before then.
+    call in place.  That call leaves the squared deviations in the
+    buffer, and the moment table reads the second phase's from there:
+    they are the squares :func:`fourth_moments` forms from the values.
     """
     first, second = _draw_block(plan, start, stop, work)
     row = 0
@@ -475,9 +473,9 @@ def _simulate_block(plan: _Plan, start: int, stop: int, stats: np.ndarray, work:
         samples = stacked.reshape(len(variates), count, width)
         for name, sample in zip(variates, samples):
             np.take(getattr(plan, name), indices, out=sample, mode="clip")
-        if indices is second and plan.plug_in:
-            stats[-9:-6], stats[-6:] = fourth_moments(*samples)
         stats[row : row + len(variates)] = _variance(stacked, stacked).reshape(len(variates), count)
+        if indices is second and plan.plug_in:
+            stats[-9:-6], stats[-6:] = fourth_moments(*samples, squared=True)
         row += len(variates)
 
 

@@ -42,6 +42,7 @@ from varaux import (
     run_simulation,
 )
 from varaux import montecarlo
+from varaux.moments import fourth_moments
 from varaux.montecarlo import (
     CHUNK_SIZE,
     _block_rows,
@@ -280,14 +281,24 @@ def test_block_rows_bound_the_block(n, nprime):
     width=st.integers(2, 400),
     exponent=st.floats(-6.0, 6.0),
     seed=st.integers(0, 2**32 - 1),
+    constant=st.integers(0, 3 * 512 - 1),
 )
-def test_workspace_variance_is_numpys(rows, width, exponent, seed):
-    block = 10.0**exponent * np.random.default_rng(seed).lognormal(size=(rows, width))
+def test_workspace_variance_is_numpys(rows, width, exponent, seed, constant):
+    # A stacked block of y, x and z rows, as a plug-in block gathers the
+    # second phase's; one row is constant, so some of its deltas are NaN.
+    block = 10.0**exponent * np.random.default_rng(seed).lognormal(size=(3 * rows, width))
+    block[constant % (3 * rows)] = 0.0
     want = np.var(block, axis=1, ddof=1).view(np.uint64)
-    (deviations,) = _Workspace(rows, width, width).arrays(rows, (np.float64, width))
+    table = fourth_moments(*block.reshape(3, rows, width))
+    (deviations,) = _Workspace(rows, width, width).arrays(3 * rows, (np.float64, width))
     assert np.array_equal(_variance(block, deviations).view(np.uint64), want)
-    # In place, as the engine computes the first phase's variances.
+    # In place, as the engine computes each phase's variances; the plug-in
+    # table then reads the squared deviations that leaves in the block.
     assert np.array_equal(_variance(block, block).view(np.uint64), want)
+    got = fourth_moments(*block.reshape(3, rows, width), squared=True)
+    for got_part, want_part in zip(got, table):
+        assert np.array_equal(np.array(got_part).view(np.uint64), np.array(want_part).view(np.uint64))
+    assert np.isnan(table[1]).any()
 
 
 @st.composite

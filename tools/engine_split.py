@@ -11,7 +11,8 @@ workload's spec at perfbench's default seed and runs ``run_simulation``
 jobs in one process, ``bigpop-pool``'s design included.  It records:
 
 - end-to-end µs per replication, median and quartiles of ``REPEATS``
-  jobs after one untimed warm-up job, with no timers in place;
+  jobs after one untimed warm-up job, with no timers in place, and the
+  minor page faults of each of those jobs (``ru_minflt``);
 - the rows per block, ``montecarlo._block_rows``, and the bytes of
   positions such a block holds;
 - the cost per block: ``_simulate_block`` timed on one row, the fixed
@@ -22,7 +23,8 @@ jobs in one process, ``bigpop-pool``'s design included.  It records:
   variances (the rest of ``_simulate_block``, the nested index take
   included), the plug-in table (``fourth_moments``), ``evaluate``, the
   rest of ``_simulate_chunk`` (workspace, value fill, failure scan), and
-  aggregation plus theory (the rest of ``run_simulation``);
+  aggregation plus theory (the rest of ``run_simulation``), and how
+  often each step was called;
 - with ``--tier1``, the wall time of the checkout's tier-1 suite;
 - the core count, the CPU, Python and numpy.
 
@@ -30,6 +32,10 @@ jobs in one process, ``bigpop-pool``'s design included.  It records:
 checkout: a copy of the parent commit, whose record goes into the
 ``--out`` file as ``before``, next to this checkout's ``after``.
 Without ``--out`` the record is printed as JSON.
+
+A wrapped step that no longer exists stops the run with an error, and
+one that still exists but ran in no design, so that its layer would
+read zero, makes the tool exit with status 1 and write no record.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import dataclasses
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -70,6 +77,7 @@ class Timers:
         self.module = montecarlo
         self.originals = {name: getattr(montecarlo, name) for name in STEPS}
         self.seconds = dict.fromkeys(STEPS.values(), 0.0)
+        self.calls = dict.fromkeys(STEPS.values(), 0)
         self.plan = None  # the plan of the last chunk
 
     def __enter__(self) -> Timers:
@@ -88,6 +96,7 @@ class Timers:
             start = time.perf_counter()
             result = func(*args, **kwargs)
             self.seconds[layer] += time.perf_counter() - start
+            self.calls[layer] += 1
             return result
 
         return wrapper
@@ -124,11 +133,13 @@ def time_design(varaux, workload, seeds: tuple[int, list[int]]) -> dict:
     pop = varaux.generate_population(workload.spec(pop_seed))
     configs = [workload.config(seed) for seed in job_seeds[: 1 + 2 * REPEATS]]
     varaux.run_simulation(pop, configs[0])  # fills the population's moment cache; untimed
-    wall = []
+    wall, faults = [], []
     for config in configs[1 : 1 + REPEATS]:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         varaux.run_simulation(pop, config)
         wall.append(1e6 * (time.perf_counter() - start) / workload.reps)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     traced_s = 0.0
     with Timers(montecarlo) as timers:
         for config in configs[1 + REPEATS :]:
@@ -151,11 +162,13 @@ def time_design(varaux, workload, seeds: tuple[int, list[int]]) -> dict:
     return {
         "design": {"n": workload.n, "nprime": workload.nprime, "pop_size": workload.pop_size, "reps": workload.reps},
         "us_per_rep": summary(wall),
+        "minor_faults_per_job": summary(faults),
         "rows_per_block": rows,
         "block_bytes": 8 * rows * plan.span.size,
         **block_costs(montecarlo, plan, rows),
         "traced_us_per_rep": 1e6 * traced_s / reps,
         "layers_us_per_rep": {name: 1e6 * value / reps for name, value in layers.items()},
+        "calls": timers.calls,
     }
 
 
@@ -215,7 +228,12 @@ def main(argv=None) -> int:
         # One process, so that the timers see every chunk.
         workload = dataclasses.replace(workload, workers=1, reps=args.reps or workload.reps)
         designs[name] = time_design(varaux, workload, seeds)
-        print(f"{name}: {designs[name]['us_per_rep']['median']:.2f} us/rep", file=sys.stderr)
+        us, faults = designs[name]["us_per_rep"]["median"], designs[name]["minor_faults_per_job"]["median"]
+        print(f"{name}: {us:.2f} us/rep, {faults:g} minor faults/job", file=sys.stderr)
+    idle = [step for step, layer in STEPS.items() if not any(design["calls"][layer] for design in designs.values())]
+    if idle:
+        print(f"error: {', '.join(idle)} ran in no design, so its layer would read zero", file=sys.stderr)
+        return 1
     record = {
         "commit": git_commit(src),
         "host": host(),
