@@ -83,7 +83,6 @@ from .theory import (
     REPORTED_PRE_SINGLE_PHASE,
     REPORTED_PRE_TWO_PHASE,
     TheoryResult,
-    min_mse_combined,
     pre,
     theory_for_kind,
     theory_table,

@@ -440,14 +440,14 @@ def _draw_block(plan: _Plan, start: int, stop: int, work: _Workspace) -> tuple[n
     return first, np.take(first.reshape(-1), flat, out=second, mode="clip")
 
 
-def _variance(block: np.ndarray, deviations: np.ndarray) -> np.ndarray:
+def _variance(block: np.ndarray) -> np.ndarray:
     """``np.var(block, axis=1, ddof=1)`` of a C-ordered block, bit for bit, by numpy's
-    own steps; ``deviations`` is C-ordered scratch of the block's shape, or the block."""
+    own steps, in place: the block is left holding its squared deviations."""
     mean = np.add.reduce(block, axis=1, keepdims=True)
     np.true_divide(mean, block.shape[1], out=mean)
-    np.subtract(block, mean, out=deviations)
-    np.square(deviations, out=deviations)
-    variance = np.add.reduce(deviations, axis=1)
+    np.subtract(block, mean, out=block)
+    np.square(block, out=block)
+    variance = np.add.reduce(block, axis=1)
     return np.true_divide(variance, block.shape[1] - 1, out=variance)
 
 
@@ -473,7 +473,7 @@ def _simulate_block(plan: _Plan, start: int, stop: int, stats: np.ndarray, work:
         samples = stacked.reshape(len(variates), count, width)
         for name, sample in zip(variates, samples):
             np.take(getattr(plan, name), indices, out=sample, mode="clip")
-        stats[row : row + len(variates)] = _variance(stacked, stacked).reshape(len(variates), count)
+        stats[row : row + len(variates)] = _variance(stacked).reshape(len(variates), count)
         if indices is second and plan.plug_in:
             stats[-9:-6], stats[-6:] = fourth_moments(*samples, squared=True)
         row += len(variates)

@@ -5,7 +5,8 @@ normal triples with a target correlation matrix, each coordinate then
 pushed through a marginal transform.  The latent correlations are the
 contract; realized (post-transform) correlations are close but not
 equal for non-normal marginals, and callers who care should measure
-them on the result.
+them on the result with :func:`realized_correlations`, which reads them
+off the moment kernel.
 
 The defaults produce the package's reference test population: 5000
 units, lognormal marginals, ``x`` positively and ``z`` negatively
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import InvalidSpecError, _finite, _integer
-from .moments import Population, _exact, load_json
+from .moments import Population, _exact, _moments, load_json
 
 _MARGINAL_FAMILIES = ("normal", "lognormal")
 
@@ -192,10 +193,12 @@ def generate_population(spec: PopulationSpec) -> Population:
 
 
 def realized_correlations(pop: Population) -> dict[str, float]:
-    """Pearson correlations actually attained by a population."""
-    matrix = np.corrcoef(np.vstack([pop.y, pop.x, pop.z]))
-    return {
-        "rho_yx": float(matrix[0, 1]),
-        "rho_yz": float(matrix[0, 2]),
-        "rho_xz": float(matrix[1, 2]),
-    }
+    """Pearson correlations actually attained by a population.
+
+    They are the moment kernel's ``delta_110``, ``delta_101`` and
+    ``delta_011``, clipped to [-1, 1] as ``np.corrcoef`` clips them; a
+    constant variate gives NaN.
+    """
+    _, _, deltas = _moments((pop.y, pop.x, pop.z), ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
+    names = ("rho_yx", "rho_yz", "rho_xz")
+    return {name: float(np.clip(value, -1.0, 1.0)) for name, value in zip(names, deltas)}

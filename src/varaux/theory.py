@@ -40,14 +40,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import DegeneratePopulationError, InvalidDesignError, InvalidInputError, _finite, _integer
-from .estimators import (
-    COMBINED,
-    COMBINED_TWO_PHASE,
-    EstimatorKind,
-    _resolve_weight,
-    _row_label,
-    alpha_opt,
-)
+from .estimators import EstimatorKind, _resolve_weight, _row_label
 from .moments import DeltaTable
 
 
@@ -188,7 +181,7 @@ def theory_for_kind(
     if source == "plug-in":
         raise InvalidInputError(
             "combined theory evaluation needs a weight: pass weight=..., embed one "
-            "in the kind, or use min_mse_combined for the optimum"
+            "in the kind, or pass weight=alpha_opt(deltas) for the optimum"
         )
     form = kind.family.form
     p, q = (w, 1.0 - w) if kind.is_combined else _SIDES[form]
@@ -258,25 +251,6 @@ def theory_table(
         }
         for kind, (w, source), result in zip(kinds, resolved, results)
     ]
-
-
-def min_mse_combined(
-    deltas: DeltaTable, sy2: float, sizes: DesignSizes
-) -> tuple[float, float]:
-    """Optimal combined weight and the MSE attained there.
-
-    Single-phase when ``sizes.nprime`` is None, two-phase otherwise.
-    The optimal weight is identical in both designs because the designs
-    share the weight-dependent bracket.
-
-    Raises
-    ------
-    NoUniqueOptimumError
-        When the quadratic's curvature is zero.
-    """
-    weight = alpha_opt(deltas)
-    kind = COMBINED if sizes.nprime is None else COMBINED_TWO_PHASE
-    return weight, theory_for_kind(kind, deltas, sy2, sizes, weight=weight).mse
 
 
 # ---------------------------------------------------------------------------

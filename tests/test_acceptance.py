@@ -57,12 +57,12 @@ from varaux import (
     Family,
     PopulationSpec,
     SimulationConfig,
+    alpha_opt,
     delta,
     delta_table,
     estimate_single_phase,
     estimate_two_phase,
     generate_population,
-    min_mse_combined,
     pre,
     run_simulation,
     theory_for_kind,
@@ -98,7 +98,9 @@ def test_criterion_1_single_phase_efficiencies_match_published():
         "exp-product": pre(
             theory_for_kind(EXP_PRODUCT, table, 1.0, sizes).mse, baseline
         ),
-        "combined": pre(min_mse_combined(table, 1.0, sizes)[1], baseline),
+        "combined": pre(
+            theory_for_kind(COMBINED, table, 1.0, sizes, weight=alpha_opt(table)).mse, baseline
+        ),
     }
     elapsed = time.perf_counter() - start
     for kind, published in PUBLISHED_PRE_SINGLE.items():
@@ -126,7 +128,10 @@ def test_criterion_2_two_phase_efficiencies_flag_published_values():
         "exp-product-2p": pre(
             theory_for_kind(EXP_PRODUCT_TWO_PHASE, table, 1.0, sizes).mse, baseline
         ),
-        "combined-2p": pre(min_mse_combined(table, 1.0, sizes)[1], baseline),
+        "combined-2p": pre(
+            theory_for_kind(COMBINED_TWO_PHASE, table, 1.0, sizes, weight=alpha_opt(table)).mse,
+            baseline,
+        ),
     }
     for kind, expected in EXPECTED_COMPUTED_TWO.items():
         assert computed[kind] == pytest.approx(expected, rel=0.015), (
@@ -230,7 +235,8 @@ def test_criterion_5_optimal_weight_beats_dense_grid():
         table = delta_table(pop)
         sy2 = pop.sy2
 
-        w_opt, mse_opt = min_mse_combined(table, sy2, sizes_single)
+        w_opt = alpha_opt(table)
+        mse_opt = theory_for_kind(COMBINED, table, sy2, sizes_single, weight=w_opt).mse
         grid_min = min(
             theory_for_kind(COMBINED, table, sy2, sizes_single, weight=float(w)).mse
             for w in grid
@@ -240,7 +246,7 @@ def test_criterion_5_optimal_weight_beats_dense_grid():
             f"loses to the grid minimum {grid_min!r}"
         )
 
-        k_opt, mse_opt2 = min_mse_combined(table, sy2, sizes_two)
+        mse_opt2 = theory_for_kind(COMBINED_TWO_PHASE, table, sy2, sizes_two, weight=w_opt).mse
         grid_min2 = min(
             theory_for_kind(
                 COMBINED_TWO_PHASE, table, sy2, sizes_two, weight=float(w)
@@ -248,7 +254,7 @@ def test_criterion_5_optimal_weight_beats_dense_grid():
             for w in grid
         )
         assert mse_opt2 <= grid_min2 + 1e-12, (
-            f"case {case}: two-phase optimum {mse_opt2!r} at weight {k_opt!r} "
+            f"case {case}: two-phase optimum {mse_opt2!r} at weight {w_opt!r} "
             f"loses to the grid minimum {grid_min2!r}"
         )
     print(

@@ -290,11 +290,9 @@ def test_workspace_variance_is_numpys(rows, width, exponent, seed, constant):
     block[constant % (3 * rows)] = 0.0
     want = np.var(block, axis=1, ddof=1).view(np.uint64)
     table = fourth_moments(*block.reshape(3, rows, width))
-    (deviations,) = _Workspace(rows, width, width).arrays(3 * rows, (np.float64, width))
-    assert np.array_equal(_variance(block, deviations).view(np.uint64), want)
     # In place, as the engine computes each phase's variances; the plug-in
     # table then reads the squared deviations that leaves in the block.
-    assert np.array_equal(_variance(block, block).view(np.uint64), want)
+    assert np.array_equal(_variance(block).view(np.uint64), want)
     got = fourth_moments(*block.reshape(3, rows, width), squared=True)
     for got_part, want_part in zip(got, table):
         assert np.array_equal(np.array(got_part).view(np.uint64), np.array(want_part).view(np.uint64))
@@ -370,6 +368,37 @@ def test_seeds_at_the_top_of_the_key_range(pop, seed, monkeypatch):
     assert np.array_equal(values.view(np.uint64), expected[0].view(np.uint64))
     assert np.array_equal(failed, expected[1])
     assert first_failure == expected[2]
+
+
+@pytest.mark.parametrize(
+    "estimators, nprime",
+    [((UNBIASED,), None), ((EXP_RATIO,), None), (ALL_KINDS, 20)],
+    ids=["1-kind", "2-kinds", "8-kinds"],
+)
+def test_report_aggregates_as_numpys_mean(pop, estimators, nprime, monkeypatch):
+    # Two full chunks and a ragged one: each summary's empirical mean and
+    # MSE are numpy's axis-0 means of the chunks' kept values and of their
+    # squared deviations from S_y^2, bit for bit.  With one kind numpy
+    # sums the lone contiguous column pairwise.
+    chunks = []
+    simulate_chunk = montecarlo._simulate_chunk
+
+    def recording(plan, start, stop):
+        result = simulate_chunk(plan, start, stop)
+        chunks.append(result)
+        return result
+
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", recording)
+    config = SimulationConfig(n=5, nprime=nprime, reps=2 * CHUNK_SIZE + 611, seed=4, estimators=estimators)
+    report = run_simulation(pop, config)
+    assert [len(values) for values, _, _ in chunks] == [CHUNK_SIZE, CHUNK_SIZE, 611]
+    kept = np.concatenate([values[~failed] for values, failed, _ in chunks])
+    assert kept.shape == (report.reps_used, len(report.estimators))
+    for got, want in (
+        ([summary.emp_mean for summary in report.estimators], kept.mean(axis=0)),
+        ([summary.emp_mse for summary in report.estimators], np.square(kept - pop.sy2).mean(axis=0)),
+    ):
+        assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
 
 
 def bare_plan(n_pop, n, nprime, seed):

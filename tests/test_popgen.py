@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from varaux import (
     InvalidSpecError,
     Marginal,
+    Population,
     PopulationFormatError,
     PopulationSpec,
+    delta,
     delta_table,
     generate_population,
     load_population_spec,
@@ -220,6 +222,36 @@ class TestGeneratePopulation:
 
     def test_default_population_moment_bounds_hold(self, default_pop):
         assert delta_table(default_pop).violations() == []
+
+
+class TestRealizedCorrelations:
+    def test_kernel_deltas_clipped_bit_for_bit(self, default_pop):
+        corr = realized_correlations(default_pop)
+        for name, order in (("rho_yx", (1, 1, 0)), ("rho_yz", (1, 0, 1)), ("rho_xz", (0, 1, 1))):
+            want = np.clip(delta(default_pop, *order), -1.0, 1.0)
+            assert np.float64(corr[name]).view(np.uint64) == np.float64(want).view(np.uint64), name
+
+    def test_matches_corrcoef(self, default_pop):
+        corr = realized_correlations(default_pop)
+        matrix = np.corrcoef(np.vstack([default_pop.y, default_pop.x, default_pop.z]))
+        for name, (i, j) in (("rho_yx", (0, 1)), ("rho_yz", (0, 2)), ("rho_xz", (1, 2))):
+            assert corr[name] == pytest.approx(matrix[i, j], rel=0, abs=1e-14), name
+
+    def test_perfect_association_stays_in_range(self):
+        # Unclipped, y with x = y and z = -y rounds past +-1 in about a
+        # quarter of such 50-row populations.
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            y = rng.lognormal(size=50)
+            corr = realized_correlations(Population(y=y, x=y, z=-y))
+            assert corr["rho_yx"] <= 1.0 and corr["rho_yz"] >= -1.0 and corr["rho_xz"] >= -1.0
+            assert corr["rho_yx"] == pytest.approx(1.0) and corr["rho_xz"] == pytest.approx(-1.0)
+
+    def test_constant_variate_gives_nan(self):
+        y = np.arange(10.0)
+        corr = realized_correlations(Population(y=y, x=np.full(10, 3.0), z=-y))
+        assert math.isnan(corr["rho_yx"]) and math.isnan(corr["rho_xz"])
+        assert corr["rho_yz"] == pytest.approx(-1.0)
 
 
 _correlations = st.floats(-0.95, 0.95)

@@ -44,7 +44,6 @@ from varaux import (
     InvalidInputError,
     alpha_opt,
     delta_table,
-    min_mse_combined,
     pre,
     theory_for_kind,
     theory_table,
@@ -416,12 +415,14 @@ class TestReductionIdentities:
 
 class TestOptimalWeight:
     def test_builtin_optimum_frozen(self):
-        weight, mse = min_mse_combined(D, 1.0, N10)
+        weight = alpha_opt(D)
+        mse = theory_for_kind(COMBINED, D, 1.0, N10, weight=weight).mse
         assert weight == pytest.approx(1.0371742985766907, rel=1e-15)
         assert mse == pytest.approx(0.05884610010913558, rel=1e-15)
 
     def test_builtin_two_phase_optimum_frozen(self):
-        weight, mse = min_mse_combined(D, 1.0, N10_25)
+        weight = alpha_opt(D)
+        mse = theory_for_kind(COMBINED_TWO_PHASE, D, 1.0, N10_25, weight=weight).mse
         assert weight == pytest.approx(1.0371742985766907, rel=1e-15)
         assert mse == pytest.approx(0.08597566006548134, rel=1e-15)
 
@@ -433,15 +434,10 @@ class TestOptimalWeight:
             d = delta_table(pop)
             sy2 = pop.sy2
             for sizes in [DesignSizes(15), DesignSizes(15, nprime=60)]:
-                best_w, best_m = min_mse_combined(d, sy2, sizes)
+                kind = COMBINED_TWO_PHASE if sizes.nprime else COMBINED
+                best_m = theory_for_kind(kind, d, sy2, sizes, weight=alpha_opt(d)).mse
                 for w in grid:
-                    m = theory_for_kind(
-                        COMBINED_TWO_PHASE if sizes.nprime else COMBINED,
-                        d,
-                        sy2,
-                        sizes,
-                        weight=float(w),
-                    ).mse
+                    m = theory_for_kind(kind, d, sy2, sizes, weight=float(w)).mse
                     assert best_m <= m + 1e-12
 
     def test_curvature_positive_for_real_populations(self):
@@ -452,21 +448,24 @@ class TestOptimalWeight:
             assert combined_curvature(d, pop.sy2, 10) > 0.0
 
     def test_optimum_matches_alpha_opt_plugin(self):
+        # theory_table's combined:opt row is alpha_opt plus theory_for_kind.
         rng = np.random.default_rng(23)
         pop = random_population(rng, 55)
         d = delta_table(pop)
-        weight, mse = min_mse_combined(d, pop.sy2, DesignSizes(20))
-        assert weight == pytest.approx(alpha_opt(d), rel=1e-14)
+        (row,) = theory_table([COMBINED], d, pop.sy2, DesignSizes(20))
+        assert row["kind"] == "combined:opt"
+        assert row["weight"] == pytest.approx(alpha_opt(d), rel=1e-14)
         direct = theory_for_kind(
-            COMBINED, d, pop.sy2, DesignSizes(20), weight=weight
+            COMBINED, d, pop.sy2, DesignSizes(20), weight=alpha_opt(d)
         ).mse
-        assert mse == pytest.approx(direct, rel=1e-14)
+        assert row["mse"] == pytest.approx(direct, rel=1e-14)
 
     def test_quadratic_shape_in_weight(self):
         # MSE(w) - MSE(w_opt) == curvature/2 * (w - w_opt)^2 exactly
         # (the objective is a parabola in the weight).
         d = D
-        w_opt, m_opt = min_mse_combined(d, 1.0, N10)
+        w_opt = alpha_opt(d)
+        m_opt = theory_for_kind(COMBINED, d, 1.0, N10, weight=w_opt).mse
         curv = combined_curvature(d, 1.0, N10.n)
         for w in [-0.5, 0.2, 0.9, 1.5]:
             m = theory_for_kind(COMBINED, d, 1.0, N10, weight=w).mse
@@ -494,7 +493,8 @@ class TestPre:
         assert pre(
             theory_for_kind(EXP_PRODUCT, D, 1.0, N10).mse, base
         ) == pytest.approx(42.87938796926305, rel=1e-13)
-        assert pre(min_mse_combined(D, 1.0, N10)[1], base) == pytest.approx(
+        optimum = theory_for_kind(COMBINED, D, 1.0, N10, weight=alpha_opt(D)).mse
+        assert pre(optimum, base) == pytest.approx(
             215.25640571775983, rel=1e-13
         )
 
@@ -506,7 +506,8 @@ class TestPre:
         assert pre(
             theory_for_kind(EXP_PRODUCT_TWO_PHASE, D, 1.0, N10_25).mse, base
         ) == pytest.approx(55.57798116833541, rel=1e-13)
-        assert pre(min_mse_combined(D, 1.0, N10_25)[1], base) == pytest.approx(
+        optimum = theory_for_kind(COMBINED_TWO_PHASE, D, 1.0, N10_25, weight=alpha_opt(D)).mse
+        assert pre(optimum, base) == pytest.approx(
             147.33239605665693, rel=1e-13
         )
 
@@ -542,8 +543,9 @@ class TestReflectionSymmetry:
                     COMBINED, reflected, sy2, N10, weight=1.0 - w
                 ).mse
                 assert refl == pytest.approx(orig, rel=1e-12)
-            w_orig, m_orig = min_mse_combined(t, sy2, N10)
-            w_refl, m_refl = min_mse_combined(reflected, sy2, N10)
+            w_orig, w_refl = alpha_opt(t), alpha_opt(reflected)
+            m_orig = theory_for_kind(COMBINED, t, sy2, N10, weight=w_orig).mse
+            m_refl = theory_for_kind(COMBINED, reflected, sy2, N10, weight=w_refl).mse
             assert w_refl == pytest.approx(1.0 - w_orig, rel=1e-10, abs=1e-12)
             assert m_refl == pytest.approx(m_orig, rel=1e-12)
 
