@@ -13,6 +13,10 @@ no unique optimum, failed simulation).
 
 ``--format json`` output is schema-stable and safe to script against;
 ``text`` output is for humans and may change.
+
+Arguments are refused before a population is read or generated: every
+command's ``--out``, ``moments``' ``--orders``, and ``simulate``'s sizes,
+kinds, weight policy and ``--workers``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import asdict, replace
 import click
 
 from . import __version__
-from .errors import InvalidInputError, VarauxError
+from .errors import InvalidInputError, VarauxError, _integer
 from .estimators import (
     COMBINED,
     EXP_PRODUCT,
@@ -82,11 +86,19 @@ def _fail(message: str, code: int) -> None:
 
 
 def _with_error_codes(func):
-    """Map package errors onto their exit codes, and a file that cannot be opened onto 2."""
+    """Refuse an ``out`` path that cannot be written before the command runs,
+    leaving no new file; map package errors onto their exit codes, and a
+    file that cannot be opened onto 2."""
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
         try:
+            out = kwargs.get("out")
+            if out is not None:
+                existed = os.path.exists(out)
+                open(out, "a", encoding="utf-8").close()
+                if not existed:
+                    os.remove(out)
             return func(*args, **kwargs)
         except VarauxError as exc:
             _fail(str(exc), exc.exit_code)
@@ -120,12 +132,8 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(value, digits: int = 6) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.{digits}g}"
-    return str(value)
+def _fmt(value: float | None, digits: int = 6) -> str:
+    return "-" if value is None else f"{value:.{digits}g}"
 
 
 def _render(fmt: str, out: str | None, doc: dict, columns, rows, text: str) -> None:
@@ -163,15 +171,14 @@ def main() -> None:
 
 
 def _parse_orders(text: str) -> list[tuple[int, int, int]]:
-    orders = []
-    for token in text.split(","):
-        token = token.strip()
+    tokens = [token.strip() for token in text.split(",")]
+    for token in tokens:
         if len(token) != 3 or not token.isdigit():
             raise InvalidInputError(
                 f"bad moment order {token!r}; expected three digits like '220'"
             )
-        orders.append((int(token[0]), int(token[1]), int(token[2])))
-    return orders
+        _check_order(*map(int, token))
+    return [tuple(map(int, token)) for token in tokens]
 
 
 @main.command("moments")
@@ -182,15 +189,15 @@ def _parse_orders(text: str) -> list[tuple[int, int, int]]:
 @_with_error_codes
 def cmd_moments(input_path: str, orders: str, fmt: str, out: str | None) -> None:
     """Central and standardized moments of a population CSV."""
-    pop = load_population_csv(input_path)
     requested = _parse_orders(orders)
-    # One kernel pass for every order; each is refused as central_moment
-    # and delta refuse it, in turn, and then the table as delta_table does.
+    pop = load_population_csv(input_path)
+    # One kernel pass for every order; each delta is refused as delta
+    # refuses it, in turn, and then the table as delta_table does.
     variances, mus, deltas = _moments((pop.y, pop.x, pop.z), [*requested, *_FOURTH_ORDERS])
-    rows = []
-    for order, mu, value in zip(requested, mus, deltas):
-        _check_order(*order)
-        rows.append({"order": "".join(map(str, order)), "mu": float(mu), "delta": _checked_delta(order, variances, value)})
+    rows = [
+        {"order": "".join(map(str, order)), "mu": float(mu), "delta": _checked_delta(order, variances, value)}
+        for order, mu, value in zip(requested, mus, deltas)
+    ]
     table = DeltaTable.from_moments(variances, deltas[len(requested) :])
     doc = {"population": _population_doc(pop), "orders": rows, "delta_table": table.to_dict()}
     text_rows = [[row["order"], _fmt(row["mu"], 10), _fmt(row["delta"], 10)] for row in rows]
@@ -245,9 +252,7 @@ def cmd_estimate(
     kinds = _parse_estimator_list(estimators, two_phase_available=first_phase_path is not None)
     deltas = load_delta_table(deltas_path) if deltas_path else None
     aux = AuxKnowledge(sx2=sx2, sz2=sz2) if (sx2 is not None or sz2 is not None) else None
-    first = None
-    if first_phase_path:
-        first = load_csv_rows(first_phase_path, "x,z", "a first-phase sample")
+    first = load_csv_rows(first_phase_path, "x,z", "a first-phase sample") if first_phase_path else None
 
     rows = []
     for kind in kinds:
@@ -412,10 +417,7 @@ def _reproduction_rows() -> tuple[list[dict], list[dict]]:
     two_sizes = BUILTIN_EXAMPLE_DESIGN
     two = build(_design_kinds(two_sizes), two_sizes, REPORTED_PRE_TWO_PHASE)
     for row in two:
-        if row["kind"] == "unbiased":
-            row["status"] = "consistent"
-        else:
-            row["status"] = f"flagged: {_TWO_PHASE_FLAG}"
+        row["status"] = "consistent" if row["kind"] == "unbiased" else f"flagged: {_TWO_PHASE_FLAG}"
     return single, two
 
 
@@ -446,10 +448,7 @@ def cmd_reproduce_tables(fmt: str, out: str | None) -> None:
             "rows": two,
         },
     }
-    parts = []
-    for note in BUILTIN_EXAMPLE_NOTES:
-        parts.append(f"note: {note}")
-    parts.append("")
+    parts = [f"note: {note}" for note in BUILTIN_EXAMPLE_NOTES] + [""]
     for title, rows in (("single-phase efficiencies", single), ("two-phase efficiencies", two)):
         text_rows = [
             [
@@ -521,11 +520,7 @@ def cmd_simulate(
         nprime=nprime,
         weight_policy=WeightPolicy(weight_policy),
     )
-    if out is not None:  # refuse an unwritable path before the run, and leave no new file
-        existed = os.path.exists(out)
-        open(out, "a", encoding="utf-8").close()
-        if not existed:
-            os.remove(out)
+    workers = _integer(workers, "workers", 1)
     if input_path:
         pop = load_population_csv(input_path)
     else:

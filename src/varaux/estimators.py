@@ -424,13 +424,13 @@ def _resolve_weight(
     then the optimum of each sample's table.  The source is ``"none"``
     for a kind that is not combined, then ``"fixed"``, ``"optimal"`` or
     ``"plug-in"``; a plug-in weight is None, left to :func:`evaluate`.
+    A given ``weight`` is checked whatever the kind.
     """
+    weight = kind.weight if weight is None else _finite(weight, "weight")
     if not kind.is_combined:
         return None, "none"
     if weight is not None:
-        return _finite(weight, "weight"), "fixed"
-    if kind.weight is not None:
-        return kind.weight, "fixed"
+        return weight, "fixed"
     if deltas is not None:
         return alpha_opt(deltas), "optimal"
     return None, "plug-in"

@@ -137,10 +137,7 @@ class Population:
 
 
 def _check_order(p: int, q: int, r: int) -> None:
-    for label, value in (("p", p), ("q", q), ("r", r)):
-        if _integer(value, f"moment order {label}") < 0:
-            raise InvalidInputError(f"moment order {label} must be non-negative, got {value}")
-    total = p + q + r
+    total = sum(_integer(value, f"moment order {label}", 0) for label, value in zip("pqr", (p, q, r)))
     if total > MAX_MOMENT_ORDER:
         raise InvalidInputError(f"total moment order {total} exceeds the cap {MAX_MOMENT_ORDER}")
 

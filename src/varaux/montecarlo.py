@@ -79,7 +79,8 @@ CHUNK_SIZE = 2048
 class WeightPolicy(enum.Enum):
     """How combined-kind weights are chosen during a run.
 
-    ``FIXED`` requires every combined kind to carry an explicit weight.
+    ``FIXED`` requires every combined kind to carry an explicit weight;
+    :class:`SimulationConfig` refuses one without at construction.
     ``POPULATION_OPTIMAL`` (default) fills missing weights with the
     optimum computed from the population moment table, the right mode
     for checking theory, which assumes known moments.  ``PLUG_IN``
@@ -101,7 +102,8 @@ class SimulationConfig:
     automatically when missing (empirical PRE needs it and it costs
     nothing).  ``nprime`` must be present iff a two-phase kind is
     requested, and strictly exceeds ``n``: these are sizes for actual
-    draws, not for degenerate theory evaluations.
+    draws, not for degenerate theory evaluations.  Under ``FIXED`` every
+    combined kind carries a weight; each rule is checked here, with no population.
     """
 
     n: int
@@ -132,6 +134,9 @@ class SimulationConfig:
                     raise InvalidDesignError(f"estimator {kind.label!r} needs a first-phase size; pass nprime")
         if not isinstance(self.weight_policy, WeightPolicy):
             raise InvalidInputError(f"weight_policy must be a WeightPolicy, got {self.weight_policy!r}")
+        for kind in kinds:
+            if self.weight_policy is WeightPolicy.FIXED and kind.is_combined and kind.weight is None:
+                raise InvalidInputError(f"weight policy 'fixed' requires an explicit weight on {kind.label!r}")
 
 
 def _population_size(n_pop) -> int:
@@ -611,7 +616,8 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
     DegeneratePopulationError
         If any variate is constant in the population, or its y kurtosis
         is at the lower bound ``d400 = 1``, where the theory has no
-        baseline; both before any replication runs.
+        baseline, or a kind's first-order MSE is not positive, as for
+        ``isaki-ratio`` when x is y; each before any replication runs.
     SimulationError
         If too many replications fail.
     """
@@ -631,14 +637,7 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
     # for those rows are evaluated at the population optimum instead,
     # since per-sample weights have no single theoretical value.
     table = pop_deltas if config.weight_policy is WeightPolicy.POPULATION_OPTIMAL else None
-    weights: list[float | None] = []
-    modes: list[str] = []
-    for kind in kinds:
-        weight, source = _resolve_weight(kind, deltas=table)
-        if source == "plug-in" and config.weight_policy is WeightPolicy.FIXED:
-            raise InvalidInputError(f"weight policy 'fixed' requires an explicit weight on {kind.label!r}")
-        weights.append(weight)
-        modes.append(_WEIGHT_MODES.get(source, source))
+    weights, sources = zip(*(_resolve_weight(kind, deltas=table) for kind in kinds))
     theory = theory_table(kinds, pop_deltas, sy2, DesignSizes(config.n, config.nprime))
 
     plan = _Plan(
@@ -649,7 +648,7 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
         nprime=config.nprime,
         seed=config.seed,
         kinds=kinds,
-        weights=tuple(weights),
+        weights=weights,
         aux_sx2=pop.sx2,
         aux_sz2=pop.sz2,
     )
@@ -696,7 +695,7 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
     summaries = [
         EstimatorSummary(
             kind=row["kind"],
-            weight_mode=modes[i],
+            weight_mode=_WEIGHT_MODES.get(sources[i], sources[i]),
             weight=row["weight"],
             emp_mean=float(emp_mean[i]),
             emp_bias=float(emp_mean[i] - sy2),

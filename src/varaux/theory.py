@@ -228,7 +228,8 @@ def theory_table(
     Raises
     ------
     DegeneratePopulationError
-        When the first row's MSE is not positive, as at ``d400 = 1``.
+        When the first row's MSE is not positive, as at ``d400 = 1``, or
+        another row's, as for ``isaki-ratio`` when x is y.
     """
     resolved = [_resolve_weight(kind, weight, deltas) for kind in kinds]
     results = [theory_for_kind(kind, deltas, sy2, sizes, weight=w) for kind, (w, _) in zip(kinds, resolved)]
@@ -239,6 +240,12 @@ def theory_table(
             "so first-order theory gives the unbiased baseline zero variance "
             "and efficiencies are undefined"
         )
+    for kind, (w, source), result in zip(kinds, resolved, results):
+        if result.mse <= 0.0:
+            label = _row_label(kind, w, source)
+            raise DegeneratePopulationError(
+                f"first-order theory gives {label!r} an MSE of {result.mse!r}, so its PRE is undefined"
+            )
     return [
         {
             "kind": _row_label(kind, w, source),

@@ -256,6 +256,13 @@ class TestMoments:
 
 
 class TestEstimate:
+    def test_weight_is_checked_whatever_the_kind(self, tiny_csv):
+        result = invoke(
+            "estimate", "--input", tiny_csv, "--estimators", "unbiased,exp-ratio", "--sx2", "1", "--weight", "nan"
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "error: weight must be finite, got nan\n"
+
     def test_single_phase_matches_library(self, tiny_pop, tiny_csv):
         result = invoke(
             "estimate",
@@ -611,6 +618,14 @@ class TestTheory:
         assert result.exit_code == 2
         assert "realizability" in result.stderr
 
+    def test_zero_mse_row_exits_3(self, tmp_path):
+        # The moments of x = y, where the Isaki ratio estimator is exact.
+        path = tmp_path / "x_is_y.json"
+        table = {"d400": 3.0, "d040": 3.0, "d004": 3.0, "d220": 3.0, "d202": 1.5, "d022": 1.5}
+        path.write_text(json.dumps(table), encoding="utf-8")
+        result = invoke("theory", "--deltas", str(path), "--n", "10")
+        assert result.exit_code == 3
+        assert result.stderr == "error: first-order theory gives 'isaki-ratio' an MSE of 0.0, so its PRE is undefined\n"
 
     def test_kurtosis_at_its_bound_exits_3(self, tmp_path):
         # d400 = 1 forces d220 = d202 = 1; the table is realizable, but
@@ -1026,23 +1041,50 @@ class TestGenPop:
         assert "spec.json: rho_yx must be a number, got 'abc'" in result.stderr
 
 
+#: What varaux.cli calls to read or build a population, a sample or a table.
+_READERS = ("load_population_csv", "generate_population", "load_csv_rows", "load_delta_table")
+
+
+@pytest.fixture()
+def reads(monkeypatch):
+    """The names of the readers varaux.cli calls, in call order."""
+    calls = []
+    for name in _READERS:
+        def counted(*args, _name=name, _read=getattr(cli_module, name), **kwargs):
+            calls.append(_name)
+            return _read(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "args",
     [
-        ("theory", "--builtin-s5", "--n", "10", "--format", "json", "--out"),
+        ("theory", "--deltas", "{deltas}", "--n", "10", "--format", "json", "--out"),
         ("gen-pop", "--size", "50", "--out"),
-        ("simulate", "--gen", "--n", "10", "--reps", "10", "--format", "json", "--out"),
+        ("simulate", "--input", "{pop}", "--n", "10", "--reps", "10", "--format", "json", "--out"),
+        ("moments", "--input", "{pop}", "--out"),
+        (
+            "estimate", "--input", "{pop}", "--estimators", "exp-ratio-2p", "--first-phase", "{first}",
+            "--deltas", "{deltas}", "--out",
+        ),
+        ("reproduce-tables", "--out"),
     ],
-    ids=["theory", "gen-pop", "simulate"],
+    ids=["theory", "gen-pop", "simulate", "moments", "estimate", "reproduce-tables"],
 )
-def test_unwritable_output_exits_2(args, tmp_path, monkeypatch):
-    # simulate refuses the path before the run, so it never starts one.
+def test_unwritable_output_exits_2(args, tiny_csv, first_phase_csv, builtin_deltas_json, tmp_path, reads, monkeypatch):
+    # Every command refuses the path before any work: nothing is read,
+    # generated, tabulated or run.
+    monkeypatch.setattr(cli_module, "theory_table", _must_not_run)
     monkeypatch.setattr(cli_module, "run_simulation", _must_not_run)
+    files = {"pop": tiny_csv, "first": first_phase_csv, "deltas": builtin_deltas_json}
     out = tmp_path / "missing" / "out.file"
-    result = invoke(*args, str(out))
+    result = invoke(*(arg.format(**files) for arg in args), str(out))
     assert result.exit_code == 2
     assert result.stderr == f"error: {out}: No such file or directory\n"
-    assert list(tmp_path.iterdir()) == []
+    assert reads == []
+    assert not out.parent.exists()
 
 
 def _must_not_run(*args, **kwargs):
@@ -1064,16 +1106,39 @@ def test_a_refused_run_leaves_its_output_path_as_it_was(existing, tiny_csv, tmp_
     [
         (("--n", "1"), "sample size n must be an integer >= 2, got 1"),
         (("--n", "10", "--estimators", "bogus"), "unknown estimator kind 'bogus'"),
+        (("--n", "10", "--workers", "0"), "workers must be a positive integer, got 0"),
+        (
+            ("--n", "10", "--estimators", "combined", "--weight-policy", "fixed"),
+            "weight policy 'fixed' requires an explicit weight on 'combined:opt'",
+        ),
     ],
-    ids=["n-1", "bogus-estimator"],
+    ids=["n-1", "bogus-estimator", "workers-0", "fixed-policy-without-weight"],
 )
-def test_simulate_refuses_arguments_before_reading_the_population(args, message, tiny_csv, monkeypatch):
-    monkeypatch.setattr(cli_module, "load_population_csv", _must_not_run)
-    monkeypatch.setattr(cli_module, "generate_population", _must_not_run)
+def test_simulate_refuses_arguments_before_reading_the_population(args, message, tiny_csv, tmp_path, reads):
+    out = tmp_path / "r.json"
     for source in (("--input", tiny_csv), ("--gen",)):
-        result = invoke("simulate", *source, *args, "--reps", "10")
+        result = invoke("simulate", *source, *args, "--reps", "10", "--out", str(out))
         assert result.exit_code == 2
-        assert message in result.stderr
+        assert result.stderr.startswith("error: ") and message in result.stderr
+        assert reads == []
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "orders, message",
+    [
+        ("4000", "bad moment order '4000'; expected three digits like '220'"),
+        ("900", "total moment order 9 exceeds the cap 8"),
+    ],
+    ids=["not-three-digits", "over-the-cap"],
+)
+def test_moments_refuses_orders_before_reading_the_population(orders, message, tiny_csv, tmp_path, reads):
+    out = tmp_path / "m.json"
+    result = invoke("moments", "--input", tiny_csv, "--orders", orders, "--out", str(out))
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
+    assert reads == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["population", "first-phase", "deltas", "spec"])

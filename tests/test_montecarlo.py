@@ -16,6 +16,7 @@ from varaux import (
     EXP_PRODUCT,
     EXP_RATIO,
     EXP_RATIO_TWO_PHASE,
+    ISAKI_RATIO,
     SINGLE_PHASE_KINDS,
     TWO_PHASE_KINDS,
     UNBIASED,
@@ -307,16 +308,16 @@ class TestRunSimulation:
             alpha_opt(delta_table(small_pop)), rel=1e-14
         )
 
-    def test_fixed_policy_requires_weights(self, small_pop):
-        config = SimulationConfig(
-            n=12,
-            reps=100,
-            seed=3,
-            estimators=(COMBINED,),
-            weight_policy=WeightPolicy.FIXED,
-        )
-        with pytest.raises(InvalidInputError, match="fixed"):
-            quiet_run(small_pop, config)
+    def test_fixed_policy_requires_weights(self):
+        # The rule needs only the config, so the config refuses itself.
+        with pytest.raises(InvalidInputError, match="weight policy 'fixed' requires an explicit weight on 'combined:opt'"):
+            SimulationConfig(
+                n=12,
+                reps=100,
+                seed=3,
+                estimators=(COMBINED,),
+                weight_policy=WeightPolicy.FIXED,
+            )
 
     def test_sample_as_large_as_population_rejected(self, small_pop):
         for n in (600, 601):
@@ -358,6 +359,15 @@ class TestRunSimulation:
         pop = Population(y=np.tile([1.0, 2.0], 1000), x=rng.lognormal(size=2000), z=rng.lognormal(size=2000))
         config = SimulationConfig(n=20, reps=50_000, seed=0, estimators=(UNBIASED, EXP_RATIO))
         with pytest.raises(DegeneratePopulationError, match=r"d400 = 1"):
+            run_simulation(pop, config)
+
+    def test_zero_theory_mse_refused(self):
+        # With x = y the Isaki ratio estimator is exact: its theory row has
+        # zero MSE, which is refused as the baseline's is.
+        y = np.random.default_rng(4).lognormal(size=500)
+        pop = Population(y=y, x=y, z=np.random.default_rng(5).lognormal(size=500))
+        config = SimulationConfig(n=10, reps=50, seed=0, estimators=(ISAKI_RATIO,))
+        with pytest.raises(DegeneratePopulationError, match="'isaki-ratio' an MSE of"):
             run_simulation(pop, config)
 
     def test_degenerate_auxiliary_rejected(self):

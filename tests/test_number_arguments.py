@@ -80,6 +80,14 @@ CASES = [
         False,
         1,
     ),
+    (
+        "estimate_single_phase.weight[exp-ratio]",
+        lambda v: estimate_single_phase(EXP_RATIO, Y, X, aux=AUX, weight=v),
+        None,
+        InvalidInputError,
+        False,
+        1,
+    ),
     ("theory_for_kind.weight", lambda v: theory_for_kind(COMBINED, DELTAS, 1.0, SIZES, weight=v), None, InvalidInputError, False, 1),
     ("theory_table.weight", lambda v: theory_table([COMBINED], DELTAS, 1.0, SIZES, weight=v), None, InvalidInputError, False, 1),
     ("single_phase_value.weight", lambda v: _single(weight=v), None, InvalidInputError, False, 1),

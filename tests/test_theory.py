@@ -637,6 +637,15 @@ class TestTheoryTable:
         with pytest.raises(DegeneratePopulationError, match=r"d400 = 1"):
             theory_table(SINGLE_PHASE_KINDS, d, 1.0, N10)
 
+    def test_zero_mse_row_refused(self):
+        # The moments of x = y: the Isaki ratio estimator is exact, so its
+        # first-order MSE is zero and its PRE undefined.
+        d = DeltaTable(d400=3.0, d040=3.0, d004=3.0, d220=3.0, d202=1.5, d022=1.5)
+        assert d.violations() == []
+        assert theory_for_kind(ISAKI_RATIO, d, 1.0, N10).mse == 0.0
+        with pytest.raises(DegeneratePopulationError, match=r"^first-order theory gives 'isaki-ratio' an MSE of 0\.0"):
+            theory_table(SINGLE_PHASE_KINDS, d, 1.0, N10)
+
 
 class TestPublishedFigures:
     def test_single_phase_reported_set(self):
