@@ -14,9 +14,11 @@ no unique optimum, failed simulation).
 ``--format json`` output is schema-stable and safe to script against;
 ``text`` output is for humans and may change.
 
-Arguments are refused before a population is read or generated: every
-command's ``--out``, ``moments``' ``--orders``, and ``simulate``'s sizes,
-kinds, weight policy and ``--workers``.
+Arguments are refused before any file is read or population generated:
+every command's ``--out``, ``moments``' ``--orders``, ``estimate``'s
+kinds, ``--sx2``/``--sz2``, ``--weight`` and ``--first-phase`` for a
+two-phase kind, ``theory``'s sizes, ``--sy2`` and ``--alpha``, and
+``simulate``'s sizes, kinds, weight policy and ``--workers``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import asdict, replace
 import click
 
 from . import __version__
-from .errors import InvalidInputError, VarauxError, _integer
+from .errors import InvalidInputError, VarauxError, _finite, _integer
 from .estimators import (
     COMBINED,
     EXP_PRODUCT,
@@ -40,10 +42,8 @@ from .estimators import (
     UNBIASED,
     AuxKnowledge,
     EstimatorKind,
-    _resolve_weight,
+    _estimate,
     _row_label,
-    estimate_single_phase,
-    estimate_two_phase,
 )
 from .moments import (
     _FOURTH_ORDERS,
@@ -248,29 +248,24 @@ def cmd_estimate(
     out: str | None,
 ) -> None:
     """Point estimates of the population variance of y from sample files."""
-    sample = load_population_csv(input_path)
     kinds = _parse_estimator_list(estimators, two_phase_available=first_phase_path is not None)
-    deltas = load_delta_table(deltas_path) if deltas_path else None
     aux = AuxKnowledge(sx2=sx2, sz2=sz2) if (sx2 is not None or sz2 is not None) else None
+    if weight is not None:
+        _finite(weight, "weight")
+    for kind in kinds:
+        if kind.is_two_phase and first_phase_path is None:
+            raise InvalidInputError(f"estimator {kind.label!r} needs --first-phase (header x,z)")
+    sample = load_population_csv(input_path)
+    deltas = load_delta_table(deltas_path) if deltas_path else None
     first = load_csv_rows(first_phase_path, "x,z", "a first-phase sample") if first_phase_path else None
+    x_first, z_first = (None, None) if first is None else first.T
 
     rows = []
     for kind in kinds:
         # Every kind gets every column and reads only the variates it uses.
-        if kind.is_two_phase:
-            if first is None:
-                raise InvalidInputError(
-                    f"estimator {kind.label!r} needs --first-phase (header x,z)"
-                )
-            value = estimate_two_phase(
-                kind, sample.y, x_first=first[:, 0], z_first=first[:, 1],
-                x_second=sample.x, z_second=sample.z, weight=weight, deltas=deltas,
-            )
-        else:
-            value = estimate_single_phase(
-                kind, sample.y, sample.x, sample.z, aux=aux, weight=weight, deltas=deltas
-            )
-        used_weight, source = _resolve_weight(kind, weight, deltas)
+        value, used_weight, source = _estimate(
+            kind, kind.is_two_phase, sample.y, sample.x, sample.z, x_first, z_first, aux, weight, deltas
+        )
         rows.append(
             {
                 "kind": _row_label(kind, used_weight, source),
@@ -343,13 +338,16 @@ def cmd_theory(
         raise InvalidInputError("a moment table is required: pass --deltas FILE or --builtin-s5")
     if n is None:
         raise InvalidInputError("--n is required")
+    sizes = DesignSizes(n, nprime)
+    _finite(sy2, "S_y^2", positive=True)
+    if alpha is not None:
+        _finite(alpha, "weight")
     deltas = BUILTIN_EXAMPLE_DELTAS if builtin_s5 else load_delta_table(deltas_path)
     violations = deltas.violations()
     if violations:
         raise InvalidInputError(
             "moment table violates realizability bounds: " + "; ".join(violations)
         )
-    sizes = DesignSizes(n, nprime)
     rows = theory_table(_design_kinds(sizes), deltas, sy2, sizes, alpha)
     doc = {
         "deltas": deltas.to_dict(),
@@ -376,8 +374,7 @@ def cmd_theory(
         parts.append("")
     parts.append(_table(["kind", "weight", "bias", "mse", "pre", "formula"], text_rows).rstrip())
     parts.append("")
-    columns = ["kind", "weight", "bias", "mse", "pre", "formula_id", "valid"]
-    _render(fmt, out, doc, columns, rows, "\n".join(parts))
+    _render(fmt, out, doc, list(rows[0]), rows, "\n".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +541,7 @@ def _summary(report) -> str:
         f"seed={report.seed}"
     ]
     for row in report.estimators:
-        ratio = row.emp_mse / row.theory_mse if row.theory_mse else float("nan")
+        ratio = row.emp_mse / row.theory_mse
         lines.append(
             f"{row.kind:<16} emp MSE {row.emp_mse:.6e}  theory {row.theory_mse:.6e}  "
             f"(emp/theory {ratio:.3f})  emp PRE {row.emp_pre:8.2f}  theory PRE {row.theory_pre:8.2f}"

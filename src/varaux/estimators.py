@@ -454,8 +454,10 @@ def _checked_sample(values, name: str, expected_size: int | None = None) -> np.n
     return arr
 
 
-def _estimate(kind, two_phase, y, x, z, x_first, z_first, aux, weight, deltas) -> float:
-    """The body of :func:`estimate_single_phase` and :func:`estimate_two_phase`.
+def _estimate(kind, two_phase, y, x, z, x_first, z_first, aux, weight, deltas) -> tuple[float, float | None, str]:
+    """The body of :func:`estimate_single_phase` and :func:`estimate_two_phase`,
+    and of each ``varaux estimate`` row: the estimate, and the weight and
+    source :func:`_resolve_weight` gives it.
 
     ``x``/``z`` are the samples ``y`` is observed on (the second phase of
     a two-phase design); ``x_first``/``z_first`` are only read in a
@@ -493,9 +495,9 @@ def _estimate(kind, two_phase, y, x, z, x_first, z_first, aux, weight, deltas) -
                 f"first-phase sample {name!r} (length {size}) must be strictly "
                 f"larger than the second phase (length {n})"
             )
-    resolved, _ = _resolve_weight(kind, weight, deltas)
+    resolved, source = _resolve_weight(kind, weight, deltas)
     samples = (y_arr, second.get("x"), second.get("z"))
-    return _checked_value(kind, two_phase, sy2, variances, aux, resolved, samples)
+    return _checked_value(kind, two_phase, sy2, variances, aux, resolved, samples), resolved, source
 
 
 def estimate_single_phase(
@@ -533,7 +535,7 @@ def estimate_single_phase(
     -------
     float
     """
-    return _estimate(kind, False, y, x, z, None, None, aux, weight, deltas)
+    return _estimate(kind, False, y, x, z, None, None, aux, weight, deltas)[0]
 
 
 def estimate_two_phase(
@@ -571,4 +573,4 @@ def estimate_two_phase(
     -------
     float
     """
-    return _estimate(kind, True, y, x_second, z_second, x_first, z_first, None, weight, deltas)
+    return _estimate(kind, True, y, x_second, z_second, x_first, z_first, None, weight, deltas)[0]

@@ -82,16 +82,14 @@ class TheoryResult:
 
     ``formula_id`` names the formula and says whether it is the
     published form or a corrected one (``as-published`` or
-    ``corrected``).  ``valid`` is False when the
-    computed MSE is negative, which cannot happen for a realizable
-    moment table and signals that the supplied table violates the
-    moment bounds.
+    ``corrected``).  ``mse`` is returned as computed: a table that
+    violates the moment bounds can make it negative, and
+    :func:`theory_table` refuses any row whose MSE is not positive.
     """
 
     mse: float
     bias: float | None
     formula_id: str
-    valid: bool
 
 
 #: The weights ``(p, q)`` that each form's first-order expansion gives
@@ -198,7 +196,7 @@ def theory_for_kind(
         bias = sy2 * _bias_bracket(deltas, p, q) / sizes.n
     formula = "var:unbiased" if form == "unbiased" else f"mse:{kind.family.value}"
     status = "corrected" if f"{formula}:corrected" in _CORRECTED_IDS else "as-published"
-    return TheoryResult(mse=mse, bias=bias, formula_id=f"{formula}:{status}", valid=mse >= 0.0)
+    return TheoryResult(mse=mse, bias=bias, formula_id=f"{formula}:{status}")
 
 
 def pre(mse_candidate: float, mse_baseline: float) -> float:
@@ -224,6 +222,8 @@ def theory_table(
     else at ``alpha_opt(deltas)``; the row's ``weight`` is None for a
     kind that takes none.  A row at a fixed weight is labelled with it,
     as ``combined:0.5``; one at the optimum keeps ``combined:opt``.
+    Rows hold ``kind``, ``weight``, ``bias``, ``mse``, ``pre`` and
+    ``formula_id``; this is the one check that each ``mse`` is positive.
 
     Raises
     ------
@@ -254,7 +254,6 @@ def theory_table(
             "mse": result.mse,
             "pre": pre(result.mse, baseline),
             "formula_id": result.formula_id,
-            "valid": result.valid,
         }
         for kind, (w, source), result in zip(kinds, resolved, results)
     ]

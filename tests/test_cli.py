@@ -1141,6 +1141,51 @@ def test_moments_refuses_orders_before_reading_the_population(orders, message, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ("--estimators", "combined", "--sx2", "1", "--sz2", "1", "--weight", "nan"),
+            "weight must be finite, got nan",
+        ),
+        (("--estimators", "exp-ratio", "--sx2", "-1"), "aux knowledge sx2 must be a finite positive number, got -1.0"),
+        (
+            ("--estimators", "bogus"),
+            "unknown estimator kind 'bogus'; expected one of: unbiased, isaki-ratio, exp-ratio, "
+            "exp-product, combined, exp-ratio-2p, exp-product-2p, combined-2p",
+        ),
+        (("--estimators", "unbiased,exp-ratio-2p"), "estimator 'exp-ratio-2p' needs --first-phase (header x,z)"),
+    ],
+    ids=["weight-nan", "sx2-negative", "bogus-kind", "two-phase-without-first-phase"],
+)
+def test_estimate_refuses_arguments_before_reading_any_file(args, message, tiny_csv, builtin_deltas_json, tmp_path, reads):
+    out = tmp_path / "e.json"
+    result = invoke("estimate", "--input", tiny_csv, "--deltas", builtin_deltas_json, *args, "--out", str(out))
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
+    assert reads == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--n", "1"), "sample size n must be an integer >= 2, got 1"),
+        (("--n", "10", "--nprime", "5"), "first-phase size nprime=5 must be at least n=10"),
+        (("--n", "10", "--sy2", "-1"), "S_y^2 must be a finite positive number, got -1.0"),
+        (("--n", "10", "--alpha", "nan"), "weight must be finite, got nan"),
+    ],
+    ids=["n-1", "nprime-below-n", "sy2-negative", "alpha-nan"],
+)
+def test_theory_refuses_arguments_before_reading_the_table(args, message, builtin_deltas_json, tmp_path, reads):
+    out = tmp_path / "t.json"
+    result = invoke("theory", "--deltas", builtin_deltas_json, *args, "--format", "json", "--out", str(out))
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
+    assert reads == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["population", "first-phase", "deltas", "spec"])
 def test_non_utf8_input_file_exits_2(kind, tiny_csv, tmp_path):
     path = tmp_path / "input.bin"

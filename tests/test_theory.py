@@ -252,19 +252,21 @@ class TestSinglePhaseMse:
 
     def test_negative_first_order_mse_marked_invalid(self):
         # A cross moment large enough drives the first-order MSE negative,
-        # which the first-order approximation cannot support; the result
-        # carries valid=False rather than raising.  (Such a table violates
-        # the moment bounds, which is exactly why it can happen only with
-        # user-supplied inputs.)
+        # which the first-order approximation cannot support.  (Such a
+        # table violates the moment bounds, which is exactly why it can
+        # happen only with user-supplied inputs.)  theory_for_kind returns
+        # the MSE as computed, with no flag; theory_table is what refuses it.
         d = DeltaTable(d400=1.2, d040=9.0, d004=2.0, d220=4.0, d202=1.0, d022=1.0)
         r = theory_for_kind(EXP_RATIO, d, 1.0, DesignSizes(10))
         assert r.mse < 0.0
-        assert not r.valid
+        assert not hasattr(r, "valid")
+        with pytest.raises(DegeneratePopulationError, match=r"'exp-ratio' an MSE of -"):
+            theory_table([UNBIASED, EXP_RATIO], d, 1.0, DesignSizes(10))
 
     def test_valid_flag_true_on_builtin(self):
         for kind in SINGLE_PHASE_KINDS:
             weight = 0.5 if kind.is_combined else None
-            assert theory_for_kind(kind, D, 1.0, N10, weight=weight).valid
+            assert theory_for_kind(kind, D, 1.0, N10, weight=weight).mse > 0.0
 
 
 class TestBiasSinglePhase:
@@ -607,14 +609,13 @@ class TestTheoryTable:
             assert row["mse"] == expected.mse
             assert row["bias"] == expected.bias
             assert row["formula_id"] == expected.formula_id
-            assert row["valid"] is expected.valid
             assert row["pre"] == pre(expected.mse, rows[0]["mse"])
             assert (row["weight"] is None) == (not kind.is_combined)
 
     def test_first_row_is_the_baseline(self):
         rows = theory_table(SINGLE_PHASE_KINDS, D, 1.0, N10)
         assert rows[0]["pre"] == 100.0
-        assert list(rows[0]) == ["kind", "weight", "bias", "mse", "pre", "formula_id", "valid"]
+        assert list(rows[0]) == ["kind", "weight", "bias", "mse", "pre", "formula_id"]
 
     def test_combined_weight_precedence(self):
         kinds = [UNBIASED, COMBINED, EstimatorKind(Family.COMBINED, 0.25), COMBINED_TWO_PHASE]
