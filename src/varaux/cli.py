@@ -255,8 +255,8 @@ def cmd_estimate(
     for kind in kinds:
         if kind.is_two_phase and first_phase_path is None:
             raise InvalidInputError(f"estimator {kind.label!r} needs --first-phase (header x,z)")
-    sample = load_population_csv(input_path)
     deltas = load_delta_table(deltas_path) if deltas_path else None
+    sample = load_population_csv(input_path)
     first = load_csv_rows(first_phase_path, "x,z", "a first-phase sample") if first_phase_path else None
     x_first, z_first = (None, None) if first is None else first.T
 
@@ -343,11 +343,6 @@ def cmd_theory(
     if alpha is not None:
         _finite(alpha, "weight")
     deltas = BUILTIN_EXAMPLE_DELTAS if builtin_s5 else load_delta_table(deltas_path)
-    violations = deltas.violations()
-    if violations:
-        raise InvalidInputError(
-            "moment table violates realizability bounds: " + "; ".join(violations)
-        )
     rows = theory_table(_design_kinds(sizes), deltas, sy2, sizes, alpha)
     doc = {
         "deltas": deltas.to_dict(),

@@ -71,11 +71,9 @@ def _exact(value: float) -> str:
     return short if float(short) == value else repr(value)
 
 
-def _as_readonly_float_vector(values, name: str) -> np.ndarray:
-    arr = np.array(_finite_vector(values, f"variate {name!r}"), copy=True)
-    arr.setflags(write=False)
-    # A view of a read-only array cannot be made writeable again.
-    return arr.view()
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values.view()  # a view of a read-only array cannot be made writeable again
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +82,8 @@ class Population:
 
     The study variable is ``y``; ``x`` and ``z`` are auxiliary
     variables, conventionally positively and negatively correlated
-    with ``y``.  Arrays are copied and frozen on construction, so a
+    with ``y``.  Arrays are copied and frozen on construction (the loader
+    and the generator freeze their own, uncopied, with :meth:`_adopt`), so a
     ``Population`` never changes under its consumers.  Its variances and
     its moment table are therefore computed once, on first use, and
     reused by every later call.
@@ -101,7 +100,7 @@ class Population:
 
     def __post_init__(self) -> None:
         for name in _VARIATES:
-            object.__setattr__(self, name, _as_readonly_float_vector(getattr(self, name), name))
+            object.__setattr__(self, name, _frozen(np.array(_finite_vector(getattr(self, name), f"variate {name!r}"))))
         if not (self.y.size == self.x.size == self.z.size):
             raise InvalidInputError(
                 "variates must have a common length, got "
@@ -109,6 +108,17 @@ class Population:
             )
         if self.y.size < 2:
             raise InvalidInputError("a population needs at least two units")
+
+    @classmethod
+    def _adopt(cls, y, x, z, checked: bool = False) -> Population:
+        """A population holding ``y``, ``x`` and ``z`` themselves, frozen without the
+        constructor's copy: one-dimensional float64 of one length >= 2 that only the
+        caller holds.  Unless ``checked``, a variate that is not finite is refused."""
+        pop = object.__new__(cls)
+        for name, values in zip(_VARIATES, (y, x, z)):
+            values = values if checked else _finite_vector(values, f"variate {name!r}")
+            object.__setattr__(pop, name, _frozen(values))
+        return pop
 
     @property
     def size(self) -> int:
@@ -167,7 +177,9 @@ def _moments(variates, orders, squared: bool = False) -> tuple[list, list, list]
     deviations from numpy's row means, which give the same bits; every
     order must then be even.  Floating-point warnings are off: a moment
     that over- or underflows, or a zero variance, leaves a value that
-    is not finite, for the caller to refuse.
+    is not finite, for the caller to refuse.  Beside the deviations, a
+    square is kept only where an order uses it, and temporary squares and
+    the orders' products are built one at a time.
 
     Returns
     -------
@@ -176,17 +188,22 @@ def _moments(variates, orders, squared: bool = False) -> tuple[list, list, list]
         ``mu_pqr`` and ``delta_pqr`` in the order of ``orders``.
     """
     odd = [any(order[i] % 2 for order in orders) for i in range(3)]
+    square_used = [any(order[i] > 1 for order in orders) for i in range(3)]
     with np.errstate(all="ignore"):
         deviations = squares = variates
         if not squared:
             deviations = [values - values.mean(axis=-1, keepdims=True) for values in variates]
-            squares = [np.multiply(d, d, out=None if keep else d) for d, keep in zip(deviations, odd)]
-        variances = [square.mean(axis=-1) for square in squares]
+            squares = [
+                (d * d if keep else np.multiply(d, d, out=d)) if used else None
+                for d, keep, used in zip(deviations, odd, square_used)
+            ]
+        variances = [(d * d if s is None else s).mean(axis=-1) for d, s in zip(deviations, squares)]
         roots = [variance**0.5 if keep else None for variance, keep in zip(variances, odd)]
         moments, deltas = [], []
         for order in orders:
             product = _power_product(order, squares, deviations)
             moment = np.ones_like(variances[0]) if product is None else product.mean(axis=-1)
+            del product
             scale = _power_product(order, variances, roots)
             moments.append(moment)
             deltas.append(moment if scale is None else moment / scale)
@@ -497,15 +514,19 @@ def load_delta_table(path) -> DeltaTable:
 
     The file holds either the bare table (the object
     :meth:`DeltaTable.to_dict` gives) or the document of ``varaux moments
-    --format json``, which carries the table under ``"delta_table"``.
+    --format json``, which carries the table under ``"delta_table"``.  A
+    table that :meth:`DeltaTable.violations` faults is an InvalidInputError.
     """
     data = load_json(path)
     if isinstance(data, dict) and "delta_table" in data:
         data = data["delta_table"]
     try:
-        return DeltaTable.from_dict(data)
+        table = DeltaTable.from_dict(data)
     except PopulationFormatError as exc:
         raise PopulationFormatError(f"{path}: {exc}") from exc
+    if violations := table.violations():
+        raise InvalidInputError("moment table violates realizability bounds: " + "; ".join(violations))
+    return table
 
 
 def load_population_csv(path) -> Population:
@@ -515,17 +536,14 @@ def load_population_csv(path) -> Population:
     variance loads fine but triggers a warning, since most estimators
     will refuse it later.
 
-    The population's arrays are the loaded columns themselves, frozen in
-    place: the loader holds the only reference to them and has checked
-    every value finite, so the copy the constructor makes is skipped and
-    a load holds the data once.
+    The population's arrays are the loaded columns themselves, adopted
+    with :meth:`Population._adopt`: the loader holds the only reference
+    to them and has checked every value finite, so a load holds the data
+    once and scans it for finiteness once.
     """
     data = load_csv_rows(path, "y,x,z", "a population")
-    data.setflags(write=False)
-    pop = object.__new__(Population)
-    for name, column in zip(_VARIATES, data.T):
-        # A view of a read-only array cannot be made writeable again.
-        object.__setattr__(pop, name, column)
+    data.setflags(write=False)  # the columns' owner: a view of a writeable owner can be thawed
+    pop = Population._adopt(*data.T, checked=True)
     for name, variance in zip(_VARIATES, (pop.sy2, pop.sx2, pop.sz2)):
         if variance == 0.0:
             warnings.warn(

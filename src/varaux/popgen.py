@@ -53,10 +53,13 @@ class Marginal:
         object.__setattr__(self, "scale", _finite(self.scale, "marginal scale", positive=True, error=InvalidSpecError))
 
     def transform(self, latent: np.ndarray) -> np.ndarray:
-        shifted = self.loc + self.scale * latent
+        """The marginal's values in one new array, computed in place: IEEE ``*``
+        and ``+`` commute, so the bits are those of ``loc + scale * latent``."""
+        values = np.multiply(latent, self.scale, out=np.empty(np.shape(latent)))
+        np.add(values, self.loc, out=values)
         if self.family == "lognormal":
-            return np.exp(shifted)
-        return shifted
+            np.exp(values, out=values)
+        return values
 
     @property
     def tag(self) -> str:
@@ -183,13 +186,12 @@ def generate_population(spec: PopulationSpec) -> Population:
         ) from None
     rng = np.random.default_rng(spec.seed)
     latent = rng.standard_normal((spec.size, 3)) @ factor.T
-    # A marginal that overflows gives inf, which Population refuses.
+    marginals = (spec.marginal_y, spec.marginal_x, spec.marginal_z)
+    # A marginal that overflows gives inf, which Population._adopt refuses.
     with np.errstate(over="ignore"):
-        return Population(
-            y=spec.marginal_y.transform(latent[:, 0]),
-            x=spec.marginal_x.transform(latent[:, 1]),
-            z=spec.marginal_z.transform(latent[:, 2]),
-        )
+        columns = [marginal.transform(values) for marginal, values in zip(marginals, latent.T)]
+    del latent  # before the finiteness scans allocate
+    return Population._adopt(*columns)
 
 
 def realized_correlations(pop: Population) -> dict[str, float]:

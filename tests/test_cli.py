@@ -1186,6 +1186,31 @@ def test_theory_refuses_arguments_before_reading_the_table(args, message, builti
     assert not out.exists()
 
 
+_UNREALIZABLE = {"d400": 1.2, "d040": 9.0, "d004": 2.0, "d220": 4.0, "d202": 1.0, "d022": 1.0}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("theory", "--deltas", "{deltas}", "--n", "10"),
+        ("estimate", "--input", "{pop}", "--estimators", "combined", "--sx2", "1.5", "--sz2", "2.5", "--deltas", "{deltas}"),
+    ],
+    ids=["theory", "estimate"],
+)
+def test_unrealizable_table_is_refused_before_the_sample_is_read(args, tiny_csv, tmp_path, reads):
+    # estimate would otherwise read a table-optimal weight off a table
+    # that theory refuses.
+    deltas = tmp_path / "bad.json"
+    deltas.write_text(json.dumps(_UNREALIZABLE), encoding="utf-8")
+    result = invoke(*(arg.format(pop=tiny_csv, deltas=deltas) for arg in args))
+    assert result.exit_code == 2
+    assert result.stderr == (
+        "error: moment table violates realizability bounds: |d220 - 1| = 3.0 exceeds "
+        "sqrt((d400 - 1)(d040 - 1)) = 1.2649110640673515\n"
+    )
+    assert reads == ["load_delta_table"]
+
+
 @pytest.mark.parametrize("kind", ["population", "first-phase", "deltas", "spec"])
 def test_non_utf8_input_file_exits_2(kind, tiny_csv, tmp_path):
     path = tmp_path / "input.bin"

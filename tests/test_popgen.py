@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference_popgen
 from varaux import (
+    InvalidInputError,
     InvalidSpecError,
     Marginal,
     Population,
@@ -222,6 +225,86 @@ class TestGeneratePopulation:
 
     def test_default_population_moment_bounds_hold(self, default_pop):
         assert delta_table(default_pop).violations() == []
+
+
+#: perfbench's population seed at its default workload seed 1: the first
+#: word of ``SeedSequence(1)``, as ``workloads.derive_seeds`` draws it.
+_PERFBENCH_POP_SEED = int(np.random.SeedSequence(1).generate_state(1, np.uint64)[0])
+
+
+def _assert_same_bits(spec):
+    got, want = generate_population(spec), reference_popgen.generate_population(spec)
+    for name in ("y", "x", "z"):
+        assert np.array_equal(getattr(got, name).view(np.uint64), getattr(want, name).view(np.uint64)), name
+
+
+def _traced_peak(func, *args):
+    """``func(*args)`` and the peak bytes it allocated, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = func(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGeneratorMatchesReference:
+    @pytest.mark.parametrize("size", [2, 3, 7, 5_000, 12_345])
+    @pytest.mark.parametrize(
+        "marginals",
+        [
+            ("normal:-1.5:2", "normal:-0.25:0.5", "normal:3:1"),
+            ("lognormal:-0.7:0.4", "lognormal:-2:0.6", "lognormal:0:0.5"),
+            ("normal:-4:0.1", "lognormal:-0.5:1.5", "normal:0:1"),
+        ],
+        ids=["normal", "lognormal", "mixed"],
+    )
+    def test_same_bits(self, size, marginals):
+        y, x, z = marginals
+        _assert_same_bits(PopulationSpec(size=size, seed=size, marginal_y=y, marginal_x=x, marginal_z=z))
+
+    @pytest.mark.parametrize("size", [5_000, 1_000_000], ids=["twophase-all,plugin-small-n", "bigpop-pool"])
+    def test_same_bits_on_perfbench_specs(self, size):
+        _assert_same_bits(PopulationSpec(size=size, seed=_PERFBENCH_POP_SEED))
+
+    @pytest.mark.parametrize("variate", ["y", "x", "z"])
+    def test_overflow_refused_as_before(self, variate):
+        spec = PopulationSpec(size=50, seed=4, **{f"marginal_{variate}": "lognormal:700:20"})
+        for generate in (generate_population, reference_popgen.generate_population):
+            with pytest.raises(InvalidInputError) as refused:
+                generate(spec)
+            assert str(refused.value) == f"variate {variate!r} contains non-finite values"
+
+    def test_arrays_are_frozen_contiguous_and_owned_by_the_population(self):
+        pop = generate_population(PopulationSpec(size=100))
+        for values in (pop.y, pop.x, pop.z):
+            assert values.flags.c_contiguous and not values.flags.writeable
+            with pytest.raises(ValueError):
+                values.setflags(write=True)
+            assert not values.base.flags.writeable
+
+    def test_generation_holds_the_data_at_most_twice(self):
+        # The latent block and the three finished columns; no shifted
+        # copies or constructor copies beside them.
+        pop, peak = _traced_peak(generate_population, PopulationSpec(size=200_000))
+        assert peak < 2.2 * 3 * pop.y.nbytes
+
+
+class TestMomentTemporaries:
+    """The moment kernel's N-sized temporaries on a fresh 200,000-unit population."""
+
+    @pytest.fixture(scope="class")
+    def pop(self):
+        return generate_population(PopulationSpec(size=200_000, seed=11))
+
+    def test_delta_table_holds_three_squares_and_one_product(self, pop):
+        fresh = Population(pop.y, pop.x, pop.z)
+        _, peak = _traced_peak(delta_table, fresh)
+        assert peak < 4.5 * pop.y.nbytes
+
+    def test_realized_correlations_hold_three_deviations_and_one_product(self, pop):
+        _, peak = _traced_peak(realized_correlations, pop)
+        assert peak < 4.5 * pop.y.nbytes
 
 
 class TestRealizedCorrelations:

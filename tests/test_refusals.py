@@ -43,10 +43,13 @@ def _empty_csv(tmp_path):
     return load_population_csv(path)
 
 
-def _table_missing_keys(tmp_path):
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps({"d400": 3.0}))
-    return load_delta_table(path)
+def _load_table(data):
+    def load(tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(data))
+        return load_delta_table(path)
+
+    return load
 
 
 #: ``(call taking tmp_path, class, message with {tmp} for tmp_path)``.
@@ -86,9 +89,14 @@ REFUSALS = {
         "{tmp}/empty.csv: empty file, expected header 'y,x,z'",
     ),
     "table-missing-keys": (
-        _table_missing_keys,
+        _load_table({"d400": 3.0}),
         PopulationFormatError,
         "{tmp}/table.json: moment table is missing keys: d040, d004, d220, d202, d022",
+    ),
+    "table-unrealizable": (
+        _load_table({"d400": 0.5, "d040": 3.0, "d004": 3.0, "d220": 1.0, "d202": 1.0, "d022": 1.0}),
+        InvalidInputError,
+        "moment table violates realizability bounds: d400 = 0.5 is below 1",
     ),
     "constant-y-delta": (
         lambda tmp: delta(Population(y=np.ones(10), x=X, z=Z), 4, 0, 0),

@@ -15,6 +15,9 @@ jobs in one process, ``bigpop-pool``'s design included.  It records:
   minor page faults of each of those jobs (``ru_minflt``);
 - the rows per block, ``montecarlo._block_rows``, and the bytes of
   positions such a block holds;
+- the tracemalloc peak of ``generate_population`` building the design's
+  population, and of ``delta_table`` computing that population's table
+  afresh, next to the bytes of the population's data;
 - the cost per block: ``_simulate_block`` timed on one row, the fixed
   numpy cost, and on a full block;
 - a split of ``REPEATS`` more jobs into layers, from timers wrapped
@@ -35,7 +38,9 @@ Without ``--out`` the record is printed as JSON.
 
 A wrapped step that no longer exists stops the run with an error, and
 one that still exists but ran in no design, so that its layer would
-read zero, makes the tool exit with status 1 and write no record.
+read zero, makes the tool exit with status 1 and write no record; so
+does a traced peak below the population's data, which would mean that
+tracemalloc does not see numpy's allocations.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -126,13 +132,25 @@ def block_costs(montecarlo, plan, rows: int) -> dict:
     }
 
 
+def traced_peak(func, *args):
+    """``func(*args)`` and the peak bytes it allocated, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = func(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def time_design(varaux, workload, seeds: tuple[int, list[int]]) -> dict:
     """The record of one design; ``seeds`` are the population's and the jobs'."""
     montecarlo = varaux.montecarlo
     pop_seed, job_seeds = seeds
-    pop = varaux.generate_population(workload.spec(pop_seed))
+    pop, generate_peak = traced_peak(varaux.generate_population, workload.spec(pop_seed))
+    # The population's first table, which the warm-up job would compute.
+    _, table_peak = traced_peak(varaux.delta_table, pop)
     configs = [workload.config(seed) for seed in job_seeds[: 1 + 2 * REPEATS]]
-    varaux.run_simulation(pop, configs[0])  # fills the population's moment cache; untimed
+    varaux.run_simulation(pop, configs[0])  # warm-up, untimed
     wall, faults = [], []
     for config in configs[1 : 1 + REPEATS]:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -165,6 +183,11 @@ def time_design(varaux, workload, seeds: tuple[int, list[int]]) -> dict:
         "minor_faults_per_job": summary(faults),
         "rows_per_block": rows,
         "block_bytes": 8 * rows * plan.span.size,
+        "tracemalloc_peak_bytes": {
+            "population_data": pop.y.nbytes + pop.x.nbytes + pop.z.nbytes,
+            "generate_population": generate_peak,
+            "delta_table": table_peak,
+        },
         **block_costs(montecarlo, plan, rows),
         "traced_us_per_rep": 1e6 * traced_s / reps,
         "layers_us_per_rep": {name: 1e6 * value / reps for name, value in layers.items()},
@@ -233,6 +256,11 @@ def main(argv=None) -> int:
     idle = [step for step, layer in STEPS.items() if not any(design["calls"][layer] for design in designs.values())]
     if idle:
         print(f"error: {', '.join(idle)} ran in no design, so its layer would read zero", file=sys.stderr)
+        return 1
+    peaks = {name: design["tracemalloc_peak_bytes"] for name, design in designs.items()}
+    unseen = [name for name, peak in peaks.items() if peak["generate_population"] < peak["population_data"]]
+    if unseen:
+        print(f"error: tracemalloc missed the population's data in {', '.join(unseen)}", file=sys.stderr)
         return 1
     record = {
         "commit": git_commit(src),
