@@ -56,7 +56,7 @@ import enum
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -188,71 +188,76 @@ def draw_two_phase(
     return first, second
 
 
-@dataclass(frozen=True)
 class _Plan:
-    """Everything a worker needs to evaluate a range of replications."""
+    """Everything a worker needs to evaluate a range of replications.
 
-    y: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
-    n: int
-    nprime: int | None
-    seed: int
-    kinds: tuple[EstimatorKind, ...]
-    weights: tuple[float | None, ...]  # None = plug-in, re-estimated per draw
-    aux_sx2: float | None
-    aux_sz2: float | None
-    # The variates each phase gathers: the first phase's auxiliaries, then
-    # y and the second phase's; and whether a combined kind takes the
-    # plug-in weight of the second phase's moment table, which reads all three.
-    variates: tuple[str, str] = field(init=False, repr=False)
-    plug_in: bool = field(init=False, repr=False)
-    # The position draw's constants, per draw: numpy's ``integers(low,
-    # high)`` bounds, the range ``span = high - low`` and Lemire's
-    # rejection ``threshold``.  Draw i reads half-word i of the row's
-    # ``words`` Philox words; numpy draws a one-value range without one,
-    # but only a single-phase n = N ends in one, where any gives its value.
-    low: np.ndarray = field(init=False, repr=False)
-    high: np.ndarray = field(init=False, repr=False)
-    span: np.ndarray = field(init=False, repr=False)
-    threshold: np.ndarray = field(init=False, repr=False)
-    words: int = field(init=False, repr=False)
-    # Per phase, its draws' columns ``begin:end`` and the number of units
-    # it draws from.
-    phases: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
+    ``weights`` has a slot per kind, None for a plug-in weight that each
+    draw re-estimates; ``aux_sx2`` and ``aux_sz2`` are the population
+    variances the kinds take as known.  :meth:`for_run` builds a run's plan.
+    """
 
-    def __post_init__(self) -> None:
-        n_pop = _population_size(self.y.size)
-        if self.nprime is None:
-            low, high = np.arange(self.n), np.full(self.n, n_pop)
-            phases = ((0, self.n, n_pop),)
+    def __init__(self, y, x, z, n, nprime, seed, kinds, weights, aux_sx2, aux_sz2) -> None:
+        n_pop = _population_size(y.size)
+        self.y, self.x, self.z = y, x, z
+        self.n = n
+        self.nprime = nprime
+        self.seed = seed
+        self.kinds = kinds
+        self.weights = weights
+        self.aux_sx2 = aux_sx2
+        self.aux_sz2 = aux_sz2
+        # The position draw's constants, per draw: numpy's ``integers(low,
+        # high)`` bounds, the range ``span = high - low`` and Lemire's
+        # rejection ``threshold``.  Draw i reads half-word i of the row's
+        # ``words`` Philox words; numpy draws a one-value range without one,
+        # but only a single-phase n = N ends in one, where any gives its value.
+        # Per phase, its draws' columns ``begin:end`` and the number of units
+        # it draws from.
+        if nprime is None:
+            self.low, self.high = np.arange(n), np.full(n, n_pop)
+            self.phases = ((0, n, n_pop),)
         else:
-            if self.nprime >= n_pop:
-                raise InvalidDesignError(
-                    f"first-phase size nprime={self.nprime} must be smaller than the population "
-                    f"size {n_pop}; a census first phase makes each two-phase kind its single-phase twin"
-                )
-            phases = ((0, self.nprime, n_pop), (self.nprime, self.nprime + self.n, self.nprime))
-            low = np.concatenate((np.arange(self.nprime), np.arange(self.n)))
-            high = np.concatenate((np.full(self.nprime, n_pop), np.full(self.n, self.nprime)))
-        span = (high - low).astype(np.uint64)
-        plug_in = any(kind.is_combined and w is None for kind, w in zip(self.kinds, self.weights))
-        two_phase = [kind for kind in self.kinds if kind.is_two_phase]
+            self.low = np.concatenate((np.arange(nprime), np.arange(n)))
+            self.high = np.concatenate((np.full(nprime, n_pop), np.full(n, nprime)))
+            self.phases = ((0, nprime, n_pop), (nprime, nprime + n, nprime))
+        self.span = (self.high - self.low).astype(np.uint64)
+        self.threshold = ((2**32 - self.span) % self.span).astype(np.uint32)
+        self.words = (self.span.size + 1) // 2
+        # The variates each phase gathers: the first phase's auxiliaries, then
+        # y and the second phase's; and whether a combined kind takes the
+        # plug-in weight of the second phase's moment table, which reads all three.
+        self.plug_in = any(kind.is_combined and w is None for kind, w in zip(kinds, weights))
+        two_phase = [kind for kind in kinds if kind.is_two_phase]
         first = "x" * any(kind.uses_x for kind in two_phase) + "z" * any(kind.uses_z for kind in two_phase)
-        second = "y" + "x" * (plug_in or any(kind.uses_x for kind in self.kinds))
-        second += "z" * (plug_in or any(kind.uses_z for kind in self.kinds))
-        constants = {
-            "variates": (first, second),
-            "plug_in": plug_in,
-            "low": low,
-            "high": high,
-            "span": span,
-            "threshold": ((2**32 - span) % span).astype(np.uint32),
-            "words": (span.size + 1) // 2,
-            "phases": phases,
-        }
-        for name, value in constants.items():
-            object.__setattr__(self, name, value)
+        second = "y" + "x" * (self.plug_in or any(kind.uses_x for kind in kinds))
+        second += "z" * (self.plug_in or any(kind.uses_z for kind in kinds))
+        self.variates = (first, second)
+        # A chunk's statistics, a row each: the variances named in
+        # ``stat_names``, then under plug-in weights the moment table's nine.
+        self.stat_names = [f"s{name}2_first" for name in first] + [f"s{name}2" for name in second]
+        self.stat_rows = len(self.stat_names) + 9 * self.plug_in
+
+    @classmethod
+    def for_run(cls, pop: Population, config: SimulationConfig) -> tuple[_Plan, tuple[str, ...]]:
+        """The plan of running ``config`` on ``pop``, and each kind's weight source.
+
+        A census sample or first phase is refused before any moment table
+        is computed.  The unbiased baseline is the first kind.  Weights are
+        resolved once: a None slot survives only under ``PLUG_IN``.
+        """
+        for what, size, rest in (
+            ("sample size n", config.n, "admits no sampling variation"),
+            ("first-phase size nprime", config.nprime, "first phase makes each two-phase kind its single-phase twin"),
+        ):
+            if size is not None and size >= pop.size:
+                raise InvalidDesignError(
+                    f"{what}={size} must be smaller than the population size {pop.size}; a census {rest}"
+                )
+        kinds = tuple(dict.fromkeys((UNBIASED,) + config.estimators))
+        table = delta_table(pop) if config.weight_policy is WeightPolicy.POPULATION_OPTIMAL else None
+        weights, sources = zip(*(_resolve_weight(kind, deltas=table) for kind in kinds))
+        plan = cls(pop.y, pop.x, pop.z, config.n, config.nprime, config.seed, kinds, weights, pop.sx2, pop.sz2)
+        return plan, sources
 
 
 #: Bytes of drawn positions per block of replications.  Rows per block
@@ -493,16 +498,14 @@ def _simulate_chunk(plan: _Plan, start: int, stop: int) -> tuple[np.ndarray, np.
     failed check, or None.
     """
     count = stop - start
-    first, second = plan.variates
-    names = [f"s{name}2_first" for name in first] + [f"s{name}2" for name in second]
-    stats = np.empty((len(names) + 9 * plan.plug_in, count))
+    stats = np.empty((plan.stat_rows, count))
     rows = min(_block_rows(plan), count)
     work = _chunk_workspace(plan, rows)
     for block_start in range(start, stop, rows):
         block_stop = min(block_start + rows, stop)
         _simulate_block(plan, block_start, block_stop, stats[:, block_start - start : block_stop - start], work)
     variances = dict.fromkeys(("sx2", "sz2", "sx2_first", "sz2_first"))
-    variances.update(zip(names, stats))
+    variances.update(zip(plan.stat_names, stats))
     table = (stats[-9:-6], stats[-6:]) if plan.plug_in else None
     own, checks = evaluate(plan.kinds, plan.weights, variances["sy2"], variances, (plan.aux_sx2, plan.aux_sz2), table)
     values = np.stack(own, axis=1)
@@ -612,46 +615,26 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
     Raises
     ------
     InvalidInputError, InvalidDesignError
-        If the configuration does not fit the population.
+        If ``workers`` is not a positive integer, or the design does not
+        fit the population: a census sample or first phase is refused
+        before any moment table is computed.
     DegeneratePopulationError
         If any variate is constant in the population, or its y kurtosis
         is at the lower bound ``d400 = 1``, where the theory has no
         baseline, or a kind's first-order MSE is not positive, as for
         ``isaki-ratio`` when x is y; each before any replication runs.
     SimulationError
-        If too many replications fail.
+        If too many replications fail, or a kind's empirical MSE is zero
+        because every kept replication gave it exactly ``S_y^2``.
     """
     workers = _integer(workers, "workers", 1)
+    plan, sources = _Plan.for_run(pop, config)
     n_pop = pop.size
-    if config.n >= n_pop:
-        raise InvalidDesignError(
-            f"sample size n={config.n} must be smaller than the population "
-            f"size {n_pop}; a census admits no sampling variation"
-        )
-    kinds = tuple(dict.fromkeys((UNBIASED,) + config.estimators))
     sy2 = pop.sy2
     pop_deltas = delta_table(pop)
-
-    # Resolve weights once.  A None slot survives only under PLUG_IN,
-    # where it means "re-estimate from every sample"; theory columns
-    # for those rows are evaluated at the population optimum instead,
-    # since per-sample weights have no single theoretical value.
-    table = pop_deltas if config.weight_policy is WeightPolicy.POPULATION_OPTIMAL else None
-    weights, sources = zip(*(_resolve_weight(kind, deltas=table) for kind in kinds))
-    theory = theory_table(kinds, pop_deltas, sy2, DesignSizes(config.n, config.nprime))
-
-    plan = _Plan(
-        y=pop.y,
-        x=pop.x,
-        z=pop.z,
-        n=config.n,
-        nprime=config.nprime,
-        seed=config.seed,
-        kinds=kinds,
-        weights=weights,
-        aux_sx2=pop.sx2,
-        aux_sz2=pop.sz2,
-    )
+    # A plug-in row's theory columns are evaluated at the population
+    # optimum, since per-sample weights have no single theoretical value.
+    theory = theory_table(plan.kinds, pop_deltas, sy2, DesignSizes(config.n, config.nprime))
     if config.n / n_pop > 0.05:
         warnings.warn(
             f"sampling fraction n/N = {config.n / n_pop:.3f} exceeds 5%; the "
@@ -685,9 +668,10 @@ def run_simulation(pop: Population, config: SimulationConfig, workers: int = 1) 
     deviations = kept - sy2
     emp_mse = (deviations * deviations).mean(axis=0)
     if float(emp_mse.min()) <= 0.0:
+        kind = theory[int(np.argmin(emp_mse))]["kind"]
         raise SimulationError(
-            "an estimator's empirical MSE is zero; the design admits no "
-            "sampling variation (is n = N?)"
+            f"the empirical MSE of {kind!r} is zero: every kept replication gave it exactly "
+            f"S_y^2, so the population admits no sampling variation at n={config.n}"
         )
     # The unbiased baseline is always the first kind.
     baseline_mse = float(emp_mse[0])

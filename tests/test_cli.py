@@ -888,6 +888,28 @@ class TestSimulate:
         )
 
 
+    def test_census_first_phase_comes_before_the_moment_table(self, tmp_path):
+        # x is constant, which the moment table refuses with exit 3.
+        rows = ["y,x,z"] + [f"{i}.5,2.0,{(7 * i) % 50}.0" for i in range(50)]
+        pop_path = tmp_path / "flat_x.csv"
+        pop_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        result = invoke_quietly("simulate", "--input", str(pop_path), "--n", "10", "--nprime", "50", "--reps", "10")
+        assert result.exit_code == 2
+        assert "a census first phase" in result.stderr
+
+    def test_zero_empirical_mse_exits_3(self):
+        result = invoke_quietly(
+            "simulate", "--input", str(DATA_DIR / "population_two_point.csv"), "--n", "5", "--reps", "10"
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error: ")]
+        assert errors == [
+            "error: the empirical MSE of 'unbiased' is zero: every kept replication gave it exactly "
+            "S_y^2, so the population admits no sampling variation at n=5"
+        ]
+
+
 class TestGenPop:
     def test_writes_loadable_csv(self, tmp_path):
         out = tmp_path / "pop.csv"

@@ -34,6 +34,7 @@ from varaux import (
     PopulationSpec,
     SimulationConfig,
     SimulationError,
+    WeightPolicy,
     alpha_opt,
     delta_table,
     draw_srswor,
@@ -73,7 +74,9 @@ def two_valued_x():
 
 
 def make_plan(pop, *, n, seed, kinds, weights, nprime=None):
-    """A plan as run_simulation builds it; ``None`` weights are plug-in."""
+    """A plan of ``pop`` through the low-level constructor, for any kind
+    list, which need not start with the baseline; ``None`` weights are
+    plug-in, and a population variance no kind uses is passed as None."""
     kinds = tuple(kinds)
     uses_x = any(kind.uses_x for kind in kinds)
     uses_z = any(kind.uses_z for kind in kinds)
@@ -401,6 +404,27 @@ def test_report_aggregates_as_numpys_mean(pop, estimators, nprime, monkeypatch):
         assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
 
 
+@pytest.fixture(scope="module")
+def default_pop():
+    return generate_population(PopulationSpec())
+
+
+@pytest.mark.parametrize("policy", [WeightPolicy.POPULATION_OPTIMAL, WeightPolicy.PLUG_IN])
+@pytest.mark.parametrize("nprime, kinds", [(None, SINGLE_PHASE_KINDS), (200, ALL_KINDS)], ids=["1-phase", "2-phase"])
+def test_power_of_two_scaling_keeps_every_bit(default_pop, nprime, kinds, policy):
+    # Scaling x or z by 2**k leaves each value as it is, and scaling y by
+    # 2**k multiplies it by 4**k: exactly in IEEE arithmetic, barring
+    # overflow and subnormals, and so in every replication and weight.
+    config = SimulationConfig(n=30, nprime=nprime, reps=CHUNK_SIZE, seed=23, estimators=kinds, weight_policy=policy)
+    base, base_failed, _ = _simulate_chunk(_Plan.for_run(default_pop, config)[0], 0, CHUNK_SIZE)
+    variates = (default_pop.y, default_pop.x, default_pop.z)
+    for scales in [(0, 10, -7), (-3, 0, 0), (40, -60, 90)]:
+        scaled = Population(*(np.ldexp(values, k) for values, k in zip(variates, scales)))
+        values, failed, _ = _simulate_chunk(_Plan.for_run(scaled, config)[0], 0, CHUNK_SIZE)
+        assert np.array_equal(values.view(np.uint64), np.ldexp(base, 2 * scales[0]).view(np.uint64)), scales
+        assert np.array_equal(failed, base_failed), scales
+
+
 def bare_plan(n_pop, n, nprime, seed):
     # Zero-stride variates: a plan over 2**32 units costs no memory.
     zeros = np.broadcast_to(0.0, (n_pop,))
@@ -512,8 +536,11 @@ def test_one_value_range_consumes_no_word(n_pop, n, nprime):
 
 @pytest.mark.parametrize("n_pop, n, nprime", [(50, 10, 50), (3, 2, 3), (50, 10, 51)])
 def test_census_first_phase_is_refused(n_pop, n, nprime):
+    # The run constructor refuses it; the low-level one takes any sizes.
+    pop = Population(*np.random.default_rng(n_pop).random((3, n_pop)))
+    config = SimulationConfig(n=n, nprime=nprime, reps=1, seed=0, estimators=(EXP_RATIO_TWO_PHASE,))
     with pytest.raises(InvalidDesignError, match=f"nprime={nprime} must be smaller than the population size {n_pop}; a census"):
-        bare_plan(n_pop, n, nprime, 0)
+        _Plan.for_run(pop, config)
 
 
 def test_population_beyond_32_bit_draws_is_rejected():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,12 +34,15 @@ from varaux import (
     draw_srswor,
     draw_two_phase,
     generate_population,
+    load_population_csv,
     run_simulation,
 )
 
 from varaux import montecarlo
 
 from helpers import count_fourth_moments, random_population
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -424,6 +428,27 @@ class TestRunSimulation:
             with pytest.raises(InvalidDesignError, match="a census first phase"):
                 run_simulation(small_pop, config)
         assert [str(w.message) for w in caught] == []
+
+    def test_census_first_phase_refused_before_any_moment_table(self, monkeypatch):
+        calls = count_fourth_moments(monkeypatch)
+        pop = random_population(np.random.default_rng(3), 50)
+        config = SimulationConfig(n=10, nprime=50, reps=10, seed=0, estimators=(EXP_RATIO_TWO_PHASE,))
+        with pytest.raises(InvalidDesignError, match="a census first phase"):
+            run_simulation(pop, config)
+        assert calls == []
+
+    @pytest.mark.parametrize("estimators", [(UNBIASED,), (EXP_RATIO,), SINGLE_PHASE_KINDS], ids=["1", "2", "all"])
+    def test_zero_empirical_mse_names_its_cause(self, estimators):
+        # Every 5-unit sample of this two-point y has s_y^2 = S_y^2 exactly,
+        # while d400 rounds to 1.0000000000000002, past the theory's check.
+        pop = load_population_csv(DATA_DIR / "population_two_point.csv")
+        config = SimulationConfig(n=5, reps=10, seed=0, estimators=estimators)
+        with pytest.raises(SimulationError) as refused:
+            quiet_run(pop, config)
+        assert str(refused.value) == (
+            "the empirical MSE of 'unbiased' is zero: every kept replication gave it exactly "
+            "S_y^2, so the population admits no sampling variation at n=5"
+        )
 
 
 @pytest.fixture(scope="module")

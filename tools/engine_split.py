@@ -33,7 +33,9 @@ jobs in one process, ``bigpop-pool``'s design included.  It records:
 
 ``--src DIR`` imports ``varaux`` from ``DIR/src`` instead of this
 checkout: a copy of the parent commit, whose record goes into the
-``--out`` file as ``before``, next to this checkout's ``after``.
+``--out`` file as ``before``, next to this checkout's ``after``.  The
+block costs size their statistics by the plan's ``stat_rows``, so
+``DIR`` needs a plan that states it.
 Without ``--out`` the record is printed as JSON.
 
 A wrapped step that no longer exists stops the run with an error, and
@@ -116,7 +118,7 @@ def summary(values: list[float]) -> dict:
 def block_costs(montecarlo, plan, rows: int) -> dict:
     """Median µs of ``_simulate_block`` on 1 row and on ``rows`` rows, in the chunk's workspace."""
     work = montecarlo._chunk_workspace(plan, rows)
-    stats = np.empty((sum(map(len, plan.variates)) + 9 * plan.plug_in, rows))
+    stats = np.empty((plan.stat_rows, rows))
     costs = {}
     for count in (1, rows):
         times = []
