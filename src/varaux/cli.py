@@ -118,30 +118,32 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
-        "  ".join("-" * widths[i] for i in range(len(headers))).rstrip(),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
+def _table(columns, rows: list[dict]) -> str:
+    """Text table of ``rows`` under ``columns``, a list of (row key, text
+    header, cell format) triples: a header line, a rule, then one line per
+    row, each column as wide as its widest cell, trailing blanks cut."""
+    headers = [header for _, header, _ in columns]
+    cells = [[cell(row[key]) for key, _, cell in columns] for row in rows]
+    widths = [max(map(len, column)) for column in zip(headers, *cells)]
+    lines = [headers, ["-" * width for width in widths], *cells]
+    return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)
 
 
 def _fmt(value: float | None, digits: int = 6) -> str:
     return "-" if value is None else f"{value:.{digits}g}"
 
 
+_fmt10 = functools.partial(_fmt, digits=10)
+_fixed2 = "{:.2f}".format
+
+
 def _render(fmt: str, out: str | None, doc: dict, columns, rows, text: str) -> None:
-    """Write ``doc`` as JSON, ``rows`` under ``columns`` as CSV, or ``text``."""
+    """Write ``doc`` as JSON, ``rows`` as CSV under the row keys of
+    ``columns`` (the list :func:`_table` takes), or ``text``."""
     if fmt == "json":
         _emit(json.dumps(doc, indent=2) + "\n", out)
     elif fmt == "csv":
-        _emit(format_csv(columns, rows), out)
+        _emit(format_csv([key for key, _, _ in columns], rows), out)
     else:
         _emit(text, out)
 
@@ -181,6 +183,9 @@ def _parse_orders(text: str) -> list[tuple[int, int, int]]:
     return [tuple(map(int, token)) for token in tokens]
 
 
+_ORDER_COLUMNS = [("order", "order", str), ("mu", "mu", _fmt10), ("delta", "delta", _fmt10)]
+
+
 @main.command("moments")
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True, help="Population CSV (header y,x,z).")
 @click.option("--orders", default="400,040,004,220,202,022", show_default=True, help="Comma-separated pqr digit triples.")
@@ -200,17 +205,16 @@ def cmd_moments(input_path: str, orders: str, fmt: str, out: str | None) -> None
     ]
     table = DeltaTable.from_moments(variances, deltas[len(requested) :])
     doc = {"population": _population_doc(pop), "orders": rows, "delta_table": table.to_dict()}
-    text_rows = [[row["order"], _fmt(row["mu"], 10), _fmt(row["delta"], 10)] for row in rows]
     body = [
         f"population: N={pop.size}  sy2={_fmt(pop.sy2, 10)}  "
         f"sx2={_fmt(pop.sx2, 10)}  sz2={_fmt(pop.sz2, 10)}",
         "",
-        _table(["order", "mu", "delta"], text_rows).rstrip(),
+        _table(_ORDER_COLUMNS, rows).rstrip(),
         "",
         "delta table: " + "  ".join(f"{k}={_fmt(v, 10)}" for k, v in table.to_dict().items()),
         "",
     ]
-    _render(fmt, out, doc, ["order", "mu", "delta"], rows, "\n".join(body))
+    _render(fmt, out, doc, _ORDER_COLUMNS, rows, "\n".join(body))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +227,10 @@ _WEIGHT_SOURCES = {
     "optimal": "table-optimal",
     "plug-in": "estimated from sample",
 }
+
+_ESTIMATE_COLUMNS = [
+    ("kind", "kind", str), ("estimate", "estimate", _fmt10), ("weight", "weight", _fmt), ("weight_source", "weight source", str)
+]
 
 
 @main.command("estimate")
@@ -281,12 +289,7 @@ def cmd_estimate(
     }
     if first is not None:
         doc["first_phase"] = {"nprime": len(first)}
-    text_rows = [
-        [row["kind"], _fmt(row["estimate"], 10), _fmt(row["weight"]), row["weight_source"]]
-        for row in rows
-    ]
-    text = _table(["kind", "estimate", "weight", "weight source"], text_rows)
-    _render(fmt, out, doc, ["kind", "estimate", "weight", "weight_source"], rows, text)
+    _render(fmt, out, doc, _ESTIMATE_COLUMNS, rows, _table(_ESTIMATE_COLUMNS, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +301,20 @@ def _design_kinds(sizes: DesignSizes) -> list[EstimatorKind]:
     if sizes.nprime is None:
         return list(SINGLE_PHASE_KINDS)
     return [UNBIASED] + list(TWO_PHASE_KINDS)
+
+
+#: The built-in example's notes, as ``theory --builtin-s5`` and
+#: ``reproduce-tables`` print them.
+_NOTE_LINES = "".join(f"note: {note}\n" for note in BUILTIN_EXAMPLE_NOTES)
+
+_THEORY_COLUMNS = [
+    ("kind", "kind", str), ("weight", "weight", _fmt), ("bias", "bias", _fmt), ("mse", "mse", _fmt),
+    ("pre", "pre", _fixed2), ("formula_id", "formula", str),
+]
+
+#: ``theory --corrections`` prints each formula id, then the other fields
+#: under their labels.
+_CORRECTION_COLUMNS = [("formula_id", "formula", str), ("change", "change", str), ("forced_by", "forced by", str)]
 
 
 @main.command("theory")
@@ -326,11 +343,10 @@ def cmd_theory(
     if corrections:
         rows = [asdict(correction) for correction in CORRECTIONS]
         blocks = [
-            f"{row['formula_id']}\n  change:    {row['change']}\n  forced by: {row['forced_by']}"
+            row["formula_id"] + "".join(f"\n  {label + ':':<10} {row[key]}" for key, label, _ in _CORRECTION_COLUMNS[1:])
             for row in rows
         ]
-        columns = ["formula_id", "change", "forced_by"]
-        _render(fmt, out, {"corrections": rows}, columns, rows, "\n".join(blocks) + "\n")
+        _render(fmt, out, {"corrections": rows}, _CORRECTION_COLUMNS, rows, "\n".join(blocks) + "\n")
         return
     if builtin_s5 and deltas_path:
         raise InvalidInputError("pass either --deltas or --builtin-s5, not both")
@@ -352,24 +368,8 @@ def cmd_theory(
     }
     if builtin_s5:
         doc["notes"] = list(BUILTIN_EXAMPLE_NOTES)
-    text_rows = [
-        [
-            row["kind"],
-            _fmt(row["weight"]),
-            _fmt(row["bias"]),
-            _fmt(row["mse"]),
-            f"{row['pre']:.2f}",
-            row["formula_id"],
-        ]
-        for row in rows
-    ]
-    parts = []
-    if builtin_s5:
-        parts.extend(f"note: {note}" for note in BUILTIN_EXAMPLE_NOTES)
-        parts.append("")
-    parts.append(_table(["kind", "weight", "bias", "mse", "pre", "formula"], text_rows).rstrip())
-    parts.append("")
-    _render(fmt, out, doc, list(rows[0]), rows, "\n".join(parts))
+    notes = _NOTE_LINES + "\n" if builtin_s5 else ""
+    _render(fmt, out, doc, _THEORY_COLUMNS, rows, notes + _table(_THEORY_COLUMNS, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -380,37 +380,41 @@ _TWO_PHASE_FLAG = (
     "alike; the computed value is reported unaltered"
 )
 
+_REPRODUCTION_COLUMNS = [
+    ("kind", "kind", str), ("reported_pre", "reported", _fixed2), ("computed_pre", "computed", _fixed2),
+    ("rel_dev_pct", "dev %", _fixed2), ("status", "status", str),
+]
+
 
 def _reproduction_rows() -> tuple[list[dict], list[dict]]:
-    def build(kinds, sizes, reported):
+    # The published tables cover the exponential kinds and the combined
+    # optimum; the plain ratio kind is not among the reported cells.
+    designs = [
+        ([UNBIASED, EXP_RATIO, EXP_PRODUCT, COMBINED], DesignSizes(BUILTIN_EXAMPLE_DESIGN.n), REPORTED_PRE_SINGLE_PHASE),
+        (_design_kinds(BUILTIN_EXAMPLE_DESIGN), BUILTIN_EXAMPLE_DESIGN, REPORTED_PRE_TWO_PHASE),
+    ]
+    tables = []
+    for kinds, sizes, reported in designs:
         rows = []
-        theory_rows = theory_table(kinds, BUILTIN_EXAMPLE_DELTAS, 1.0, sizes)
-        for kind, row in zip(kinds, theory_rows):
-            computed = row["pre"]
+        for kind, row in zip(kinds, theory_table(kinds, BUILTIN_EXAMPLE_DELTAS, 1.0, sizes)):
             published = reported[kind.family.value]
-            rel_dev = abs(computed - published) / published
+            rel_dev_pct = 100.0 * (abs(row["pre"] - published) / published)
+            if sizes.nprime is None:
+                status = "consistent" if rel_dev_pct <= 1.5 else "DEVIATES by more than 1.5%"
+            else:
+                status = "consistent" if kind == UNBIASED else f"flagged: {_TWO_PHASE_FLAG}"
             rows.append(
                 {
                     "kind": row["kind"],
                     "reported_pre": published,
-                    "computed_pre": computed,
-                    "rel_dev_pct": 100.0 * rel_dev,
+                    "computed_pre": row["pre"],
+                    "rel_dev_pct": rel_dev_pct,
                     "weight": row["weight"],
+                    "status": status,
                 }
             )
-        return rows
-
-    # The published tables cover the exponential kinds and the combined
-    # optimum; the plain ratio kind is not among the reported cells.
-    single_sizes = DesignSizes(BUILTIN_EXAMPLE_DESIGN.n)
-    single = build([UNBIASED, EXP_RATIO, EXP_PRODUCT, COMBINED], single_sizes, REPORTED_PRE_SINGLE_PHASE)
-    for row in single:
-        row["status"] = "consistent" if row["rel_dev_pct"] <= 1.5 else "DEVIATES by more than 1.5%"
-    two_sizes = BUILTIN_EXAMPLE_DESIGN
-    two = build(_design_kinds(two_sizes), two_sizes, REPORTED_PRE_TWO_PHASE)
-    for row in two:
-        row["status"] = "consistent" if row["kind"] == "unbiased" else f"flagged: {_TWO_PHASE_FLAG}"
-    return single, two
+        tables.append(rows)
+    return tuple(tables)
 
 
 @main.command("reproduce-tables")
@@ -440,23 +444,10 @@ def cmd_reproduce_tables(fmt: str, out: str | None) -> None:
             "rows": two,
         },
     }
-    parts = [f"note: {note}" for note in BUILTIN_EXAMPLE_NOTES] + [""]
+    text = _NOTE_LINES
     for title, rows in (("single-phase efficiencies", single), ("two-phase efficiencies", two)):
-        text_rows = [
-            [
-                row["kind"],
-                f"{row['reported_pre']:.2f}",
-                f"{row['computed_pre']:.2f}",
-                f"{row['rel_dev_pct']:.2f}",
-                row["status"],
-            ]
-            for row in rows
-        ]
-        parts.append(title)
-        parts.append(_table(["kind", "reported", "computed", "dev %", "status"], text_rows).rstrip())
-        parts.append("")
-    columns = ["kind", "reported_pre", "computed_pre", "rel_dev_pct", "status"]
-    _render(fmt, out, doc, columns, single + two, "\n".join(parts))
+        text += f"\n{title}\n" + _table(_REPRODUCTION_COLUMNS, rows)
+    _render(fmt, out, doc, _REPRODUCTION_COLUMNS, single + two, text)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +459,7 @@ def cmd_reproduce_tables(fmt: str, out: str | None) -> None:
 @click.option("--gen", is_flag=True, help="Use the default synthetic population.")
 @click.option("--gen-spec", "gen_spec_path", type=click.Path(exists=True, dir_okay=False), default=None, help="Synthetic population spec JSON.")
 @click.option("--n", type=int, required=True, help="Sample size (second phase when --nprime is given).")
-@click.option("--nprime", type=int, default=None, help="First-phase size; enables two-phase kinds.")
+@click.option("--nprime", type=int, default=None, help="First-phase size; enables two-phase kinds, and draws a nested first phase for every kind.")
 @click.option("--reps", type=int, required=True, help="Replication count.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Master seed (unsigned 64-bit).")
 @click.option("--estimators", default="all", show_default=True, help="Comma-separated kinds, or 'all'.")
@@ -586,8 +577,7 @@ def cmd_gen_pop(out: str, spec_path: str | None, fmt: str, **overrides) -> None:
         "delta table: " + "  ".join(f"{k}={_fmt(v, 6)}" for k, v in table.to_dict().items()),
     ]
     # --out names the population file; the summary always goes to stdout.
-    columns = ["size", "sy2", *realized]
-    _render(fmt, None, doc, columns, [row], "\n".join(lines) + "\n")
+    _render(fmt, None, doc, [(key, key, str) for key in row], [row], "\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

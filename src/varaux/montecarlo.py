@@ -100,9 +100,11 @@ class SimulationConfig:
 
     ``estimators`` may not be empty; an unbiased baseline is prepended
     automatically when missing (empirical PRE needs it and it costs
-    nothing).  ``nprime`` must be present iff a two-phase kind is
-    requested, and strictly exceeds ``n``: these are sizes for actual
-    draws, not for degenerate theory evaluations.  Under ``FIXED`` every
+    nothing).  ``nprime`` is required by a two-phase kind and allowed with
+    any: every replication then draws a first phase of ``nprime`` units and
+    evaluates every kind on the second-phase sample of ``n`` units nested
+    in it.  It strictly exceeds ``n``: these are sizes for actual draws,
+    not for degenerate theory evaluations.  Under ``FIXED`` every
     combined kind carries a weight; each rule is checked here, with no population.
     """
 

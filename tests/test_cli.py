@@ -5,8 +5,9 @@ structure, exit codes, determinism, and agreement with direct library
 calls.  Golden files under tests/data/ pin the exact output of
 ``theory --builtin-s5`` (single- and two-phase, optimal and fixed
 weights), of ``reproduce-tables`` and of ``estimate`` for every kind, in
-JSON, CSV or text, and one plug-in ``simulate`` JSON report of the small
-population in tests/data/, so any numerical or schema drift fails
+JSON, CSV or text, of ``moments`` on the small population in tests/data/
+and of ``gen-pop`` in CSV and text, and one plug-in ``simulate`` JSON
+report of that population, so any numerical or schema drift fails
 loudly.  The last tests run every ``varaux`` command
 and every Python block of the README as written.
 """
@@ -170,6 +171,15 @@ class TestMoments:
         lines = result.stdout.strip().splitlines()
         assert lines[0] == "order,mu,delta"
         assert len(lines) == 7  # header + six default orders
+
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("csv", "csv")])
+    def test_matches_golden(self, fmt, suffix):
+        result = invoke(
+            "moments", "--input", str(DATA_DIR / "population_small.csv"),
+            "--orders", "400,220,111,110", "--format", fmt,
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stdout == (DATA_DIR / f"golden_moments.{suffix}").read_text(encoding="utf-8")
 
     def test_out_file(self, tiny_csv, tmp_path):
         out = tmp_path / "moments.json"
@@ -920,6 +930,14 @@ class TestGenPop:
         assert "wrote 250 units" in result.stdout
         pop = load_population_csv(str(out))
         assert pop.size == 250
+
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("csv", "csv")])
+    def test_matches_golden(self, fmt, suffix, tmp_path):
+        out = tmp_path / "pop.csv"
+        result = invoke("gen-pop", "--size", "300", "--seed", "3", "--out", str(out), "--format", fmt)
+        assert result.exit_code == 0, result.output
+        golden = (DATA_DIR / f"golden_gen_pop.{suffix}").read_text(encoding="utf-8")
+        assert result.stdout.replace(str(out), "pop.csv") == golden
 
     def test_same_seed_same_bytes(self, tmp_path):
         out_a = tmp_path / "a.csv"

@@ -40,6 +40,7 @@ from varaux import (
 
 from varaux import montecarlo
 
+import reference_engine
 from helpers import count_fourth_moments, random_population
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -151,6 +152,29 @@ class TestSimulationConfig:
             SimulationConfig(
                 n=5, reps=10, seed=0, nprime=5, estimators=(EXP_RATIO_TWO_PHASE,)
             )
+
+    def test_nprime_with_single_phase_kinds_draws_a_nested_first_phase(self, monkeypatch):
+        # nprime is required only by two-phase kinds, and allowed for any:
+        # the run then draws a first phase of nprime units and evaluates
+        # every kind on the second-phase sample of n units within it.
+        config = SimulationConfig(n=10, reps=10, seed=0, estimators=(EXP_RATIO,), nprime=50)
+        chunks = []
+        simulate_chunk = montecarlo._simulate_chunk
+
+        def recording(plan, start, stop):
+            result = simulate_chunk(plan, start, stop)
+            chunks.append((plan, start, stop, result))
+            return result
+
+        monkeypatch.setattr(montecarlo, "_simulate_chunk", recording)
+        report = quiet_run(random_population(np.random.default_rng(9), 500), config)
+        assert report.nprime == 50
+        assert [row.kind for row in report.estimators] == ["unbiased", "exp-ratio"]
+        [(plan, start, stop, (values, failed, _))] = chunks
+        assert plan.phases == ((0, 50, 500), (50, 60, 50))
+        expected = reference_engine._simulate_chunk(plan, start, stop)
+        assert np.array_equal(values.view(np.uint64), expected[0].view(np.uint64))
+        assert np.array_equal(failed, expected[1])
 
 
 class TestDeterminism:
