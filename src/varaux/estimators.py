@@ -302,10 +302,10 @@ def _checked_value(kind, two_phase, sy2, variances, aux, weight, samples=None) -
     """The checks and arithmetic of :func:`single_phase_value` and
     :func:`two_phase_value`, and of the estimates given ``samples``.
 
-    ``variances`` maps the names of the family's ``divisors`` to sample
-    variances.  The first check of :func:`evaluate` that fails raises
-    its error; the numbers go in as numpy floats, so that no division
-    raises before then.
+    ``variances`` maps names of sample variances, among them the
+    family's ``divisors``, to values or None.  The first failure of
+    :func:`evaluate` raises; the numbers go in as numpy floats, so that
+    no division raises before then.
     """
     _check_design(kind, two_phase, "{}_phase_value")
     if sy2 is None:
@@ -320,15 +320,14 @@ def _checked_value(kind, two_phase, sy2, variances, aux, weight, samples=None) -
         for name, _ in kind.family.divisors:
             aux.require(name)  # the known variances divided against
     for name, _ in kind.family.divisors:
-        if variances[name] is None:
+        if variances.get(name) is None:
             raise InvalidInputError(f"estimator {kind.label!r} needs the sample variance {name!r}")
     refs = (None, None) if two_phase else (aux.sx2, aux.sz2)
-    numbers = {k: None if v is None else np.float64(v) for k, v in variances.items()}
+    numbers = {k: np.float64(v) for k, v in variances.items() if v is not None}
     table = fourth_moments(*samples) if weight is None and kind.is_combined else None
-    (value,), checks = evaluate((kind,), (weight,), sy2, numbers, refs, table)
-    for failed, error, message in checks:
-        if failed:
-            raise error(message)
+    (value,), _, first = evaluate((kind,), (weight,), {"sy2": sy2, **numbers}, refs, table)
+    if first is not None:
+        raise first[0](first[1])
     return float(value)
 
 
@@ -368,21 +367,24 @@ def alpha_opt(deltas: DeltaTable) -> float:
     return numerator / denominator
 
 
-def evaluate(kinds, weights, sy2, variances, refs, table=None):
-    """Values and checks of ``kinds``, on floats or elementwise on arrays.
+def evaluate(kinds, weights, stats, refs, table=None):
+    """Values and failures of ``kinds``, on floats or elementwise on arrays.
 
     The one evaluation of the estimators, for the scalar entry points
     and for the engine's chunks (one replication per element).
     ``weights`` are resolved, or None where a combined kind takes the
     plug-in weight of ``table``, the :func:`fourth_moments` output of
-    the ``(y, x, z)`` samples; ``variances`` maps the names of the
-    families' ``divisors``; ``refs`` are the known ``(S_x^2, S_z^2)``.
+    the ``(y, x, z)`` samples; ``stats`` maps ``"sy2"`` and the families'
+    ``divisors``, the only names read; ``refs`` are the known
+    ``(S_x^2, S_z^2)``.
 
-    Returns a value per kind, undefined where a check fails, and
-    ``(failed, error class, message)`` per check in the order they
-    apply: given a ``table``, each variate's zero variance, then a flat
-    objective; then each kind's divisors.  A plug-in table that is not
-    finite, where no variance is zero, raises DeltaTable's error.
+    Returns a value per kind, undefined where a check fails; ``failed``,
+    the OR of the checks, shaped as ``stats["sy2"]``; and ``first``, the
+    ``(error class, message)`` of the first failed element's first
+    failed check, or None.  The checks, in order: given a ``table``,
+    each variate's zero variance, then a flat objective; then each
+    kind's divisors.  A plug-in table that is not finite, where no
+    variance is zero, raises DeltaTable's error.
     """
     checks, plug_weight = [], None
     with np.errstate(all="ignore"):
@@ -399,17 +401,21 @@ def evaluate(kinds, weights, sy2, variances, refs, table=None):
             checks.append((denominator == 0.0, NoUniqueOptimumError, FLAT_OBJECTIVE))
             plug_weight = numerator / denominator
         values, factors = [], ({}, {})  # the factors of each design
-        sx2, sz2 = variances["sx2"], variances["sz2"]
+        sx2, sz2 = stats.get("sx2"), stats.get("sz2")
         for kind, weight in zip(kinds, weights):
             for name, message in kind.family.divisors:
-                checks.append((variances[name] <= 0.0, DegenerateSampleError, message))
+                checks.append((stats[name] <= 0.0, DegenerateSampleError, message))
             ref_x, ref_z = refs
             two_phase = kind.is_two_phase
             if two_phase:
-                ref_x, ref_z = variances["sx2_first"], variances["sz2_first"]
+                ref_x, ref_z = stats.get("sx2_first"), stats.get("sz2_first")
             weight = plug_weight if weight is None else weight
-            values.append(value_kernel(kind.family, sy2, sx2, sz2, ref_x, ref_z, weight, factors[two_phase]))
-    return values, checks
+            values.append(value_kernel(kind.family, stats["sy2"], sx2, sz2, ref_x, ref_z, weight, factors[two_phase]))
+    failed = np.zeros(np.shape(stats["sy2"]), dtype=bool)
+    for mask, _, _ in checks:
+        failed |= mask
+    at = np.argmax(failed)  # 0, which no check fails at, if none fails
+    return values, failed, next(((error, message) for mask, error, message in checks if np.ravel(mask)[at]), None)
 
 
 def _resolve_weight(
@@ -467,7 +473,7 @@ def _estimate(kind, two_phase, y, x, z, x_first, z_first, aux, weight, deltas) -
     y_arr = _checked_sample(y, "y")
     n = y_arr.size
     sy2 = sample_variance(y_arr)
-    variances = dict.fromkeys(("sx2", "sz2", "sx2_first", "sz2_first"))
+    variances: dict[str, float] = {}
     second: dict[str, np.ndarray] = {}
     first_sizes: dict[str, int] = {}
     for name, used, values, first_values in (

@@ -525,7 +525,7 @@ def load_delta_table(path) -> DeltaTable:
     except PopulationFormatError as exc:
         raise PopulationFormatError(f"{path}: {exc}") from exc
     if violations := table.violations():
-        raise InvalidInputError("moment table violates realizability bounds: " + "; ".join(violations))
+        raise InvalidInputError(f"{path}: moment table violates realizability bounds: " + "; ".join(violations))
     return table
 
 

@@ -495,9 +495,9 @@ def _simulate_chunk(plan: _Plan, start: int, stop: int) -> tuple[np.ndarray, np.
     """Evaluate replications ``start..stop-1``; pure in (plan, range).
 
     The blocks write each replication's statistics, then one call of
-    :func:`evaluate` gives every replication's values and checks.  The
-    third item is the message of the first failed replication's first
-    failed check, or None.
+    :func:`evaluate` gives every replication's values and failure flag.
+    The third item is the message of the first failed replication's
+    first failed check, or None.
     """
     count = stop - start
     stats = np.empty((plan.stat_rows, count))
@@ -506,20 +506,13 @@ def _simulate_chunk(plan: _Plan, start: int, stop: int) -> tuple[np.ndarray, np.
     for block_start in range(start, stop, rows):
         block_stop = min(block_start + rows, stop)
         _simulate_block(plan, block_start, block_stop, stats[:, block_start - start : block_stop - start], work)
-    variances = dict.fromkeys(("sx2", "sz2", "sx2_first", "sz2_first"))
-    variances.update(zip(plan.stat_names, stats))
     table = (stats[-9:-6], stats[-6:]) if plan.plug_in else None
-    own, checks = evaluate(plan.kinds, plan.weights, variances["sy2"], variances, (plan.aux_sx2, plan.aux_sz2), table)
+    own, failed, first = evaluate(plan.kinds, plan.weights, dict(zip(plan.stat_names, stats)), (plan.aux_sx2, plan.aux_sz2), table)
     values = np.stack(own, axis=1)
-    failed = np.zeros(count, dtype=bool)
-    for mask, _, _ in checks:
-        failed |= mask
-    if not failed.any():
+    if first is None:
         return values, failed, None
     values[failed] = np.nan
-    row = int(np.argmax(failed))
-    message = next(message for mask, _, message in checks if mask[row])
-    return values, failed, f"replication {start + row}: {message}"
+    return values, failed, f"replication {start + int(np.argmax(failed))}: {first[1]}"
 
 
 #: The plan of the run a pool worker serves, set once per worker by

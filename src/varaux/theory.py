@@ -228,31 +228,31 @@ def theory_table(
     Raises
     ------
     DegeneratePopulationError
-        When the first row's MSE is not positive, as at ``d400 = 1``, or
-        another row's, as for ``isaki-ratio`` when x is y.
+        When a row's MSE is not positive, naming the first such kind
+        (``isaki-ratio`` when x is y) or, for the unbiased one, ``d400 = 1``.
     """
     resolved = [_resolve_weight(kind, weight, deltas) for kind in kinds]
     results = [theory_for_kind(kind, deltas, sy2, sizes, weight=w) for kind, (w, _) in zip(kinds, resolved)]
-    baseline = results[0].mse
-    if baseline <= 0.0:
-        raise DegeneratePopulationError(
-            "the moment table's y kurtosis sits at its lower bound (d400 = 1), "
-            "so first-order theory gives the unbiased baseline zero variance "
-            "and efficiencies are undefined"
-        )
     for kind, (w, source), result in zip(kinds, resolved, results):
-        if result.mse <= 0.0:
-            label = _row_label(kind, w, source)
+        if result.mse > 0.0:
+            continue
+        if kind.family.form == "unbiased":
             raise DegeneratePopulationError(
-                f"first-order theory gives {label!r} an MSE of {result.mse!r}, so its PRE is undefined"
+                "the moment table's y kurtosis sits at its lower bound (d400 = 1), "
+                "so first-order theory gives the unbiased baseline zero variance "
+                "and efficiencies are undefined"
             )
+        label = _row_label(kind, w, source)
+        raise DegeneratePopulationError(
+            f"first-order theory gives {label!r} an MSE of {result.mse!r}, so its PRE is undefined"
+        )
     return [
         {
             "kind": _row_label(kind, w, source),
             "weight": w,
             "bias": result.bias,
             "mse": result.mse,
-            "pre": pre(result.mse, baseline),
+            "pre": pre(result.mse, results[0].mse),
             "formula_id": result.formula_id,
         }
         for kind, (w, source), result in zip(kinds, resolved, results)

@@ -15,6 +15,7 @@ and every Python block of the README as written.
 from __future__ import annotations
 
 import csv
+import errno
 import importlib.metadata
 import io
 import json
@@ -199,6 +200,19 @@ class TestMoments:
     def test_missing_input_file_exits_2(self):
         result = invoke("moments", "--input", "no-such-file.csv")
         assert result.exit_code == 2
+
+    def test_os_error_naming_no_file_is_not_a_refusal(self, tiny_csv, monkeypatch):
+        # Only an OSError that names a file is bad input (exit 2); one that
+        # names none, as a failing device gives, propagates unchanged.
+        def failing_read(path):
+            raise OSError(errno.EIO, "I/O error")
+
+        monkeypatch.setattr(cli_module, "load_population_csv", failing_read)
+        result = invoke("moments", "--input", tiny_csv)
+        assert result.exit_code != 2
+        assert type(result.exception) is OSError
+        assert (result.exception.errno, result.exception.filename) == (errno.EIO, None)
+        assert result.stderr == ""
 
     def test_malformed_csv_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -1226,9 +1240,6 @@ def test_theory_refuses_arguments_before_reading_the_table(args, message, builti
     assert not out.exists()
 
 
-_UNREALIZABLE = {"d400": 1.2, "d040": 9.0, "d004": 2.0, "d220": 4.0, "d202": 1.0, "d022": 1.0}
-
-
 @pytest.mark.parametrize(
     "args",
     [
@@ -1237,15 +1248,14 @@ _UNREALIZABLE = {"d400": 1.2, "d040": 9.0, "d004": 2.0, "d220": 4.0, "d202": 1.0
     ],
     ids=["theory", "estimate"],
 )
-def test_unrealizable_table_is_refused_before_the_sample_is_read(args, tiny_csv, tmp_path, reads):
+def test_unrealizable_table_is_refused_before_the_sample_is_read(args, tiny_csv, reads):
     # estimate would otherwise read a table-optimal weight off a table
     # that theory refuses.
-    deltas = tmp_path / "bad.json"
-    deltas.write_text(json.dumps(_UNREALIZABLE), encoding="utf-8")
+    deltas = DATA_DIR / "deltas_unrealizable.json"
     result = invoke(*(arg.format(pop=tiny_csv, deltas=deltas) for arg in args))
     assert result.exit_code == 2
     assert result.stderr == (
-        "error: moment table violates realizability bounds: |d220 - 1| = 3.0 exceeds "
+        f"error: {deltas}: moment table violates realizability bounds: |d220 - 1| = 3.0 exceeds "
         "sqrt((d400 - 1)(d040 - 1)) = 1.2649110640673515\n"
     )
     assert reads == ["load_delta_table"]

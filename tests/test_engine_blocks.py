@@ -188,9 +188,9 @@ def test_estimators_run_once_per_chunk(pop, monkeypatch):
     # runs on one number per replication of the whole chunk.
     calls = []
 
-    def counted(kinds, weights, sy2, *args):
-        calls.append(len(sy2))
-        return montecarlo_evaluate(kinds, weights, sy2, *args)
+    def counted(kinds, weights, stats, *args):
+        calls.append(len(stats["sy2"]))
+        return montecarlo_evaluate(kinds, weights, stats, *args)
 
     montecarlo_evaluate = montecarlo.evaluate
     monkeypatch.setattr(montecarlo, "_block_rows", lambda plan: 7)

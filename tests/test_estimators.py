@@ -491,8 +491,8 @@ class TestSharedExpFactors:
         return {name: rng.uniform(0.5, 2.0, self.ROWS) for name in names}
 
     def run(self, kinds, weights, block):
-        values, checks = evaluate(kinds, weights, block["sy2"], block, self.REFS)
-        assert not np.logical_or.reduce([failed for failed, _, _ in checks]).any()
+        values, failed, first = evaluate(kinds, weights, block, self.REFS)
+        assert not failed.any() and first is None
         return values
 
     @pytest.mark.parametrize(
@@ -523,6 +523,18 @@ class TestSharedExpFactors:
         (product_values,) = self.run((product,), (None,), block)
         assert at_one.tobytes() == ratio_values.tobytes()
         assert at_zero.tobytes() == product_values.tobytes()
+
+    def test_failure_verdict_is_the_first_failed_elements_first_check(self, block):
+        # Row 3 fails only exp-product's check and row 5 both kinds': the
+        # verdict is read at row 3, though exp-ratio's check comes first.
+        block["sx2"][5] = 0.0
+        block["sz2"][[3, 5]] = 0.0
+        values, failed, first = evaluate((UNBIASED, EXP_RATIO, EXP_PRODUCT), (None,) * 3, block, self.REFS)
+        assert np.flatnonzero(failed).tolist() == [3, 5]
+        assert first == (DegenerateSampleError, "sample variance of z is zero; the estimator is undefined")
+        # Only the statistics a kind divides by are read.
+        (value,), failed, first = evaluate((EXP_PRODUCT_TWO_PHASE,), (None,), {"sy2": 2.0, "sz2": 0.5, "sz2_first": 0.5}, (None, None))
+        assert (value, failed.shape, bool(failed), first) == (2.0, (), False, None)
 
 
 def test_array_exp_is_elementwise_math_exp():

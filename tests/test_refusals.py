@@ -96,7 +96,7 @@ REFUSALS = {
     "table-unrealizable": (
         _load_table({"d400": 0.5, "d040": 3.0, "d004": 3.0, "d220": 1.0, "d202": 1.0, "d022": 1.0}),
         InvalidInputError,
-        "moment table violates realizability bounds: d400 = 0.5 is below 1",
+        "{tmp}/table.json: moment table violates realizability bounds: d400 = 0.5 is below 1",
     ),
     "constant-y-delta": (
         lambda tmp: delta(Population(y=np.ones(10), x=X, z=Z), 4, 0, 0),

@@ -647,6 +647,21 @@ class TestTheoryTable:
         with pytest.raises(DegeneratePopulationError, match=r"^first-order theory gives 'isaki-ratio' an MSE of 0\.0"):
             theory_table(SINGLE_PHASE_KINDS, d, 1.0, N10)
 
+    @pytest.mark.parametrize("order", [(ISAKI_RATIO,), (ISAKI_RATIO, UNBIASED)])
+    def test_zero_mse_row_is_named_wherever_it_stands(self, order):
+        # The moments of x = y (d400 = 3, not its bound): the refusal names
+        # the Isaki row, even where it and not the unbiased kind comes first.
+        d = DeltaTable(d400=3.0, d040=3.0, d004=3.0, d220=3.0, d202=1.5, d022=1.5)
+        with pytest.raises(DegeneratePopulationError, match=r"^first-order theory gives 'isaki-ratio' an MSE of 0\.0"):
+            theory_table(order, d, 1.0, N10)
+
+    def test_zero_baseline_named_wherever_it_stands(self):
+        # At d400 = 1 the unbiased row's MSE is zero and exp-ratio's is not;
+        # the cause is the kurtosis bound even with exp-ratio first.
+        d = DeltaTable(d400=1.0, d040=D.d040, d004=D.d004, d220=1.0, d202=1.0, d022=D.d022)
+        with pytest.raises(DegeneratePopulationError, match=r"d400 = 1"):
+            theory_table([EXP_RATIO, UNBIASED], d, 1.0, N10)
+
 
 class TestPublishedFigures:
     def test_single_phase_reported_set(self):
